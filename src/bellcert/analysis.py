@@ -3,7 +3,8 @@
 Given a :class:`~bellcert.device.Device` this module computes:
 
 * the hadamard-round pass tuples and their deficits ``gamma_t`` /
-  ``gamma_b`` (test cases and cross-parity case respectively);
+  ``gamma_b`` (test cases and cross-parity case respectively), one entry
+  per row of ``protocol.CHECKS``;
 * state-dependent commutation residuals between the marginal observables;
 * the swap isometry built from the marginals, its rounding residuals
   against ideal two-qubit Paulis, and the closeness of the conjugated
@@ -26,6 +27,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, as_operator, bell_state,
                      matrix_to_json, projector_of, state_dep_norm_sq, tensor,
                      trace_distance)
+from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
 
@@ -34,44 +36,41 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
-def test_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, float]:
-    """Per-observable pass probabilities in the two mixed-basis cases.
+def _pass_probs(device: Device, obs: ObservableSet | None,
+                kind: Flag) -> dict[str, float]:
+    """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
 
-    Each entry sums, over the four branch labels, the probability that the
-    corresponding marginal observable reproduces the label bit on the
-    matching subnormalized state.
+    A row's observable is its named marginal, or the product of the two
+    named marginals of a cross-parity row; each entry sums, over the four
+    branch labels of the row's basis, the probability that the observable
+    reproduces the label bit of the row's slot on the matching
+    subnormalized state.
     """
     if obs is None:
         obs = marginal_observables(device)
-
-    def entry(o: np.ndarray, basis: tuple[int, int], leg: int) -> float:
+    named = obs.named()
+    out = {}
+    for row in CHECKS:
+        if row.fail_flag is not kind:
+            continue
+        factors = [named[name] for name in row.bucket.split("_")]
+        o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
         total = 0.0
-        for v1, v2 in OUTCOME_PAIRS:
-            part = sigma_partial(device, basis[0], v1, basis[1], v2)
-            proj = projector_of(o, v1 if leg == 0 else v2)
-            total += float(np.real(np.trace(proj @ part)))
-        return total
+        for label in OUTCOME_PAIRS:
+            part = sigma_partial(device, row.basis[0], label[0], row.basis[1], label[1])
+            total += float(np.real(np.trace(projector_of(o, label[row.slot]) @ part)))
+        out[row.bucket] = total
+    return out
 
-    return {
-        "z1": entry(obs.z1, (0, 1), 0), "zt1": entry(obs.zt1, (0, 1), 0),
-        "x2": entry(obs.x2, (0, 1), 1), "xt2": entry(obs.xt2, (0, 1), 1),
-        "x1": entry(obs.x1, (1, 0), 0), "xt1": entry(obs.xt1, (1, 0), 0),
-        "z2": entry(obs.z2, (1, 0), 1), "zt2": entry(obs.zt2, (1, 0), 1),
-    }
+
+def test_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, float]:
+    """Pass probabilities of the single-answer checks in the two mixed bases."""
+    return _pass_probs(device, obs, Flag.FAIL_TEST)
 
 
 def bell_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, float]:
     """Pass probabilities of the two cross-parity checks in basis (1,1)."""
-    if obs is None:
-        obs = marginal_observables(device)
-    zx = obs.zt1 @ obs.xt2
-    xz = obs.xt1 @ obs.zt2
-    out = {"zt1_xt2": 0.0, "xt1_zt2": 0.0}
-    for s1, s2 in OUTCOME_PAIRS:
-        part = sigma_partial(device, 1, s1, 1, s2)
-        out["zt1_xt2"] += float(np.real(np.trace(projector_of(zx, s1) @ part)))
-        out["xt1_zt2"] += float(np.real(np.trace(projector_of(xz, s2) @ part)))
-    return out
+    return _pass_probs(device, obs, Flag.FAIL_BELL)
 
 
 def gamma_t(device: Device) -> float:
@@ -346,11 +345,13 @@ def analyze(device: Device) -> AnalysisReport:
         anticomm[f"leg2@{t1}{t2}"] = anticomm_residual(device, 1, t1, t2, obs)
         comm[f"z1_x2@{t1}{t2}"] = comm_residual(device, "z1_x2", t1, t2, obs)
         comm[f"z2_x1@{t1}{t2}"] = comm_residual(device, "z2_x1", t1, t2, obs)
+    test_entries = test_tuple(device, obs)
+    bell_entries = bell_tuple(device, obs)
     return AnalysisReport(
-        gamma_t=1.0 - min(test_tuple(device, obs).values()),
-        gamma_b=1.0 - min(bell_tuple(device, obs).values()),
-        test_entries=test_tuple(device, obs),
-        bell_entries=bell_tuple(device, obs),
+        gamma_t=1.0 - min(test_entries.values()),
+        gamma_b=1.0 - min(bell_entries.values()),
+        test_entries=test_entries,
+        bell_entries=bell_entries,
         anticomm=anticomm, comm=comm,
         pauli_rounding=pauli_rounding_report(device, obs),
         bell_cases=bell_report(device, obs),

@@ -9,12 +9,12 @@ and the various closeness diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import (ID2, SIGMA_X, SIGMA_Z, VALIDATION_TOL, as_operator,
+from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, as_operator,
                      bell_state, matrix_from_json, matrix_to_json,
                      projector_of, tensor)
 

@@ -311,7 +311,10 @@ def image_to_wire(params: EntcfParams, y) -> str:
 def image_from_wire(params: EntcfParams, s: str):
     raw = bytes.fromhex(s)
     if params.backend == "ideal":
-        return int.from_bytes(raw, "little")
+        y = int.from_bytes(raw, "little")
+        if len(raw) != (2 * params.ideal_w + 8) // 8 or y >> (2 * params.ideal_w):
+            raise ValidationError("ideal image has wrong length or exceeds 2w bits")
+        return y
     if len(raw) % 4 or len(raw) // 4 != params.lwe_m:
         raise ValidationError("lattice image has wrong length")
     return np.array([int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)],

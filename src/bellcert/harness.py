@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, device as devmod, protocol
 from .entcf import EntcfParams
 from .errors import AbortSessionError, ConfigurationError
-from .protocol import Flag, TranscriptRecord, VerifierState
+from .protocol import Flag, TranscriptRecord
 from .provers import ClawOracle, make_prover
 
 VERIFIER_ROLE, PROVER_ROLE = 0, 1
@@ -50,45 +50,24 @@ class RunConfig:
             raise ConfigurationError(f"bad forced round {self.force_round!r}")
 
 
-def _start_forced(config: RunConfig, vrng: np.random.Generator,
-                  session_id: int) -> tuple[VerifierState, dict]:
-    state, keys_msg = protocol.start_session(config.params, vrng, session_id)
-    if config.force_basis is not None and tuple(state.basis) != tuple(config.force_basis):
-        # diagnostics only: resample keys until the wanted basis comes up,
-        # keeping the rng stream well-defined
-        while tuple(state.basis) != tuple(config.force_basis):
-            state, keys_msg = protocol.start_session(config.params, vrng, session_id)
-    return state, keys_msg
-
-
 def run_one_session(config: RunConfig, session_id: int) -> TranscriptRecord:
     vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
     prng = role_rng(config.seed, session_id, PROVER_ROLE)
-    state, keys_msg = _start_forced(config, vrng, session_id)
+    state, keys_msg = protocol.start_session(config.params, vrng, session_id,
+                                             basis=config.force_basis)
     oracle = ClawOracle(config.params, state.keys, state.trapdoors)
     prover = make_prover(config.strategy, config.params, prng, oracle,
                          config.retry_budget)
-    commit_msg = prover.commit(keys_msg)
-    round_msg = protocol.receive_commit(state, commit_msg, vrng)
+    protocol.receive_commit(state, prover.commit(keys_msg), vrng)
     if config.force_round is not None and state.round_type != config.force_round:
         state.round_type = config.force_round
         state.phase = "preimage" if config.force_round == "preimage" else "equations"
-        round_msg = protocol.message("round", session_id, {"round": config.force_round})
     if state.round_type == "preimage":
         protocol.receive_preimage(state, prover.preimage_answer())
     else:
         q_msg = protocol.receive_equations(state, prover.equations(), vrng)
         protocol.receive_answers(state, prover.answers(q_msg))
     return protocol.record_from_state(state)
-
-
-_TEST_BUCKETS = {
-    # name -> (basis, question pair, leg whose answer is checked)
-    "z1": ((0, 1), (0, 0), 0), "zt1": ((0, 1), (0, 1), 0),
-    "xt2": ((0, 1), (0, 1), 1), "x2": ((0, 1), (1, 1), 1),
-    "x1": ((1, 0), (1, 1), 0), "xt1": ((1, 0), (1, 0), 0),
-    "z2": ((1, 0), (0, 0), 1), "zt2": ((1, 0), (1, 0), 1),
-}
 
 
 @dataclass
@@ -115,29 +94,28 @@ class RunStats:
                 cell[1] += 1
                 cell[0] += bool(ok)
             return
-        targets = _record_targets(rec)
-        if targets is None:
+        pair = protocol.accepted_pair(basis, rec.targets or {})
+        if None in pair:
             self.undecodable += 1
             return
-        q = tuple(rec.questions)
-        v = tuple(rec.answers)
-        if basis in ((0, 1), (1, 0)):
-            fc = self.fail_cond.setdefault("fail_test", [0, 0])
-            fc[1] += 1
-            fc[0] += rec.flag == Flag.FAIL_TEST.value
-            for name, (bb, qq, leg) in _TEST_BUCKETS.items():
-                if basis == bb and q == qq:
-                    cell = self.test_counts.setdefault(name, [0, 0])
-                    cell[1] += 1
-                    cell[0] += v[leg] == targets[leg]
-        elif basis == (1, 1) and q in ((0, 1), (1, 0)):
-            fc = self.fail_cond.setdefault("fail_bell", [0, 0])
-            fc[1] += 1
-            fc[0] += rec.flag == Flag.FAIL_BELL.value
-            name = "zt1_xt2" if q == (0, 1) else "xt1_zt2"
-            cell = self.bell_counts.setdefault(name, [0, 0])
+        q, v = tuple(rec.questions), tuple(rec.answers)
+        rows = [c for c in protocol.CHECKS if c.basis == basis]
+        if not rows:
+            return
+        kind = rows[0].fail_flag
+        applied = [c for c in rows if c.questions == q]
+        # every mixed-basis round is a test opportunity, but an all-F round
+        # is a Bell opportunity only under the cross questions
+        if kind is Flag.FAIL_BELL and not applied:
+            return
+        fc = self.fail_cond.setdefault(kind.value, [0, 0])
+        fc[1] += 1
+        fc[0] += rec.flag == kind.value
+        counts = self.bell_counts if kind is Flag.FAIL_BELL else self.test_counts
+        for c in applied:
+            cell = counts.setdefault(c.bucket, [0, 0])
             cell[1] += 1
-            cell[0] += (v[0] ^ v[1]) == (targets[0] if q == (0, 1) else targets[1])
+            cell[0] += c.passes(v, pair)
 
     def to_json(self) -> dict:
         return {
@@ -151,20 +129,6 @@ class RunStats:
             "bell_counts": {k: list(v) for k, v in self.bell_counts.items()},
             "conditional_fail": {k: list(v) for k, v in self.fail_cond.items()},
         }
-
-
-def _record_targets(rec: TranscriptRecord):
-    """Reconstruct the accepted answer pair from a hadamard record."""
-    t = rec.targets or {}
-    basis = tuple(rec.basis)
-    b1, b2, u1, u2 = t.get("b1"), t.get("b2"), t.get("u1"), t.get("u2")
-    if basis == (0, 0):
-        return None if b1 is None or b2 is None else (b1, b2)
-    if basis == (0, 1):
-        return None if b1 is None or u2 is None else (b1, u2 ^ b1)
-    if basis == (1, 0):
-        return None if u1 is None or b2 is None else (u1 ^ b2, b2)
-    return None if u1 is None or u2 is None else (u2, u1)
 
 
 def run_sessions(config: RunConfig) -> RunStats:

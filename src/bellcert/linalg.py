@@ -1,9 +1,10 @@
 """Dense linear algebra for small quantum operators.
 
 Everything here works on plain complex numpy arrays.  Structural checks
-(hermiticity, trace, projector/observable laws) use an absolute tolerance
-of ``VALIDATION_TOL``; quantities reported by the analysis layer are kept
-to a tighter ``REPORTING_TOL`` and never rounded before serialization.
+(hermiticity, trace, projector/observable laws, here and in
+:func:`bellcert.device.validate`) use an absolute tolerance of
+``VALIDATION_TOL``; quantities reported by the analysis layer are never
+rounded before serialization.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 VALIDATION_TOL = 1e-10
-REPORTING_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -29,24 +29,6 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-def check_density(rho: np.ndarray, *, allow_subnormalized: bool = False,
-                  tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Validate a density operator: hermitian, PSD, trace one (or <= one)."""
-    rho = as_operator(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValidationError("density operator is not hermitian")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -tol:
-        raise ValidationError(f"density operator has negative eigenvalue {evals.min():.3e}")
-    tr = float(np.real(np.trace(rho)))
-    if allow_subnormalized:
-        if tr > 1.0 + tol or tr < -tol:
-            raise ValidationError(f"subnormalized density operator has trace {tr!r}")
-    elif abs(tr - 1.0) > tol:
-        raise ValidationError(f"density operator has trace {tr!r}, expected 1")
-    return rho
-
-
 def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> np.ndarray:
     """Validate a hermitian operator squaring to the identity."""
     obs = as_operator(obs)
@@ -57,35 +39,12 @@ def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> 
     return obs
 
 
-def check_projector(p: np.ndarray, *, tol: float = VALIDATION_TOL) -> np.ndarray:
-    p = as_operator(p)
-    if np.max(np.abs(p - p.conj().T)) > tol:
-        raise ValidationError("projector is not hermitian")
-    if np.max(np.abs(p @ p - p)) > tol:
-        raise ValidationError("operator is not idempotent")
-    return p
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more operators."""
     out = as_operator(ops[0])
     for op in ops[1:]:
         out = np.kron(out, as_operator(op))
     return out
-
-
-def partial_trace(op: np.ndarray, dims: tuple[int, int], which: int) -> np.ndarray:
-    """Trace out subsystem ``which`` (0 or 1) of a bipartite operator."""
-    op = as_operator(op)
-    d1, d2 = dims
-    if op.shape[0] != d1 * d2:
-        raise DimensionMismatchError(f"operator dim {op.shape[0]} != {d1}*{d2}")
-    t = op.reshape(d1, d2, d1, d2)
-    if which == 0:
-        return np.einsum("ijik->jk", t)
-    if which == 1:
-        return np.einsum("ijkj->ik", t)
-    raise DimensionMismatchError("which must be 0 or 1")
 
 
 def state_dep_norm_sq(a: np.ndarray, psi: np.ndarray) -> float:
@@ -107,15 +66,6 @@ def projector_of(obs: np.ndarray, outcome: int) -> np.ndarray:
     obs = as_operator(obs)
     sign = 1.0 if outcome == 0 else -1.0
     return (np.eye(obs.shape[0]) + sign * obs) / 2.0
-
-
-def observable_from_measurement(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Binary observable P0 - P1 from a two-outcome projective measurement."""
-    p0 = as_operator(p0)
-    p1 = as_operator(p1)
-    if p0.shape != p1.shape:
-        raise DimensionMismatchError("projector shapes differ")
-    return p0 - p1
 
 
 def bell_state(s1: int, s2: int) -> np.ndarray:

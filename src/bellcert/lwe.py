@@ -48,13 +48,6 @@ def _int_to_vec(x: int, n: int, k: int) -> np.ndarray:
     return np.array([(x >> (i * k)) & mask for i in range(n)], dtype=np.int64)
 
 
-def _vec_to_int(v: np.ndarray, k: int) -> int:
-    out = 0
-    for i, coord in enumerate(v):
-        out |= int(coord) << (i * k)
-    return out
-
-
 def _centered(v: np.ndarray, q: int) -> np.ndarray:
     return ((v + q // 2) % q) - q // 2
 

@@ -12,8 +12,6 @@ import json
 import socket
 import threading
 
-import numpy as np
-
 from . import protocol
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from .harness import PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, role_rng

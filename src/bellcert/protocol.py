@@ -12,6 +12,10 @@ round type:
   (G legs) and claw parities (F legs) with its trapdoors and applies the
   basis-dependent consistency checks.
 
+The test and Bell checks have one home, the table ``CHECKS``, which the
+verdicts, the harness statistics and the white-box pass tuples all read.
+Forced-basis diagnostics pass the basis to :func:`start_session`.
+
 Messages are plain dicts ``{"type", "session_id", "payload"}`` so the same
 objects travel in-process, over the line-delimited TCP transport, and into
 transcript logs.
@@ -20,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import entcf
-from .errors import (FamilyError, InvalidImageError, MalformedMessageError,
-                     ProtocolStateError)
+from .errors import InvalidImageError, MalformedMessageError, ProtocolStateError
 
 
 class Flag(str, Enum):
@@ -102,9 +105,14 @@ class VerifierState:
 
 
 def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
-                  session_id: int = 0) -> tuple[VerifierState, dict]:
-    """Sample bases and keys; returns the state and the opening keys message."""
-    basis = (int(rng.integers(2)), int(rng.integers(2)))
+                  session_id: int = 0,
+                  basis: Optional[tuple[int, int]] = None) -> tuple[VerifierState, dict]:
+    """Sample bases and keys; returns the state and the opening keys message.
+
+    A forced ``basis`` replaces the drawn bits, leaving the stream unchanged.
+    """
+    drawn = (int(rng.integers(2)), int(rng.integers(2)))
+    basis = drawn if basis is None else tuple(basis)
     pairs = [entcf.gen("F" if theta else "G", params, rng) for theta in basis]
     state = VerifierState(params=params, basis=basis,
                           keys=(pairs[0][0], pairs[1][0]),
@@ -191,74 +199,76 @@ def preimage_flag(leg_ok: tuple[bool, bool]) -> Flag:
     return Flag.OK if leg_ok[0] and leg_ok[1] else Flag.FAIL_PRE
 
 
-def hadamard_flag(basis: tuple[int, int], q: tuple[int, int], v: tuple[int, int],
-                  targets: dict) -> Flag:
-    """Apply the basis-dependent answer checks for a hadamard round.
+class Check(NamedTuple):
+    """One hadamard-round check: in basis ``basis`` under questions
+    ``questions``, the XOR of the answers on ``legs`` must equal slot
+    ``slot`` of :func:`accepted_pair`."""
+    bucket: str
+    basis: tuple[int, int]
+    questions: tuple[int, int]
+    legs: tuple[int, ...]
+    slot: int
 
-    Undecodable targets count as failed checks: a prover that commits an
-    invalid image never earns a pass in a checked slot.
+    @property
+    def fail_flag(self) -> Flag:
+        return Flag.FAIL_BELL if len(self.legs) == 2 else Flag.FAIL_TEST
+
+    def passes(self, answers: tuple[int, int], pair: tuple) -> bool:
+        parity = 0
+        for leg in self.legs:
+            parity ^= answers[leg]
+        return pair[self.slot] is not None and parity == pair[self.slot]
+
+
+# The one home of the test and Bell checks, in report order.  Bucket names
+# are the marginal observables (or the pair of them, for a cross-parity
+# check) that the white-box analysis compares with the same slot.
+CHECKS = (
+    Check("z1", (0, 1), (0, 0), (0,), 0),
+    Check("zt1", (0, 1), (0, 1), (0,), 0),
+    Check("x2", (0, 1), (1, 1), (1,), 1),
+    Check("xt2", (0, 1), (0, 1), (1,), 1),
+    Check("x1", (1, 0), (1, 1), (0,), 0),
+    Check("xt1", (1, 0), (1, 0), (0,), 0),
+    Check("z2", (1, 0), (0, 0), (1,), 1),
+    Check("zt2", (1, 0), (1, 0), (1,), 1),
+    Check("zt1_xt2", (1, 1), (0, 1), (0, 1), 0),
+    Check("xt1_zt2", (1, 1), (1, 0), (0, 1), 1),
+)
+
+
+def accepted_pair(basis: tuple[int, int], targets: dict) -> tuple:
+    """Per-slot accepted answer (accepted parity in basis (1,1)).
+
+    A slot is None when a decoding it needs failed.  For basis (1,1) the
+    first slot is the leg-2 parity and the second the leg-1 parity.
     """
     b1, b2 = targets.get("b1"), targets.get("b2")
     u1, u2 = targets.get("u1"), targets.get("u2")
     if basis == (0, 0):
-        return Flag.NONE
+        return (b1, b2)
     if basis == (0, 1):
-        checked, fail = False, False
-        if q[0] == 0:
-            checked = True
-            fail |= b1 is None or v[0] != b1
-        if q[1] == 1:
-            checked = True
-            fail |= b1 is None or u2 is None or v[1] != (u2 ^ b1)
-        if not checked:
-            return Flag.NONE
-        return Flag.FAIL_TEST if fail else Flag.OK
+        return (b1, None if b1 is None or u2 is None else u2 ^ b1)
     if basis == (1, 0):
-        checked, fail = False, False
-        if q[1] == 0:
-            checked = True
-            fail |= b2 is None or v[1] != b2
-        if q[0] == 1:
-            checked = True
-            fail |= b2 is None or u1 is None or v[0] != (u1 ^ b2)
-        if not checked:
-            return Flag.NONE
-        return Flag.FAIL_TEST if fail else Flag.OK
-    # basis (1, 1): only cross questions carry a parity check
-    if q == (0, 1):
-        fail = u2 is None or (v[0] ^ v[1]) != u2
-        return Flag.FAIL_BELL if fail else Flag.OK
-    if q == (1, 0):
-        fail = u1 is None or (v[0] ^ v[1]) != u1
-        return Flag.FAIL_BELL if fail else Flag.OK
-    return Flag.NONE
+        return (None if u1 is None or b2 is None else u1 ^ b2, b2)
+    return (u2, u1)
 
 
-def session_targets(state: VerifierState) -> Optional[tuple[int, int]]:
-    """Per-basis accepted answer pair, or accepted parity pair for (1,1).
+def hadamard_flag(basis: tuple[int, int], q: tuple[int, int], v: tuple[int, int],
+                  targets: dict) -> Flag:
+    """Apply the checks of ``CHECKS`` that the basis and questions select.
 
-    Returns None when any needed decoding failed.  For basis (1,1) the
-    first slot is the leg-2 parity (constraining the cross question
-    (0,1)) and the second the leg-1 parity.
+    Undecodable targets count as failed checks: a prover that commits an
+    invalid image never earns a pass in a checked slot.
     """
-    if state.round_type != "hadamard":
-        return None
-    t = state.targets
-    if state.basis == (0, 0):
-        if t["b1"] is None or t["b2"] is None:
-            return None
-        return (t["b1"], t["b2"])
-    if state.basis == (0, 1):
-        if t["b1"] is None or t["u2"] is None:
-            return None
-        return (t["b1"], t["u2"] ^ t["b1"])
-    if state.basis == (1, 0):
-        if t["u1"] is None or t["b2"] is None:
-            return None
-        return (t["u1"] ^ t["b2"], t["b2"])
-    if t["u1"] is None or t["u2"] is None:
-        return None
-    return (t["u2"], t["u1"])
+    checks = [c for c in CHECKS if c.basis == basis and c.questions == q]
+    if not checks:
+        return Flag.NONE
+    pair = accepted_pair(basis, targets)
+    for c in checks:
+        if not c.passes(v, pair):
+            return c.fail_flag
+    return Flag.OK
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import entcf
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
-from .linalg import projector_of, tensor, ID2, SIGMA_X, SIGMA_Z
+from .linalg import projector_of, tensor, SIGMA_X, SIGMA_Z
 from .protocol import message, validate_message
 
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -178,29 +178,12 @@ def _meas_projector(q: int, v: int) -> np.ndarray:
     return projector_of(obs, v)
 
 
-class ClassicalGuessProver(Prover):
+class ClassicalGuessProver(HonestProver):
     """Commits honestly but sends uniformly random hadamard answers."""
-
-    def __init__(self, params: entcf.EntcfParams, rng: np.random.Generator,
-                 claw_oracle: ClawOracle | None = None):
-        self._inner = HonestProver(params, rng, claw_oracle)
-        self.rng = rng
-
-    def commit(self, keys_msg):
-        return self._inner.commit(keys_msg)
-
-    def self_check(self) -> bool:
-        return self._inner.self_check()
-
-    def preimage_answer(self):
-        return self._inner.preimage_answer()
-
-    def equations(self):
-        return self._inner.equations()
 
     def answers(self, questions_msg):
         validate_message(questions_msg, "questions")
-        return message("answers", self._inner.session_id,
+        return message("answers", self.session_id,
                        {"v1": int(self.rng.integers(2)), "v2": int(self.rng.integers(2))})
 
 
@@ -275,12 +258,9 @@ def make_prover(name: str, params: entcf.EntcfParams, rng: np.random.Generator,
                 claw_oracle: ClawOracle | None = None,
                 retry_budget: int = DEFAULT_RETRY_BUDGET) -> Prover:
     cfg = parse_strategy(name)
-    if cfg["kind"] == "classical_guess":
-        prover: Prover = ClassicalGuessProver(params, rng, claw_oracle)
-    else:
-        prover = HonestProver(params, rng, claw_oracle,
-                              depolarize=cfg["depolarize"],
-                              entangle=(cfg["kind"] != "no_entangler"))
+    cls = ClassicalGuessProver if cfg["kind"] == "classical_guess" else HonestProver
+    prover: Prover = cls(params, rng, claw_oracle, depolarize=cfg["depolarize"],
+                         entangle=(cfg["kind"] != "no_entangler"))
     if cfg["perfected"]:
         prover = PerfectedProver(prover, retry_budget)
     return prover

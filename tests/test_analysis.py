@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcert import analysis
+from bellcert import analysis, protocol
 from bellcert.device import from_honest, marginal_observables
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, random_unitary,
                              tensor)
@@ -29,6 +29,14 @@ def test_gammas_linear_in_depolarizing_noise(p):
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
     for entry in analysis.bell_tuple(dev).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
+
+
+def test_pass_tuple_keys_follow_check_table():
+    dev = from_honest(0.1)
+    names = [c.bucket for c in protocol.CHECKS]
+    assert list(analysis.test_tuple(dev)) + list(analysis.bell_tuple(dev)) == names
+    report = analysis.analyze(dev)
+    assert list(report.test_entries) + list(report.bell_entries) == names
 
 
 def test_residuals_vanish_for_honest():

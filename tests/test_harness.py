@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -110,3 +111,22 @@ def test_transcript_records_are_json_lines(tmp_path):
     for line in lines:
         rec = json.loads(line)
         assert rec["flag"] in ("ok", "none", "fail_pre", "fail_test", "fail_bell")
+
+
+@pytest.mark.parametrize("backend,strategy,sessions,seed,digest", [
+    ("ideal", "honest_depolarized:0.3", 300, 5,
+     "e12a746778b324050a74d1bf7defd78b51b1d1d78ee82969d83e1d43854294fa"),
+    ("ideal", "classical_guess", 300, 6,
+     "b4a3285a747344fccba0275e44e4cf261f46dc62d8f167213c885d42345c976f"),
+    ("ideal", "no_entangler", 300, 7,
+     "fc3d51cdd25f5e6c744753609d48d3b47182101898a913869ff71e9441b5bc82"),
+    ("lwe", "honest", 60, 8,
+     "7733253e96b4eb56fe287397f05360dc51301b838f6cd63c69ecc41e6baa154c"),
+])
+def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest):
+    """Fixed-seed unforced runs write byte-identical transcripts."""
+    path = tmp_path / "t.jsonl"
+    harness.run_sessions(RunConfig(params=EntcfParams(backend), sessions=sessions,
+                                   strategy=strategy, seed=seed,
+                                   transcript_path=str(path)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -10,36 +10,10 @@ from bellcert.errors import DimensionMismatchError, ValidationError
 from conftest import random_density
 
 
-def test_check_density_accepts_maximally_mixed():
-    linalg.check_density(np.eye(4) / 4)
-
-
-def test_check_density_rejects_unnormalized():
-    with pytest.raises(ValidationError):
-        linalg.check_density(np.eye(4) / 2)
-
-
-def test_check_density_subnormalized_flag():
-    linalg.check_density(np.eye(4) / 8, allow_subnormalized=True)
-    with pytest.raises(ValidationError):
-        linalg.check_density(np.eye(4) / 2, allow_subnormalized=True)
-
-
-def test_check_density_rejects_negative():
-    with pytest.raises(ValidationError):
-        linalg.check_density(np.diag([1.5, -0.5]))
-
-
 def test_check_binary_observable():
     linalg.check_binary_observable(linalg.SIGMA_X)
     with pytest.raises(ValidationError):
         linalg.check_binary_observable(np.diag([1.0, 0.5]))
-
-
-def test_check_projector():
-    linalg.check_projector(np.diag([1.0, 0.0, 1.0]))
-    with pytest.raises(ValidationError):
-        linalg.check_projector(np.diag([1.0, 0.5, 0.0]))
 
 
 def test_non_square_rejected():
@@ -52,19 +26,11 @@ def test_non_finite_rejected():
         linalg.as_operator(np.array([[np.nan, 0], [0, 1]]))
 
 
-def test_partial_trace_of_product(rng):
-    rho, tau = random_density(3, rng), random_density(4, rng)
-    joint = linalg.tensor(rho, tau)
-    assert np.allclose(linalg.partial_trace(joint, (3, 4), 1), rho, atol=1e-12)
-    assert np.allclose(linalg.partial_trace(joint, (3, 4), 0), tau, atol=1e-12)
-
-
 def test_projector_decomposition():
     p0 = linalg.projector_of(linalg.SIGMA_Z, 0)
     p1 = linalg.projector_of(linalg.SIGMA_Z, 1)
     assert np.allclose(p0 + p1, np.eye(2))
     assert np.allclose(p0 - p1, linalg.SIGMA_Z)
-    assert np.allclose(linalg.observable_from_measurement(p0, p1), linalg.SIGMA_Z)
 
 
 def test_bell_states_orthonormal():

@@ -4,12 +4,14 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from bellcert import net
 from bellcert.entcf import EntcfParams
-from bellcert.errors import ConfigurationError, MalformedMessageError
+from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig, run_sessions
+from bellcert.provers import make_prover
 
 IDEAL = EntcfParams(backend="ideal", ideal_w=16)
 
@@ -95,6 +97,31 @@ def test_malformed_client_aborts_session_only(tmp_path):
         chan.send({"type": "commit", "session_id": 0, "payload": {"y1": 1, "y2": 2}})
     # the second, well-behaved session still completes
     flag = net.run_prover("127.0.0.1", port, "honest", 31)
+    thread.join(20)
+    assert flag in ("ok", "none")
+    assert result[0].aborted == 1
+    assert result[0].sessions == 1
+
+
+def test_non_canonical_image_aborts_session_only(tmp_path):
+    """A commit with an 80-byte ideal image is rejected; the server goes on."""
+    thread, port, result, _ = _serve(tmp_path, 2, 32)
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        chan = net.LineChannel(sock, timeout=5)
+        keys_msg = chan.recv()
+        prover = make_prover("honest", IDEAL, np.random.default_rng(0))
+        commit = prover.commit(keys_msg)
+        commit["payload"]["y1"] = "ab" * 80
+        chan.send(commit)
+        # play on as an honest prover would, until the server hangs up
+        with pytest.raises((AbortSessionError, OSError)):
+            if chan.recv()["payload"]["round"] == "preimage":
+                chan.send(prover.preimage_answer())
+            else:
+                chan.send(prover.equations())
+                chan.send(prover.answers(chan.recv()))
+            chan.recv()
+    flag = net.run_prover("127.0.0.1", port, "honest", 32)
     thread.join(20)
     assert flag in ("ok", "none")
     assert result[0].aborted == 1

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from bellcert import entcf, protocol
 from bellcert.errors import MalformedMessageError, ProtocolStateError
-from bellcert.harness import role_rng
+from bellcert.harness import RunStats, role_rng
 from bellcert.protocol import Flag
 from bellcert.provers import ClawOracle, HonestProver
 
@@ -79,6 +82,20 @@ def test_malformed_messages_rejected(rng):
     with pytest.raises(MalformedMessageError):
         protocol.validate_message(
             {"type": "commit", "session_id": 0, "payload": {}, "extra": 1})
+
+
+@pytest.mark.parametrize("y1", ["ab" * 80, "00" * 8 + "01"])
+def test_non_canonical_ideal_image_rejected(y1):
+    """An ideal image is exactly (2w+8)//8 bytes and below 2^(2w)."""
+    params = entcf.EntcfParams("ideal")
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    state, keys_msg = protocol.start_session(params, vrng)
+    commit = HonestProver(params, prng).commit(keys_msg)
+    protocol.receive_commit(state, commit, vrng)  # the honest images are canonical
+    state, _ = protocol.start_session(params, vrng)
+    commit["payload"]["y1"] = y1
+    with pytest.raises(MalformedMessageError):
+        protocol.receive_commit(state, commit, vrng)
 
 
 def test_answer_bits_validated(rng):
@@ -161,12 +178,57 @@ def test_preimage_flag():
 def test_session_targets_shapes():
     for seed in range(40):
         state = _run_honest(seed)
-        t = protocol.session_targets(state)
         if state.round_type == "preimage":
-            assert t is None
+            assert not state.targets
         else:
-            assert t is not None and len(t) == 2
+            t = protocol.accepted_pair(state.basis, state.targets)
+            assert len(t) == 2
             assert all(bit in (0, 1) for bit in t)
+
+
+_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _every_hadamard_record():
+    """Every basis x question pair x answer pair x decoded target in
+    {None, 0, 1}^4: 5184 records, flags left blank."""
+    for basis, q, v in itertools.product(_BITS, _BITS, _BITS):
+        for b1, b2, u1, u2 in itertools.product((None, 0, 1), repeat=4):
+            yield protocol.TranscriptRecord(
+                session_id=0, basis=basis, round_type="hadamard", flag="",
+                images=("", ""), keys=({}, {}), questions=q, answers=v,
+                targets={"b1": b1, "b2": b2, "u1": u1, "u2": u2})
+
+
+def test_check_table_exhaustive():
+    """The flags and run statistics of every hadamard record, pinned to the
+    values of the hand-written checks that ``CHECKS`` replaced."""
+    records = list(_every_hadamard_record())
+    flags = [protocol.recheck_flag(rec).value for rec in records]
+    assert len(records) == 5184
+    assert Counter(flags) == {"none": 2592, "fail_test": 1512, "ok": 648, "fail_bell": 432}
+    digest = hashlib.sha256(",".join(flags).encode()).hexdigest()
+    assert digest == "6b715dbdcdaa6cf700843695a900f7d4b0255454d2327e3b9a3c00e790d13c42"
+    stats = RunStats()
+    for rec, flag in zip(records, flags):
+        rec.flag = flag
+        stats.add_record(rec)
+    doc = stats.to_json()
+    assert doc["undecodable"] == 2880
+    assert list(doc["test_counts"]) == ["z1", "zt1", "xt2", "x2", "z2", "xt1", "zt2", "x1"]
+    assert list(doc["bell_counts"]) == ["zt1_xt2", "xt1_zt2"]
+    for cell in (*doc["test_counts"].values(), *doc["bell_counts"].values()):
+        assert cell == [72, 144]
+    assert doc["conditional_fail"] == {"fail_test": [504, 1152], "fail_bell": [144, 288]}
+    assert list(doc["conditional_fail"]) == ["fail_test", "fail_bell"]
+
+
+def test_check_table_rows():
+    assert [c.bucket for c in protocol.CHECKS] == [
+        "z1", "zt1", "x2", "xt2", "x1", "xt1", "z2", "zt2", "zt1_xt2", "xt1_zt2"]
+    for c in protocol.CHECKS:
+        assert c.basis in ((0, 1), (1, 0), (1, 1))
+        assert c.fail_flag is (Flag.FAIL_BELL if c.basis == (1, 1) else Flag.FAIL_TEST)
 
 
 def test_transcript_roundtrip_and_recheck():
