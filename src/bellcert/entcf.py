@@ -305,20 +305,32 @@ def image_to_wire(params: EntcfParams, y) -> str:
         nbytes = (2 * params.ideal_w + 8) // 8
         return int(y).to_bytes(nbytes, "little").hex()
     vec = np.asarray(y, dtype=np.int64)
-    return b"".join(int(v).to_bytes(4, "little") for v in vec).hex()
+    if vec.min() < 0 or vec.max() >= 1 << 32:
+        raise ValidationError("lattice image coordinate outside [0, 2**32)")
+    return vec.astype("<u4").tobytes().hex()
+
+
+def _canonical_hex(s: str) -> bytes:
+    """Decode lower-case hex without separators; reject any other spelling."""
+    raw = bytes.fromhex(s)
+    if raw.hex() != s:
+        raise ValidationError("hex field is not canonical lower-case hex")
+    return raw
 
 
 def image_from_wire(params: EntcfParams, s: str):
-    raw = bytes.fromhex(s)
+    raw = _canonical_hex(s)
     if params.backend == "ideal":
         y = int.from_bytes(raw, "little")
         if len(raw) != (2 * params.ideal_w + 8) // 8 or y >> (2 * params.ideal_w):
             raise ValidationError("ideal image has wrong length or exceeds 2w bits")
         return y
-    if len(raw) % 4 or len(raw) // 4 != params.lwe_m:
+    if len(raw) != 4 * params.lwe_m:
         raise ValidationError("lattice image has wrong length")
-    return np.array([int.from_bytes(raw[i:i + 4], "little") for i in range(0, len(raw), 4)],
-                    dtype=np.int64)
+    y = np.frombuffer(raw, "<u4").astype(np.int64)
+    if y.max() >= params.lwe_q:
+        raise ValidationError("lattice image coordinate not below lwe_q")
+    return y
 
 
 def bits_to_wire(params: EntcfParams, x: int) -> str:
@@ -327,4 +339,7 @@ def bits_to_wire(params: EntcfParams, x: int) -> str:
 
 
 def bits_from_wire(params: EntcfParams, s: str) -> int:
-    return _check_preimage(params, int.from_bytes(bytes.fromhex(s), "little"))
+    raw = _canonical_hex(s)
+    if len(raw) != (params.preimage_bits + 7) // 8:
+        raise ValidationError("bit string has wrong length")
+    return _check_preimage(params, int.from_bytes(raw, "little"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, device as devmod, protocol
 from .entcf import EntcfParams
-from .errors import AbortSessionError, ConfigurationError
+from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from .protocol import Flag, TranscriptRecord
 from .provers import ClawOracle, make_prover
 
@@ -86,6 +86,8 @@ class RunStats:
         self.flag_counts[rec.flag] += 1
         basis = tuple(rec.basis)
         if rec.round_type == "preimage":
+            if rec.pre_leg_ok is None:
+                raise MalformedMessageError("preimage record lacks leg outcomes")
             fc = self.fail_cond.setdefault("fail_pre", [0, 0])
             fc[1] += 1
             fc[0] += rec.flag == Flag.FAIL_PRE.value
@@ -98,6 +100,8 @@ class RunStats:
         if None in pair:
             self.undecodable += 1
             return
+        if rec.questions is None or rec.answers is None:
+            raise MalformedMessageError("hadamard record is incomplete")
         q, v = tuple(rec.questions), tuple(rec.answers)
         rows = [c for c in protocol.CHECKS if c.basis == basis]
         if not rows:

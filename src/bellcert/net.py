@@ -8,6 +8,7 @@ identical byte for byte whichever way a session is run.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -80,6 +81,9 @@ def serve(host: str, port: int, config: RunConfig, *,
           bound_port: list | None = None) -> RunStats:
     """Accept ``config.sessions`` connections and verify one session each.
 
+    Serving stops early, returning the statistics gathered so far, when no
+    connection arrives within ``timeout`` seconds.
+
     Session ids follow accept order, so sequential clients reproduce the
     in-process harness exactly.  Pass ``port=0`` to bind an ephemeral port
     (reported through ``bound_port``).
@@ -87,21 +91,23 @@ def serve(host: str, port: int, config: RunConfig, *,
     if config.force_basis is not None or config.force_round is not None:
         raise ConfigurationError("forced bases/rounds are in-process diagnostics only")
     stats = RunStats()
-    sink = open(config.transcript_path, "w", encoding="utf-8") \
-        if config.transcript_path else None
-    with socket.create_server((host, port)) as server:
+    sink_file = open(config.transcript_path, "w", encoding="utf-8") \
+        if config.transcript_path else contextlib.nullcontext()
+    with sink_file as sink, socket.create_server((host, port)) as server:
         server.settimeout(timeout)
         if bound_port is not None:
             bound_port.append(server.getsockname()[1])
         if ready is not None:
             ready.set()
         for session_id in range(config.sessions):
-            conn, _ = server.accept()
+            try:
+                conn, _ = server.accept()
+            except TimeoutError:
+                break  # no client within the timeout: stop with what was gathered
             chan = LineChannel(conn, timeout)
             try:
                 rec = _serve_one(chan, config, session_id)
-            except (AbortSessionError, MalformedMessageError, OSError,
-                    socket.timeout):
+            except (AbortSessionError, MalformedMessageError, OSError):
                 stats.aborted += 1
                 continue
             finally:
@@ -109,8 +115,6 @@ def serve(host: str, port: int, config: RunConfig, *,
             stats.add_record(rec)
             if sink is not None:
                 sink.write(json.dumps(rec.to_json()) + "\n")
-    if sink is not None:
-        sink.close()
     return stats
 
 

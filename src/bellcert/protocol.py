@@ -65,12 +65,9 @@ def validate_message(obj, expected_type: str | None = None) -> dict:
 
 
 def _bit(payload: dict, key: str) -> int:
-    try:
-        v = int(payload[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedMessageError(f"missing or non-integer field {key!r}") from exc
-    if v not in (0, 1):
-        raise MalformedMessageError(f"field {key!r} must be a bit, got {v}")
+    v = payload.get(key)
+    if type(v) is not int or v not in (0, 1):
+        raise MalformedMessageError(f"field {key!r} must be the integer 0 or 1, got {v!r}")
     return v
 
 

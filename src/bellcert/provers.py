@@ -4,8 +4,9 @@ The honest prover tracks the two committed qubits explicitly: each leg's
 post-measurement qubit is a computational state (injective legs) or a
 phase state determined by its equation mask and claw (claw-free legs).
 An entangling CZ is applied across the legs before answering questions,
-and answers are sampled from the exact Born distribution, optionally
-through a two-qubit depolarizing channel.
+and answers are drawn from a closed-form Born table (:func:`born_table`)
+of the real product amplitudes, optionally through a two-qubit
+depolarizing channel.
 
 The claw-free legs need the partner preimage of the committed image to
 know their phase.  A real device would hold that in superposition; the
@@ -16,17 +17,35 @@ claw, so the oracle can be built without trapdoors there.)
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import entcf
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
-from .linalg import projector_of, tensor, SIGMA_X, SIGMA_Z
 from .protocol import message, validate_message
 
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-_HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 DEFAULT_RETRY_BUDGET = 64
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def born_table(amp1: tuple[float, float], amp2: tuple[float, float],
+               questions: tuple[int, int], entangle: bool,
+               depolarize: float) -> list[float]:
+    """Answer probabilities, indexed ``2*v1 + v2``, of two legs with real
+    amplitudes ``amp1``/``amp2``: CZ if ``entangle``, a Hadamard on each leg
+    asked question 1, then ``(1-p)*a**2 + p/4`` for depolarizing ``p``."""
+    a = [x * y for x in amp1 for y in amp2]
+    if entangle:
+        a[3] = -a[3]
+    s = _SQRT_HALF
+    if questions[0]:
+        a = [(a[0] + a[2]) * s, (a[1] + a[3]) * s, (a[0] - a[2]) * s, (a[1] - a[3]) * s]
+    if questions[1]:
+        a = [(a[0] + a[1]) * s, (a[0] - a[1]) * s, (a[2] + a[3]) * s, (a[2] - a[3]) * s]
+    probs = [(1.0 - depolarize) * x * x + depolarize / 4.0 for x in a]
+    total = sum(probs)
+    return [x / total for x in probs]
 
 
 class ClawOracle:
@@ -143,39 +162,23 @@ class HonestProver(Prover):
             "d2": entcf.bits_to_wire(params, self.legs[1]["d"]),
         })
 
-    def _qubit(self, leg: dict) -> np.ndarray:
+    @staticmethod
+    def _amplitudes(leg: dict) -> tuple[float, float]:
         if leg["pk"].family == "G":
-            vec = np.zeros(2, dtype=complex)
-            vec[leg["b"]] = 1.0
-            return vec
+            return (0.0, 1.0) if leg["b"] else (1.0, 0.0)
         phase = (leg["d"] & leg["claw_xor"]).bit_count() & 1
-        return np.array([1.0, -1.0 if phase else 1.0], dtype=complex) / np.sqrt(2.0)
+        return (_SQRT_HALF, -_SQRT_HALF if phase else _SQRT_HALF)
 
     def answers(self, questions_msg: dict) -> dict:
         payload = validate_message(questions_msg, "questions")["payload"]
         q = (int(payload["q1"]), int(payload["q2"]))
         if q[0] not in (0, 1) or q[1] not in (0, 1):
             raise MalformedMessageError("question bits must be 0 or 1")
-        vec = np.kron(self._qubit(self.legs[0]), self._qubit(self.legs[1]))
-        joint = np.outer(vec, vec.conj())
-        if self.entangle:
-            joint = _CZ @ joint @ _CZ
-        if self.depolarize > 0.0:
-            joint = (1.0 - self.depolarize) * joint + self.depolarize * np.eye(4) / 4.0
-        probs = np.empty(4)
-        for v1 in (0, 1):
-            for v2 in (0, 1):
-                proj = tensor(_meas_projector(q[0], v1), _meas_projector(q[1], v2))
-                probs[2 * v1 + v2] = max(float(np.real(np.trace(proj @ joint))), 0.0)
-        probs /= probs.sum()
+        probs = born_table(self._amplitudes(self.legs[0]), self._amplitudes(self.legs[1]),
+                           q, self.entangle, self.depolarize)
         outcome = int(self.rng.choice(4, p=probs))
         return message("answers", self.session_id,
                        {"v1": outcome >> 1, "v2": outcome & 1})
-
-
-def _meas_projector(q: int, v: int) -> np.ndarray:
-    obs = SIGMA_X if q else SIGMA_Z
-    return projector_of(obs, v)
 
 
 class ClassicalGuessProver(HonestProver):

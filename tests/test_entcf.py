@@ -148,6 +148,21 @@ def test_image_wire_roundtrip(params, rng):
         assert np.array_equal(back, y)
 
 
+def test_lattice_image_codec(rng):
+    """Four little-endian bytes per coordinate; out-of-range values refused."""
+    y = rng.integers(0, LWE.lwe_q, LWE.lwe_m)
+    s = entcf.image_to_wire(LWE, y)
+    assert s == b"".join(int(v).to_bytes(4, "little") for v in y).hex()
+    assert np.array_equal(entcf.image_from_wire(LWE, s), y)
+    for bad in (-1, 1 << 32):
+        y[0] = bad
+        with pytest.raises(ValidationError):
+            entcf.image_to_wire(LWE, y)
+    y[0] = LWE.lwe_q
+    with pytest.raises(ValidationError):
+        entcf.image_from_wire(LWE, entcf.image_to_wire(LWE, y))
+
+
 def test_preimage_domain_enforced(params, rng):
     pk, _ = entcf.gen("F", params, rng)
     with pytest.raises(ValidationError):

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from bellcert import harness
+from bellcert import harness, protocol
 from bellcert.entcf import EntcfParams
-from bellcert.errors import ConfigurationError
+from bellcert.errors import ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig
 
 IDEAL = EntcfParams(backend="ideal", ideal_w=16)
@@ -111,6 +111,22 @@ def test_transcript_records_are_json_lines(tmp_path):
     for line in lines:
         rec = json.loads(line)
         assert rec["flag"] in ("ok", "none", "fail_pre", "fail_test", "fail_bell")
+
+
+@pytest.mark.parametrize("round_type,field", [("preimage", "pre_leg_ok"),
+                                              ("hadamard", "questions")])
+def test_incomplete_record_is_malformed(tmp_path, round_type, field):
+    path = tmp_path / "t.jsonl"
+    harness.run_sessions(RunConfig(params=IDEAL, sessions=20, seed=8,
+                                   transcript_path=str(path)))
+    rec = next(r for r in map(json.loads, path.read_text().splitlines())
+               if r["round_type"] == round_type)
+    if round_type == "hadamard":  # decodable, so add_record reads its questions
+        assert None not in protocol.accepted_pair(tuple(rec["basis"]), rec["targets"])
+    rec[field] = None
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(MalformedMessageError):
+        harness.stats_from_transcripts(str(path))
 
 
 @pytest.mark.parametrize("backend,strategy,sessions,seed,digest", [

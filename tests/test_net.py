@@ -128,6 +128,20 @@ def test_non_canonical_image_aborts_session_only(tmp_path):
     assert result[0].sessions == 1
 
 
+def test_accept_timeout_ends_serving(tmp_path):
+    """With no second client, serving stops after the accept timeout and
+    returns what it gathered; the transcript is closed with one line."""
+    path = tmp_path / "short.jsonl"
+    cfg = RunConfig(params=IDEAL, sessions=2, seed=33, transcript_path=str(path))
+    thread, port, result = net.serve_in_thread("127.0.0.1", 0, cfg, timeout=1)
+    flag = net.run_prover("127.0.0.1", port, "honest", 33)
+    thread.join(10)
+    assert not thread.is_alive()
+    assert flag in ("ok", "none")
+    assert result[0].sessions == 1
+    assert len(path.read_text().splitlines()) == 1
+
+
 def test_serve_rejects_forced_diagnostics(tmp_path):
     cfg = RunConfig(params=IDEAL, sessions=1, force_basis=(1, 1))
     with pytest.raises(ConfigurationError):

@@ -84,9 +84,11 @@ def test_malformed_messages_rejected(rng):
             {"type": "commit", "session_id": 0, "payload": {}, "extra": 1})
 
 
-@pytest.mark.parametrize("y1", ["ab" * 80, "00" * 8 + "01"])
+@pytest.mark.parametrize("y1", ["ab" * 80, "00" * 8 + "01", "AB" + "00" * 8,
+                                "ab " + "00" * 8, "ab" + "00" * 8 + "\n"])
 def test_non_canonical_ideal_image_rejected(y1):
-    """An ideal image is exactly (2w+8)//8 bytes and below 2^(2w)."""
+    """An ideal image is exactly (2w+8)//8 bytes, below 2^(2w), and spelled
+    in lower-case hex without whitespace."""
     params = entcf.EntcfParams("ideal")
     vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
     state, keys_msg = protocol.start_session(params, vrng)
@@ -98,21 +100,76 @@ def test_non_canonical_ideal_image_rejected(y1):
         protocol.receive_commit(state, commit, vrng)
 
 
-def test_answer_bits_validated(rng):
-    state = None
-    # drive a session into the answer phase
-    for seed in range(50):
-        vrng, prng = role_rng(seed, 0, 0), role_rng(seed, 0, 1)
-        st, keys = protocol.start_session(PARAMS, vrng)
-        prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, st.keys, st.trapdoors))
-        protocol.receive_commit(st, prover.commit(keys), vrng)
-        if st.round_type == "hadamard":
-            protocol.receive_equations(st, prover.equations(), vrng)
-            state = st
-            break
-    assert state is not None
+def test_lwe_image_coordinate_must_be_below_q():
+    """A coordinate plus q encodes the same lattice point and passes chk, so
+    the decoder must refuse it rather than let it into the transcript."""
+    params = entcf.EntcfParams("lwe")
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    state, keys_msg = protocol.start_session(params, vrng)
+    prover = HonestProver(params, prng, ClawOracle(params, state.keys, state.trapdoors))
+    commit = prover.commit(keys_msg)
+    y = entcf.image_from_wire(params, commit["payload"]["y1"])
+    leg = prover.legs[0]
+    for coord in (y[0] + params.lwe_q, params.lwe_q):
+        alias = y.copy()
+        alias[0] = coord
+        if coord > params.lwe_q:
+            assert entcf.chk(state.keys[0], alias, leg["b"], leg["x"])
+        commit["payload"]["y1"] = entcf.image_to_wire(params, alias)
+        with pytest.raises(MalformedMessageError):
+            protocol.receive_commit(state, commit, vrng)
+
+
+def _session_at(round_type: str):
+    """An honest session driven up to the prover's reply in ``round_type``."""
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    state, keys = protocol.start_session(PARAMS, vrng)
+    prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
+    protocol.receive_commit(state, prover.commit(keys), vrng)
+    state.round_type = round_type
+    state.phase = "preimage" if round_type == "preimage" else "equations"
+    return state, prover, vrng
+
+
+def test_answer_bits_validated():
+    state, prover, vrng = _session_at("hadamard")
+    protocol.receive_equations(state, prover.equations(), vrng)
+    for bad in (2, -1, 1.7, True, "1", None):  # only the plain ints 0 and 1
+        with pytest.raises(MalformedMessageError):
+            protocol.receive_answers(state, protocol.message("answers", 0,
+                                                             {"v1": bad, "v2": 0}))
+
+
+def test_opening_bits_validated():
+    state, prover, _ = _session_at("preimage")
+    msg = prover.preimage_answer()
+    for bad in (2, 1.7, True, "1"):
+        msg["payload"]["b2"] = bad
+        with pytest.raises(MalformedMessageError):
+            protocol.receive_preimage(state, msg)
+
+
+# 16-bit masks and preimages are exactly two bytes of lower-case hex ("cdab").
+NON_CANONICAL_BITS = ["CDAB", "cdAB", " cdab", "cd ab", "cdab\n", "cd",
+                      entcf.bits_to_wire(PARAMS, 5) + "00"]
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL_BITS)
+def test_non_canonical_mask_rejected(bad):
+    state, prover, vrng = _session_at("hadamard")
+    msg = prover.equations()
+    msg["payload"]["d1"] = bad
     with pytest.raises(MalformedMessageError):
-        protocol.receive_answers(state, protocol.message("answers", 0, {"v1": 2, "v2": 0}))
+        protocol.receive_equations(state, msg, vrng)
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL_BITS)
+def test_non_canonical_opening_rejected(bad):
+    state, prover, _ = _session_at("preimage")
+    msg = prover.preimage_answer()
+    msg["payload"]["x1"] = bad
+    with pytest.raises(MalformedMessageError):
+        protocol.receive_preimage(state, msg)
 
 
 def _targets(b1=None, b2=None, u1=None, u2=None):

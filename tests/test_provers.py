@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bellcert import entcf, protocol, provers
 from bellcert.errors import AbortSessionError, ConfigurationError
 from bellcert.harness import role_rng
+from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
 
 PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
@@ -160,3 +164,55 @@ def test_honest_answers_distribution_basis11(rng):
         assert state.flag is Flag.OK
         hits += 1
     assert hits > 20
+
+
+_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+def _reference_qubit(leg: dict) -> np.ndarray:
+    if leg["pk"].family == "G":
+        vec = np.zeros(2, dtype=complex)
+        vec[leg["b"]] = 1.0
+        return vec
+    phase = (leg["d"] & leg["claw_xor"]).bit_count() & 1
+    return np.array([1.0, -1.0 if phase else 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def _reference_table(legs, q, entangle, depolarize) -> np.ndarray:
+    """Born probabilities from the 4x4 density matrix and projector traces."""
+    vec = np.kron(_reference_qubit(legs[0]), _reference_qubit(legs[1]))
+    joint = np.outer(vec, vec.conj())
+    if entangle:
+        joint = _CZ @ joint @ _CZ
+    if depolarize > 0.0:
+        joint = (1.0 - depolarize) * joint + depolarize * np.eye(4) / 4.0
+    probs = np.empty(4)
+    for v1 in (0, 1):
+        for v2 in (0, 1):
+            proj = tensor(projector_of(SIGMA_X if q[0] else SIGMA_Z, v1),
+                          projector_of(SIGMA_X if q[1] else SIGMA_Z, v2))
+            probs[2 * v1 + v2] = max(float(np.real(np.trace(proj @ joint))), 0.0)
+    return probs / probs.sum()
+
+
+def _legs_of_every_kind():
+    """G legs with branch bit 0/1 and F legs with claw parity 0/1."""
+    for b in (0, 1):
+        yield {"pk": SimpleNamespace(family="G"), "b": b}
+    for claw_xor in (0b11, 0b01):  # parity of d & claw_xor: 0, then 1
+        yield {"pk": SimpleNamespace(family="F"), "b": 0, "d": 0b11,
+               "claw_xor": claw_xor}
+
+
+def test_born_table_matches_density_matrix_reference():
+    legs = list(_legs_of_every_kind())
+    cases = 0
+    for leg1, leg2, q1, q2, entangle, p in itertools.product(
+            legs, legs, (0, 1), (0, 1), (True, False), (0.0, 0.2, 0.3, 1.0)):
+        table = provers.born_table(provers.HonestProver._amplitudes(leg1),
+                                   provers.HonestProver._amplitudes(leg2),
+                                   (q1, q2), entangle, p)
+        ref = _reference_table((leg1, leg2), (q1, q2), entangle, p)
+        np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
+        cases += 1
+    assert cases == 4 * 4 * 4 * 2 * 4
