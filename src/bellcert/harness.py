@@ -1,13 +1,14 @@
-"""Session driver, accumulators and parameter sweeps.
+"""Session runs, accumulators and parameter sweeps.
 
-Runs verifier and simulated prover in-process, accumulates per-bucket
-pass counts, and turns them into empirical estimates of the pass deficits
-with binomial error bars.  Every session's randomness is derived from
-``(seed, session_id, role)`` so in-process runs and the TCP transport
-produce bit-for-bit identical transcripts.
+Runs verifier and simulated prover in-process (``Prover.play`` against
+``protocol.respond``); :func:`collect`, the record loop shared with the TCP
+server, accumulates per-bucket pass counts for empirical deficit estimates
+with binomial error bars.  Per-session ``(seed, session_id, role)`` streams
+make in-process and TCP transcripts identical bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -46,27 +47,22 @@ class RunConfig:
     def __post_init__(self):
         if self.sessions < 1:
             raise ConfigurationError("need at least one session")
-        if self.force_round not in (None, "preimage", "hadamard"):
+        if self.force_round not in (None, *protocol.ROUND_TYPES):
             raise ConfigurationError(f"bad forced round {self.force_round!r}")
+        if self.force_basis is not None and not protocol.is_pair(self.force_basis):
+            raise ConfigurationError(f"forced basis {self.force_basis!r} is not a pair of bits")
 
 
 def run_one_session(config: RunConfig, session_id: int) -> TranscriptRecord:
     vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
     prng = role_rng(config.seed, session_id, PROVER_ROLE)
     state, keys_msg = protocol.start_session(config.params, vrng, session_id,
-                                             basis=config.force_basis)
+                                             basis=config.force_basis,
+                                             round_type=config.force_round)
     oracle = ClawOracle(config.params, state.keys, state.trapdoors)
     prover = make_prover(config.strategy, config.params, prng, oracle,
                          config.retry_budget)
-    protocol.receive_commit(state, prover.commit(keys_msg), vrng)
-    if config.force_round is not None and state.round_type != config.force_round:
-        state.round_type = config.force_round
-        state.phase = "preimage" if config.force_round == "preimage" else "equations"
-    if state.round_type == "preimage":
-        protocol.receive_preimage(state, prover.preimage_answer())
-    else:
-        q_msg = protocol.receive_equations(state, prover.equations(), vrng)
-        protocol.receive_answers(state, prover.answers(q_msg))
+    prover.play(keys_msg, lambda msg: protocol.respond(state, msg, vrng))
     return protocol.record_from_state(state)
 
 
@@ -135,25 +131,29 @@ class RunStats:
         }
 
 
-def run_sessions(config: RunConfig) -> RunStats:
+def collect(config: RunConfig, play) -> RunStats:
+    """Count and write the record of ``play(session_id)`` for every session;
+    protocol and transport errors count as aborts, and ``None`` ends the run."""
     stats = RunStats()
-    sink = None
-    try:
-        if config.transcript_path:
-            sink = open(config.transcript_path, "w", encoding="utf-8")
+    with (open(config.transcript_path, "w", encoding="utf-8") if config.transcript_path
+          else contextlib.nullcontext()) as sink:
         for sid in range(config.sessions):
             try:
-                rec = run_one_session(config, sid)
-            except AbortSessionError:
+                rec = play(sid)
+            except (AbortSessionError, MalformedMessageError, OSError):
                 stats.aborted += 1
                 continue
+            if rec is None:
+                break
             stats.add_record(rec)
             if sink is not None:
                 sink.write(json.dumps(rec.to_json()) + "\n")
-    finally:
-        if sink is not None:
-            sink.close()
     return stats
+
+
+def run_sessions(config: RunConfig) -> RunStats:
+    # run_one_session is looked up for every session, so it can be swapped out
+    return collect(config, lambda sid: run_one_session(config, sid))
 
 
 def read_transcripts(path: str) -> Iterable[TranscriptRecord]:

@@ -2,20 +2,19 @@
 
 One connection carries one session.  Messages are single JSON objects
 terminated by a newline, at most 64 KiB per line, with a 30 second
-default timeout per message.  The verifier side reuses the exact
-per-session random streams of the in-process harness, so transcripts are
-identical byte for byte whichever way a session is run.
+default timeout per message.  Both ends drive a session as the in-process
+harness does (``protocol.respond``, ``Prover.play``, ``harness.collect``) with
+its per-session random streams, so transcripts are identical byte for byte.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import socket
 import threading
 
 from . import protocol
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
-from .harness import PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, role_rng
+from .harness import PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, collect, role_rng
 from .provers import make_prover
 
 MAX_LINE_BYTES = 64 * 1024
@@ -61,21 +60,6 @@ class LineChannel:
             pass
 
 
-def _serve_one(chan: LineChannel, config: RunConfig, session_id: int):
-    """Run the verifier side of one session over an open channel."""
-    vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
-    state, keys_msg = protocol.start_session(config.params, vrng, session_id)
-    chan.send(keys_msg)
-    chan.send(protocol.receive_commit(state, chan.recv(), vrng))
-    if state.round_type == "preimage":
-        verdict = protocol.receive_preimage(state, chan.recv())
-    else:
-        chan.send(protocol.receive_equations(state, chan.recv(), vrng))
-        verdict = protocol.receive_answers(state, chan.recv())
-    chan.send(verdict)
-    return protocol.record_from_state(state)
-
-
 def serve(host: str, port: int, config: RunConfig, *,
           timeout: float = DEFAULT_TIMEOUT, ready: threading.Event | None = None,
           bound_port: list | None = None) -> RunStats:
@@ -90,32 +74,30 @@ def serve(host: str, port: int, config: RunConfig, *,
     """
     if config.force_basis is not None or config.force_round is not None:
         raise ConfigurationError("forced bases/rounds are in-process diagnostics only")
-    stats = RunStats()
-    sink_file = open(config.transcript_path, "w", encoding="utf-8") \
-        if config.transcript_path else contextlib.nullcontext()
-    with sink_file as sink, socket.create_server((host, port)) as server:
+    with socket.create_server((host, port)) as server:
         server.settimeout(timeout)
         if bound_port is not None:
             bound_port.append(server.getsockname()[1])
         if ready is not None:
             ready.set()
-        for session_id in range(config.sessions):
+
+        def play(session_id: int):
             try:
                 conn, _ = server.accept()
             except TimeoutError:
-                break  # no client within the timeout: stop with what was gathered
+                return None  # no client within the timeout: stop with what was gathered
             chan = LineChannel(conn, timeout)
             try:
-                rec = _serve_one(chan, config, session_id)
-            except (AbortSessionError, MalformedMessageError, OSError):
-                stats.aborted += 1
-                continue
+                vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
+                state, keys_msg = protocol.start_session(config.params, vrng, session_id)
+                chan.send(keys_msg)
+                while state.phase != "done":
+                    chan.send(protocol.respond(state, chan.recv(), vrng))
+                return protocol.record_from_state(state)
             finally:
                 chan.close()
-            stats.add_record(rec)
-            if sink is not None:
-                sink.write(json.dumps(rec.to_json()) + "\n")
-    return stats
+
+        return collect(config, play)
 
 
 def serve_in_thread(host: str, port: int, config: RunConfig,
@@ -160,14 +142,9 @@ def run_prover(host: str, port: int, strategy: str, seed: int, *,
         params = EntcfParams.from_json(keys_msg["payload"]["params"])
         prng = role_rng(seed, session_id, PROVER_ROLE)
         prover = make_prover(strategy, params, prng, None, retry_budget)
-        chan.send(prover.commit(keys_msg))
-        round_msg = chan.recv()
-        protocol.validate_message(round_msg, "round")
-        if round_msg["payload"].get("round") == "preimage":
-            chan.send(prover.preimage_answer())
-        else:
-            chan.send(prover.equations())
-            chan.send(prover.answers(chan.recv()))
-        verdict = chan.recv()
-        protocol.validate_message(verdict, "verdict")
-        return verdict["payload"]["flag"]
+
+        def exchange(msg: dict) -> dict:
+            chan.send(msg)
+            return chan.recv()
+
+        return prover.play(keys_msg, exchange)

@@ -14,7 +14,8 @@ round type:
 
 The test and Bell checks have one home, the table ``CHECKS``, which the
 verdicts, the harness statistics and the white-box pass tuples all read.
-Forced-basis diagnostics pass the basis to :func:`start_session`.
+Forced-basis and forced-round diagnostics pass both to :func:`start_session`,
+and :func:`respond` hands each prover message to the step of the current phase.
 
 Messages are plain dicts ``{"type", "session_id", "payload"}`` so the same
 objects travel in-process, over the line-delimited TCP transport, and into
@@ -42,6 +43,7 @@ class Flag(str, Enum):
 
 MESSAGE_TYPES = ("keys", "commit", "round", "preimage", "equations",
                  "questions", "answers", "verdict")
+ROUND_TYPES = ("preimage", "hadamard")
 
 
 def message(mtype: str, session_id: int, payload: dict) -> dict:
@@ -64,9 +66,18 @@ def validate_message(obj, expected_type: str | None = None) -> dict:
     return obj
 
 
+def is_bit(v) -> bool:
+    """Only the plain ints 0 and 1 are bits; ``True``, ``1.0`` and ``"1"`` are not."""
+    return type(v) is int and v in (0, 1)
+
+
+def is_pair(v, item=is_bit) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(item(x) for x in v)
+
+
 def _bit(payload: dict, key: str) -> int:
     v = payload.get(key)
-    if type(v) is not int or v not in (0, 1):
+    if not is_bit(v):
         raise MalformedMessageError(f"field {key!r} must be the integer 0 or 1, got {v!r}")
     return v
 
@@ -86,7 +97,7 @@ class VerifierState:
     trapdoors: tuple[entcf.Trapdoor, entcf.Trapdoor]
     session_id: int = 0
     phase: str = "commit"
-    round_type: Optional[str] = None
+    round_type: Optional[str] = None   # forced by start_session, else drawn at commit
     images: Optional[tuple] = None
     equations: Optional[tuple[int, int]] = None
     questions: Optional[tuple[int, int]] = None
@@ -96,17 +107,23 @@ class VerifierState:
     pre_leg_ok: Optional[tuple[bool, bool]] = None
     flag: Optional[Flag] = None
 
-    def _expect_phase(self, phase: str):
+    def _payload(self, msg, phase: str) -> dict:
+        """The payload of ``msg``, which must be this session's ``phase`` message."""
         if self.phase != phase:
             raise ProtocolStateError(f"session in phase {self.phase!r}, expected {phase!r}")
+        sid = validate_message(msg, phase)["session_id"]
+        if type(sid) is not int or sid != self.session_id:
+            raise MalformedMessageError(
+                f"message for session {sid!r} sent to session {self.session_id}")
+        return msg["payload"]
 
 
 def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
-                  session_id: int = 0,
-                  basis: Optional[tuple[int, int]] = None) -> tuple[VerifierState, dict]:
+                  session_id: int = 0, basis: Optional[tuple[int, int]] = None,
+                  round_type: Optional[str] = None) -> tuple[VerifierState, dict]:
     """Sample bases and keys; returns the state and the opening keys message.
 
-    A forced ``basis`` replaces the drawn bits, leaving the stream unchanged.
+    A forced ``basis`` or ``round_type`` replaces the drawn bits, leaving the stream unchanged.
     """
     drawn = (int(rng.integers(2)), int(rng.integers(2)))
     basis = drawn if basis is None else tuple(basis)
@@ -114,7 +131,7 @@ def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
     state = VerifierState(params=params, basis=basis,
                           keys=(pairs[0][0], pairs[1][0]),
                           trapdoors=(pairs[0][1], pairs[1][1]),
-                          session_id=session_id)
+                          session_id=session_id, round_type=round_type)
     msg = message("keys", session_id, {
         "params": params.to_json(),
         "keys": [pk.to_json() for pk in state.keys],
@@ -122,24 +139,36 @@ def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
     return state, msg
 
 
+def respond(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
+    """Hand ``msg`` to the current phase's ``receive_*`` step; return its reply."""
+    if state.phase == "commit":
+        return receive_commit(state, msg, rng)
+    if state.phase == "preimage":
+        return receive_preimage(state, msg)
+    if state.phase == "equations":
+        return receive_equations(state, msg, rng)
+    if state.phase == "answers":
+        return receive_answers(state, msg)
+    raise ProtocolStateError(f"session {state.session_id} is already {state.phase}")
+
+
 def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
     """Accept the prover's images and announce the round type."""
-    state._expect_phase("commit")
-    payload = validate_message(msg, "commit")["payload"]
+    payload = state._payload(msg, "commit")
     try:
         y1 = entcf.image_from_wire(state.params, payload["y1"])
         y2 = entcf.image_from_wire(state.params, payload["y2"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMessageError(f"bad commitment: {exc}") from exc
     state.images = (y1, y2)
-    state.round_type = "preimage" if rng.integers(2) == 0 else "hadamard"
+    drawn = ROUND_TYPES[int(rng.integers(2))]  # even when forced: the stream is kept
+    state.round_type = state.round_type or drawn
     state.phase = "preimage" if state.round_type == "preimage" else "equations"
     return message("round", state.session_id, {"round": state.round_type})
 
 
 def receive_preimage(state: VerifierState, msg: dict) -> dict:
-    state._expect_phase("preimage")
-    payload = validate_message(msg, "preimage")["payload"]
+    payload = state._payload(msg, "preimage")
     b = (_bit(payload, "b1"), _bit(payload, "b2"))
     x = (_hexbits(payload, "x1", state.params), _hexbits(payload, "x2", state.params))
     state.openings = (b[0], x[0], b[1], x[1])
@@ -151,8 +180,7 @@ def receive_preimage(state: VerifierState, msg: dict) -> dict:
 
 
 def receive_equations(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
-    state._expect_phase("equations")
-    payload = validate_message(msg, "equations")["payload"]
+    payload = state._payload(msg, "equations")
     d = (_hexbits(payload, "d1", state.params), _hexbits(payload, "d2", state.params))
     state.equations = d
     state.targets = _decode_targets(state, d)
@@ -163,8 +191,7 @@ def receive_equations(state: VerifierState, msg: dict, rng: np.random.Generator)
 
 
 def receive_answers(state: VerifierState, msg: dict) -> dict:
-    state._expect_phase("answers")
-    payload = validate_message(msg, "answers")["payload"]
+    payload = state._payload(msg, "answers")
     v = (_bit(payload, "v1"), _bit(payload, "v2"))
     state.answers = v
     state.flag = hadamard_flag(state.basis, state.questions, v, state.targets)
@@ -309,14 +336,25 @@ class TranscriptRecord:
         def tup(v):
             return tuple(v) if v is not None else None
         try:
-            return cls(session_id=int(d["session_id"]), basis=tuple(d["basis"]),
-                       round_type=d["round_type"], flag=d["flag"],
-                       images=tuple(d["images"]), keys=tuple(d["keys"]),
-                       openings=tup(d.get("openings")), pre_leg_ok=tup(d.get("pre_leg_ok")),
-                       equations=tup(d.get("equations")), questions=tup(d.get("questions")),
-                       answers=tup(d.get("answers")), targets=d.get("targets"))
+            rec = cls(session_id=int(d["session_id"]), basis=tuple(d["basis"]),
+                      round_type=d["round_type"], flag=d["flag"],
+                      images=tuple(d["images"]), keys=tuple(d["keys"]),
+                      openings=tup(d.get("openings")), pre_leg_ok=tup(d.get("pre_leg_ok")),
+                      equations=tup(d.get("equations")), questions=tup(d.get("questions")),
+                      answers=tup(d.get("answers")), targets=d.get("targets"))
         except (KeyError, TypeError) as exc:
             raise MalformedMessageError(f"bad transcript record: {exc}") from exc
+        ok = {"basis": is_pair(rec.basis), "round_type": rec.round_type in ROUND_TYPES,
+              "flag": rec.flag in [f.value for f in Flag],
+              "questions": rec.questions is None or is_pair(rec.questions),
+              "answers": rec.answers is None or is_pair(rec.answers),
+              "pre_leg_ok": rec.pre_leg_ok is None
+              or is_pair(rec.pre_leg_ok, lambda v: type(v) is bool),
+              "targets": rec.targets is None or isinstance(rec.targets, dict)}
+        if not all(ok.values()):
+            raise MalformedMessageError(
+                f"bad transcript record fields: {[k for k, v in ok.items() if not v]}")
+        return rec
 
 
 def record_from_state(state: VerifierState) -> TranscriptRecord:

@@ -72,7 +72,17 @@ class ClawOracle:
 
 
 class Prover:
-    """One session of a prover strategy; drive with the four step methods."""
+    """One session of a prover strategy: :meth:`play` runs the four step methods."""
+
+    def play(self, keys_msg: dict, exchange) -> str:
+        """Play the session that ``keys_msg`` opens and return the verdict flag;
+        ``exchange(msg)`` delivers a message to the verifier and returns its reply."""
+        round_msg = validate_message(exchange(self.commit(keys_msg)), "round")
+        if round_msg["payload"].get("round") == "preimage":
+            verdict = exchange(self.preimage_answer())
+        else:
+            verdict = exchange(self.answers(exchange(self.equations())))
+        return validate_message(verdict, "verdict")["payload"]["flag"]
 
     def commit(self, keys_msg: dict) -> dict:
         raise NotImplementedError

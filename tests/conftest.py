@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,14 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Turn every warning in this suite into a failure: an exception in a
+    server thread and a file or socket left unclosed both surface as
+    warnings, which would otherwise pass quietly."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            # prepended, so a test's own filterwarnings marks still take precedence
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)

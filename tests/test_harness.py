@@ -10,6 +10,7 @@ from bellcert import harness, protocol
 from bellcert.entcf import EntcfParams
 from bellcert.errors import ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig
+from bellcert.provers import HonestProver
 
 IDEAL = EntcfParams(backend="ideal", ideal_w=16)
 
@@ -19,6 +20,9 @@ def test_run_config_validation():
         RunConfig(sessions=0)
     with pytest.raises(ConfigurationError):
         RunConfig(force_round="sideways")
+    for basis in ((2, 0), (1,), (1, 1, 0), ("1", "1")):
+        with pytest.raises(ConfigurationError):
+            RunConfig(force_basis=basis)
 
 
 def test_same_seed_reproduces_transcripts(tmp_path):
@@ -102,6 +106,18 @@ def test_sweep_rows_and_csv(tmp_path):
         harness.write_sweep_csv([], str(out))
 
 
+def test_in_process_abort_is_counted(tmp_path, monkeypatch):
+    """A session whose prover gives up counts as aborted and writes no record."""
+    monkeypatch.setattr(HonestProver, "self_check", lambda self: False)
+    path = tmp_path / "t.jsonl"
+    stats = harness.run_sessions(RunConfig(params=IDEAL, sessions=5, seed=1, retry_budget=3,
+                                           strategy="perfected:honest",
+                                           transcript_path=str(path)))
+    assert stats.aborted == 5
+    assert stats.sessions == 0
+    assert path.read_text() == ""
+
+
 def test_transcript_records_are_json_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     harness.run_sessions(RunConfig(params=IDEAL, sessions=20, seed=8,
@@ -113,20 +129,53 @@ def test_transcript_records_are_json_lines(tmp_path):
         assert rec["flag"] in ("ok", "none", "fail_pre", "fail_test", "fail_bell")
 
 
+def _first_record(path, round_type: str) -> dict:
+    """The first record of ``round_type`` in a 20-session ideal run."""
+    harness.run_sessions(RunConfig(params=IDEAL, sessions=20, seed=8,
+                                   transcript_path=str(path)))
+    return next(r for r in map(json.loads, path.read_text().splitlines())
+                if r["round_type"] == round_type)
+
+
 @pytest.mark.parametrize("round_type,field", [("preimage", "pre_leg_ok"),
                                               ("hadamard", "questions")])
 def test_incomplete_record_is_malformed(tmp_path, round_type, field):
     path = tmp_path / "t.jsonl"
-    harness.run_sessions(RunConfig(params=IDEAL, sessions=20, seed=8,
-                                   transcript_path=str(path)))
-    rec = next(r for r in map(json.loads, path.read_text().splitlines())
-               if r["round_type"] == round_type)
+    rec = _first_record(path, round_type)
     if round_type == "hadamard":  # decodable, so add_record reads its questions
         assert None not in protocol.accepted_pair(tuple(rec["basis"]), rec["targets"])
     rec[field] = None
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(MalformedMessageError):
         harness.stats_from_transcripts(str(path))
+
+
+@pytest.mark.parametrize("round_type,field,value", [
+    ("hadamard", "basis", ["a", "b"]), ("hadamard", "basis", [1]), ("hadamard", "basis", [2, 0]),
+    ("hadamard", "basis", [1, True]), ("hadamard", "round_type", "sideways"),
+    ("hadamard", "flag", "passed"), ("hadamard", "questions", [7, 7]),
+    ("hadamard", "questions", [0, 1, 0]), ("hadamard", "answers", [1.0, 0]),
+    ("hadamard", "answers", ["1", "0"]), ("hadamard", "targets", [0, 1]),
+    ("preimage", "pre_leg_ok", [1, 1]), ("preimage", "pre_leg_ok", [True]),
+])
+def test_invalid_record_fields_are_malformed(tmp_path, round_type, field, value):
+    """An edited record is refused on loading, before any recheck or count."""
+    path = tmp_path / "t.jsonl"
+    rec = _first_record(path, round_type)
+    protocol.recheck_flag(protocol.TranscriptRecord.from_json(rec))  # the record as written
+    rec[field] = value
+    with pytest.raises(MalformedMessageError):
+        protocol.recheck_flag(protocol.TranscriptRecord.from_json(rec))
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(MalformedMessageError):
+        harness.stats_from_transcripts(str(path))
+
+
+def _transcript_digest(tmp_path, backend: str, **config) -> str:
+    path = tmp_path / "t.jsonl"
+    harness.run_sessions(RunConfig(params=EntcfParams(backend), transcript_path=str(path),
+                                   **config))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("backend,strategy,sessions,seed,digest", [
@@ -141,8 +190,21 @@ def test_incomplete_record_is_malformed(tmp_path, round_type, field):
 ])
 def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest):
     """Fixed-seed unforced runs write byte-identical transcripts."""
-    path = tmp_path / "t.jsonl"
-    harness.run_sessions(RunConfig(params=EntcfParams(backend), sessions=sessions,
-                                   strategy=strategy, seed=seed,
-                                   transcript_path=str(path)))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _transcript_digest(tmp_path, backend, sessions=sessions, strategy=strategy,
+                              seed=seed) == digest
+
+
+@pytest.mark.parametrize("backend,strategy,sessions,seed,force_basis,force_round,digest", [
+    ("ideal", "classical_guess", 300, 9, (1, 1), "hadamard",
+     "23063421261102f8ab9b5096803c71ab8b955ad844d1acff2b7a59e141aa4ddf"),
+    ("ideal", "honest", 300, 10, None, "preimage",
+     "76e84d42b1d2536fe57c3ad218bd0ca44f408a17075939c68d7bec7cbd0e5466"),
+    ("lwe", "honest", 60, 11, (0, 1), "hadamard",
+     "18d28b6e1e805ec3c64dbfb1fa6745c56f748be63e34fa7b79285b5c045c73ca"),
+])
+def test_golden_forced_transcripts(tmp_path, backend, strategy, sessions, seed,
+                                   force_basis, force_round, digest):
+    """Forced basis and round runs write byte-identical transcripts too."""
+    assert _transcript_digest(tmp_path, backend, sessions=sessions, strategy=strategy,
+                              seed=seed, force_basis=force_basis,
+                              force_round=force_round) == digest

@@ -103,25 +103,38 @@ def test_malformed_client_aborts_session_only(tmp_path):
     assert result[0].sessions == 1
 
 
-def test_non_canonical_image_aborts_session_only(tmp_path):
-    """A commit with an 80-byte ideal image is rejected; the server goes on."""
-    thread, port, result, _ = _serve(tmp_path, 2, 32)
+def _play_tampered(port: int, tamper) -> None:
+    """Play one session as an honest prover whose commit passes through
+    ``tamper`` on its way out, until the server hangs up."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         chan = net.LineChannel(sock, timeout=5)
         keys_msg = chan.recv()
+
+        def exchange(msg):
+            chan.send(tamper(msg) if msg["type"] == "commit" else msg)
+            return chan.recv()
+
         prover = make_prover("honest", IDEAL, np.random.default_rng(0))
-        commit = prover.commit(keys_msg)
-        commit["payload"]["y1"] = "ab" * 80
-        chan.send(commit)
-        # play on as an honest prover would, until the server hangs up
         with pytest.raises((AbortSessionError, OSError)):
-            if chan.recv()["payload"]["round"] == "preimage":
-                chan.send(prover.preimage_answer())
-            else:
-                chan.send(prover.equations())
-                chan.send(prover.answers(chan.recv()))
-            chan.recv()
+            prover.play(keys_msg, exchange)
+
+
+def test_non_canonical_image_aborts_session_only(tmp_path):
+    """A commit with an 80-byte ideal image is rejected; the server goes on."""
+    thread, port, result, _ = _serve(tmp_path, 2, 32)
+    _play_tampered(port, lambda msg: {**msg, "payload": {**msg["payload"], "y1": "ab" * 80}})
     flag = net.run_prover("127.0.0.1", port, "honest", 32)
+    thread.join(20)
+    assert flag in ("ok", "none")
+    assert result[0].aborted == 1
+    assert result[0].sessions == 1
+
+
+def test_wrong_session_id_aborts_session_only(tmp_path):
+    """A commit carrying another session's id is rejected; the server goes on."""
+    thread, port, result, _ = _serve(tmp_path, 2, 34)
+    _play_tampered(port, lambda msg: {**msg, "session_id": msg["session_id"] + 999})
+    flag = net.run_prover("127.0.0.1", port, "honest", 34)
     thread.join(20)
     assert flag in ("ok", "none")
     assert result[0].aborted == 1

@@ -21,12 +21,7 @@ def _run_honest(seed: int) -> protocol.VerifierState:
     vrng, prng = role_rng(seed, 0, 0), role_rng(seed, 0, 1)
     state, keys_msg = protocol.start_session(PARAMS, vrng)
     prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
-    protocol.receive_commit(state, prover.commit(keys_msg), vrng)
-    if state.round_type == "preimage":
-        protocol.receive_preimage(state, prover.preimage_answer())
-    else:
-        q = protocol.receive_equations(state, prover.equations(), vrng)
-        protocol.receive_answers(state, prover.answers(q))
+    prover.play(keys_msg, lambda msg: protocol.respond(state, msg, vrng))
     return state
 
 
@@ -123,12 +118,47 @@ def test_lwe_image_coordinate_must_be_below_q():
 def _session_at(round_type: str):
     """An honest session driven up to the prover's reply in ``round_type``."""
     vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
-    state, keys = protocol.start_session(PARAMS, vrng)
+    state, keys = protocol.start_session(PARAMS, vrng, round_type=round_type)
     prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
-    protocol.receive_commit(state, prover.commit(keys), vrng)
-    state.round_type = round_type
-    state.phase = "preimage" if round_type == "preimage" else "equations"
+    protocol.respond(state, prover.commit(keys), vrng)
     return state, prover, vrng
+
+
+def test_respond_follows_the_phase():
+    vrng = role_rng(0, 0, 0)
+    state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")
+    prover = HonestProver(PARAMS, role_rng(0, 0, 1),
+                          ClawOracle(PARAMS, state.keys, state.trapdoors))
+    commit = prover.commit(keys)
+    with pytest.raises(MalformedMessageError):  # an opening where the commit belongs
+        protocol.respond(state, protocol.message("preimage", 0, {}), vrng)
+    assert protocol.respond(state, commit, vrng)["payload"] == {"round": "preimage"}
+    with pytest.raises(MalformedMessageError):  # a second commit
+        protocol.respond(state, commit, vrng)
+    verdict = protocol.respond(state, prover.preimage_answer(), vrng)
+    assert verdict == protocol.message("verdict", 0, {"flag": "ok"})
+    assert state.phase == "done"
+    with pytest.raises(ProtocolStateError):  # anything after the verdict
+        protocol.respond(state, prover.preimage_answer(), vrng)
+
+
+@pytest.mark.parametrize("phase", ["commit", "answers"])
+@pytest.mark.parametrize("session_id,bad", [(5, 999), (5, "5"), (5, 5.0), (1, True)])
+def test_session_id_must_match(phase, session_id, bad):
+    """A message is accepted only with its session's id, as a plain int."""
+    vrng, prng = role_rng(0, session_id, 0), role_rng(0, session_id, 1)
+    state, keys = protocol.start_session(PARAMS, vrng, session_id, round_type="hadamard")
+    prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
+    msg = prover.commit(keys)
+    if phase == "answers":
+        protocol.respond(state, msg, vrng)
+        msg = prover.answers(protocol.respond(state, prover.equations(), vrng))
+    msg["session_id"] = bad
+    with pytest.raises(MalformedMessageError):
+        protocol.respond(state, msg, vrng)
+    msg["session_id"] = session_id
+    protocol.respond(state, msg, vrng)  # the same message with the right id is accepted
+    assert state.phase == ("equations" if phase == "commit" else "done")
 
 
 def test_answer_bits_validated():

@@ -30,18 +30,11 @@ def test_parse_strategy():
 
 def _session(strategy: str, seed: int, force_round=None):
     vrng, prng = role_rng(seed, 0, 0), role_rng(seed, 0, 1)
-    state, keys = protocol.start_session(PARAMS, vrng)
+    state, keys = protocol.start_session(PARAMS, vrng, round_type=force_round)
     oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
     prover = provers.make_prover(strategy, PARAMS, prng, oracle)
-    protocol.receive_commit(state, prover.commit(keys), vrng)
-    if force_round is not None:
-        state.round_type = force_round
-        state.phase = "preimage" if force_round == "preimage" else "equations"
-    if state.round_type == "preimage":
-        protocol.receive_preimage(state, prover.preimage_answer())
-    else:
-        q = protocol.receive_equations(state, prover.equations(), vrng)
-        protocol.receive_answers(state, prover.answers(q))
+    flag = prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
+    assert flag == state.flag.value
     return state, prover
 
 
@@ -92,14 +85,11 @@ def test_perfected_wrapper_retries_until_clean():
     retries = []
     for seed in range(40):
         vrng, prng = role_rng(seed, 3, 0), role_rng(seed, 3, 1)
-        state, keys = protocol.start_session(PARAMS, vrng)
+        state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")
         oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
         prover = provers.PerfectedProver(_CorruptingProver(PARAMS, prng, oracle))
-        protocol.receive_commit(state, prover.commit(keys), vrng)
+        prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
         retries.append(prover.retry_count)
-        state.round_type = "preimage"
-        state.phase = "preimage"
-        protocol.receive_preimage(state, prover.preimage_answer())
         assert state.flag is Flag.OK  # the surviving preparation is clean
     assert max(retries) >= 1  # the wrapper actually did some work
 
@@ -149,18 +139,16 @@ def test_honest_answers_distribution_basis11(rng):
     hits = 0
     for seed in range(200):
         vrng, prng = role_rng(seed, 1, 0), role_rng(seed, 1, 1)
-        state, keys = protocol.start_session(PARAMS, vrng)
+        state, keys = protocol.start_session(PARAMS, vrng, round_type="hadamard")
         if state.basis != (1, 1):
             continue
         oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
         prover = provers.HonestProver(PARAMS, prng, oracle)
-        protocol.receive_commit(state, prover.commit(keys), vrng)
-        state.round_type = "hadamard"
-        state.phase = "equations"
-        protocol.receive_equations(state, prover.equations(), vrng)
+        protocol.respond(state, prover.commit(keys), vrng)
+        protocol.respond(state, prover.equations(), vrng)
         state.questions = (0, 1)
         answers = prover.answers(protocol.message("questions", 0, {"q1": 0, "q2": 1}))
-        protocol.receive_answers(state, answers)
+        protocol.respond(state, answers, vrng)
         assert state.flag is Flag.OK
         hits += 1
     assert hits > 20
