@@ -73,14 +73,6 @@ def bell_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, fl
     return _pass_probs(device, obs, Flag.FAIL_BELL)
 
 
-def gamma_t(device: Device) -> float:
-    return 1.0 - min(test_tuple(device).values())
-
-
-def gamma_b(device: Device) -> float:
-    return 1.0 - min(bell_tuple(device).values())
-
-
 # ---------------------------------------------------------------------------
 # commutation residuals
 # ---------------------------------------------------------------------------
@@ -272,17 +264,6 @@ def interferometric_norm_estimate(u1: np.ndarray, u2: np.ndarray,
     est = 4.0 * hits / shots
     err = 4.0 * np.sqrt(max(p * (1.0 - p), 1.0 / shots) / shots)
     return est, err
-
-
-def commutation_norms(a: np.ndarray, b: np.ndarray,
-                      psi: np.ndarray) -> tuple[float, float]:
-    """Exact squared norms of {A,B}/... via the interference identity:
-    taking U1 = AB and U2 = BA makes 4p the anticommutator norm, and
-    U2 = -BA the commutator norm."""
-    ab, ba = a @ b, b @ a
-    anti = 4.0 * interferometric_pass_prob(ab, ba, psi)
-    comm = 4.0 * interferometric_pass_prob(ab, -ba, psi)
-    return anti, comm
 
 
 # ---------------------------------------------------------------------------

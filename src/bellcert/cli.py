@@ -18,15 +18,13 @@ from .errors import (AbortSessionError, BellcertError, ConfigurationError,
 def _params_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("ideal", "lwe"), default="ideal")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--retry-budget", type=int, default=64)
 
 
-def _make_config(args, strategy: str | None = None) -> harness.RunConfig:
+def _make_config(args) -> harness.RunConfig:
     return harness.RunConfig(
         params=EntcfParams(backend=args.backend),
         sessions=args.sessions, seed=args.seed,
-        strategy=strategy if strategy is not None else args.strategy,
-        retry_budget=args.retry_budget,
+        strategy=getattr(args, "strategy", "honest"),
         transcript_path=getattr(args, "transcripts", None))
 
 
@@ -80,7 +78,7 @@ def _cmd_sweep(args) -> int:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"bad noise grid {args.grid!r}") from exc
-    config = _make_config(args, strategy="honest")
+    config = _make_config(args)
     rows = harness.sweep(grid, config)
     for row in rows:
         print(f"p={row['p']:.3f} gamma_t={row['gamma_t']:.5f} "
@@ -102,8 +100,7 @@ def _cmd_prove(args) -> int:
     failures = 0
     for _ in range(args.sessions):
         try:
-            flag = net.run_prover(args.host, args.port, args.strategy, args.seed,
-                                  retry_budget=args.retry_budget)
+            flag = net.run_prover(args.host, args.port, args.strategy, args.seed)
         except (OSError, AbortSessionError) as exc:
             print(f"session failed: {exc}", file=sys.stderr)
             failures += 1
@@ -153,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7677)
     p.add_argument("--sessions", type=int, default=1)
-    p.add_argument("--strategy", default="honest", help=argparse.SUPPRESS)
     p.add_argument("--transcripts", help="write per-session records (JSONL)")
     p.set_defaults(func=_cmd_serve)
 
@@ -163,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=1)
     p.add_argument("--strategy", default="honest")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retry-budget", type=int, default=64)
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("gen-device", help="write an honest device description")

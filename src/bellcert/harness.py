@@ -39,7 +39,6 @@ class RunConfig:
     sessions: int = 1000
     strategy: str = "honest"
     seed: int = 0
-    retry_budget: int = 64
     force_basis: Optional[tuple[int, int]] = None
     force_round: Optional[str] = None
     transcript_path: Optional[str] = None
@@ -59,9 +58,7 @@ def run_one_session(config: RunConfig, session_id: int) -> TranscriptRecord:
     state, keys_msg = protocol.start_session(config.params, vrng, session_id,
                                              basis=config.force_basis,
                                              round_type=config.force_round)
-    oracle = ClawOracle(config.params, state.keys, state.trapdoors)
-    prover = make_prover(config.strategy, config.params, prng, oracle,
-                         config.retry_budget)
+    prover = make_prover(config.strategy, prng, ClawOracle(state.keys, state.trapdoors))
     prover.play(keys_msg, lambda msg: protocol.respond(state, msg, vrng))
     return protocol.record_from_state(state)
 
@@ -241,7 +238,7 @@ def sweep(noise_grid: Iterable[float], config: RunConfig) -> list[dict]:
         report = analysis.analyze(dev)
         cfg = RunConfig(params=config.params, sessions=config.sessions,
                         strategy=f"honest_depolarized:{p}" if p else "honest",
-                        seed=config.seed, retry_budget=config.retry_budget)
+                        seed=config.seed)
         est = estimate_gammas(run_sessions(cfg))
         rows.append({
             "p": p,

@@ -29,16 +29,6 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
-def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Validate a hermitian operator squaring to the identity."""
-    obs = as_operator(obs)
-    if np.max(np.abs(obs - obs.conj().T)) > tol:
-        raise ValidationError("observable is not hermitian")
-    if np.max(np.abs(obs @ obs - np.eye(obs.shape[0]))) > tol:
-        raise ValidationError("observable does not square to the identity")
-    return obs
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more operators."""
     out = as_operator(ops[0])
@@ -112,10 +102,3 @@ def matrix_from_json(d: dict) -> np.ndarray:
         raise ValidationError(f"matrix literal has {len(entries)} entries, expected {rows * cols}")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(rows, cols)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

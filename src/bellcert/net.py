@@ -36,7 +36,8 @@ class LineChannel:
                                         f"exceeds the {MAX_LINE_BYTES} byte line limit")
         self.sock.sendall(data)
 
-    def recv(self) -> dict:
+    def recv(self):
+        """The next line's JSON value; the step that receives it checks the envelope."""
         while b"\n" not in self._buf:
             if len(self._buf) > MAX_LINE_BYTES:
                 raise MalformedMessageError("incoming line exceeds the size limit")
@@ -48,10 +49,9 @@ class LineChannel:
         if len(line) > MAX_LINE_BYTES:
             raise MalformedMessageError("incoming line exceeds the size limit")
         try:
-            obj = json.loads(line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return json.loads(line.decode())
+        except (RecursionError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
             raise MalformedMessageError(f"undecodable message: {exc}") from exc
-        return protocol.validate_message(obj)
 
     def close(self) -> None:
         try:
@@ -60,70 +60,65 @@ class LineChannel:
             pass
 
 
+def _listen(host: str, port: int, config: RunConfig, timeout: float) -> socket.socket:
+    if config.force_basis is not None or config.force_round is not None:
+        raise ConfigurationError("forced bases/rounds are in-process diagnostics only")
+    server = socket.create_server((host, port))
+    server.settimeout(timeout)
+    return server
+
+
+def _serve_on(server: socket.socket, config: RunConfig, timeout: float) -> RunStats:
+    def play(session_id: int):
+        try:
+            conn, _ = server.accept()
+        except TimeoutError:
+            return None  # no client within the timeout: stop with what was gathered
+        chan = LineChannel(conn, timeout)
+        try:
+            vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
+            state, keys_msg = protocol.start_session(config.params, vrng, session_id)
+            chan.send(keys_msg)
+            while state.phase != "done":
+                chan.send(protocol.respond(state, chan.recv(), vrng))
+            return protocol.record_from_state(state)
+        finally:
+            chan.close()
+
+    with server:
+        return collect(config, play)
+
+
 def serve(host: str, port: int, config: RunConfig, *,
-          timeout: float = DEFAULT_TIMEOUT, ready: threading.Event | None = None,
-          bound_port: list | None = None) -> RunStats:
+          timeout: float = DEFAULT_TIMEOUT) -> RunStats:
     """Accept ``config.sessions`` connections and verify one session each.
 
     Serving stops early, returning the statistics gathered so far, when no
     connection arrives within ``timeout`` seconds.
 
     Session ids follow accept order, so sequential clients reproduce the
-    in-process harness exactly.  Pass ``port=0`` to bind an ephemeral port
-    (reported through ``bound_port``).
+    in-process harness exactly.
     """
-    if config.force_basis is not None or config.force_round is not None:
-        raise ConfigurationError("forced bases/rounds are in-process diagnostics only")
-    with socket.create_server((host, port)) as server:
-        server.settimeout(timeout)
-        if bound_port is not None:
-            bound_port.append(server.getsockname()[1])
-        if ready is not None:
-            ready.set()
-
-        def play(session_id: int):
-            try:
-                conn, _ = server.accept()
-            except TimeoutError:
-                return None  # no client within the timeout: stop with what was gathered
-            chan = LineChannel(conn, timeout)
-            try:
-                vrng = role_rng(config.seed, session_id, VERIFIER_ROLE)
-                state, keys_msg = protocol.start_session(config.params, vrng, session_id)
-                chan.send(keys_msg)
-                while state.phase != "done":
-                    chan.send(protocol.respond(state, chan.recv(), vrng))
-                return protocol.record_from_state(state)
-            finally:
-                chan.close()
-
-        return collect(config, play)
+    return _serve_on(_listen(host, port, config, timeout), config, timeout)
 
 
 def serve_in_thread(host: str, port: int, config: RunConfig,
                     timeout: float = DEFAULT_TIMEOUT):
-    """Start :func:`serve` on a daemon thread; returns (thread, port, result).
+    """Bind, then :func:`serve` on a daemon thread; returns (thread, port, result).
 
-    ``result`` is a single-element list that receives the RunStats once
-    the thread finishes.
+    Pass ``port=0`` for an ephemeral port.  ``result`` is a single-element
+    list that receives the RunStats once the thread finishes.
     """
-    ready = threading.Event()
-    bound: list = []
+    server = _listen(host, port, config, timeout)
     result: list = []
-
-    def _run():
-        result.append(serve(host, port, config, timeout=timeout,
-                            ready=ready, bound_port=bound))
-
-    thread = threading.Thread(target=_run, daemon=True)
+    thread = threading.Thread(
+        target=lambda: result.append(_serve_on(server, config, timeout)), daemon=True)
     thread.start()
-    if not ready.wait(timeout):
-        raise AbortSessionError("server failed to start listening")
-    return thread, bound[0], result
+    return thread, server.getsockname()[1], result
 
 
 def run_prover(host: str, port: int, strategy: str, seed: int, *,
-               retry_budget: int = 64, timeout: float = DEFAULT_TIMEOUT) -> str:
+               timeout: float = DEFAULT_TIMEOUT) -> str:
     """Connect once, play one session, and return the verdict flag.
 
     The prover derives its random stream from the session id announced in
@@ -132,16 +127,13 @@ def run_prover(host: str, port: int, strategy: str, seed: int, *,
     suffice to build the claw oracle, whereas trapdoors never leave the
     verifier.
     """
-    from .entcf import EntcfParams
-
     with socket.create_connection((host, port), timeout=timeout) as sock:
         chan = LineChannel(sock, timeout)
         keys_msg = chan.recv()
-        protocol.validate_message(keys_msg, "keys")
-        session_id = int(keys_msg["session_id"])
-        params = EntcfParams.from_json(keys_msg["payload"]["params"])
-        prng = role_rng(seed, session_id, PROVER_ROLE)
-        prover = make_prover(strategy, params, prng, None, retry_budget)
+        sid = keys_msg.get("session_id") if isinstance(keys_msg, dict) else None
+        if type(sid) is not int or sid < 0:
+            raise MalformedMessageError(f"keys message has no valid session id: {sid!r}")
+        prover = make_prover(strategy, role_rng(seed, sid, PROVER_ROLE))
 
         def exchange(msg: dict) -> dict:
             chan.send(msg)

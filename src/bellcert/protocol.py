@@ -44,6 +44,7 @@ class Flag(str, Enum):
 MESSAGE_TYPES = ("keys", "commit", "round", "preimage", "equations",
                  "questions", "answers", "verdict")
 ROUND_TYPES = ("preimage", "hadamard")
+FLAG_VALUES = tuple(f.value for f in Flag)
 
 
 def message(mtype: str, session_id: int, payload: dict) -> dict:
@@ -214,7 +215,8 @@ def _decode_targets(state: VerifierState, d: tuple[int, int]) -> dict:
         else:
             eq = entcf.decode_equation(td, pk, y, d[i])
             out[key_b] = None
-            out[key_u] = None if eq is None else eq.value
+            # the all-zero mask's parity needs no claw, so it decodes nothing
+            out[key_u] = None if eq is None or eq.degenerate else eq.value
             out[key_deg] = False if eq is None else eq.degenerate
     return out
 
@@ -333,28 +335,46 @@ class TranscriptRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "TranscriptRecord":
-        def tup(v):
-            return tuple(v) if v is not None else None
-        try:
-            rec = cls(session_id=int(d["session_id"]), basis=tuple(d["basis"]),
-                      round_type=d["round_type"], flag=d["flag"],
-                      images=tuple(d["images"]), keys=tuple(d["keys"]),
-                      openings=tup(d.get("openings")), pre_leg_ok=tup(d.get("pre_leg_ok")),
-                      equations=tup(d.get("equations")), questions=tup(d.get("questions")),
-                      answers=tup(d.get("answers")), targets=d.get("targets"))
-        except (KeyError, TypeError) as exc:
-            raise MalformedMessageError(f"bad transcript record: {exc}") from exc
-        ok = {"basis": is_pair(rec.basis), "round_type": rec.round_type in ROUND_TYPES,
-              "flag": rec.flag in [f.value for f in Flag],
-              "questions": rec.questions is None or is_pair(rec.questions),
-              "answers": rec.answers is None or is_pair(rec.answers),
-              "pre_leg_ok": rec.pre_leg_ok is None
-              or is_pair(rec.pre_leg_ok, lambda v: type(v) is bool),
-              "targets": rec.targets is None or isinstance(rec.targets, dict)}
-        if not all(ok.values()):
-            raise MalformedMessageError(
-                f"bad transcript record fields: {[k for k, v in ok.items() if not v]}")
-        return rec
+        if not isinstance(d, dict):
+            raise MalformedMessageError("transcript record is not an object")
+        raw = {k: d.get(k) for k in _RECORD_FIELDS}  # a missing field reads as None
+        bad = [k for k, valid in _RECORD_FIELDS.items() if not valid(raw[k])]
+        if bad:
+            raise MalformedMessageError(f"bad transcript record fields: {bad}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
+def _optional(valid):
+    return lambda v: v is None or valid(v)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_targets(t) -> bool:
+    return (isinstance(t, dict)
+            and all(t.get(k) is None or is_bit(t[k]) for k in ("b1", "b2", "u1", "u2"))
+            and all(type(t.get(k, False)) is bool for k in ("deg1", "deg2")))
+
+
+# the validity rule of every stored field, in TranscriptRecord order; only
+# the fields from openings on may be None
+_RECORD_FIELDS = {
+    "session_id": lambda v: type(v) is int and v >= 0,
+    "basis": is_pair,
+    "round_type": lambda v: v in ROUND_TYPES,
+    "flag": lambda v: v in FLAG_VALUES,
+    "images": lambda v: is_pair(v, _is_str),
+    "keys": lambda v: is_pair(v, lambda k: isinstance(k, dict)),
+    "openings": _optional(lambda v: isinstance(v, list) and len(v) == 4
+                          and is_pair(v[0::2]) and is_pair(v[1::2], _is_str)),
+    "pre_leg_ok": _optional(lambda v: is_pair(v, lambda b: type(b) is bool)),
+    "equations": _optional(lambda v: is_pair(v, _is_str)),
+    "questions": _optional(is_pair),
+    "answers": _optional(is_pair),
+    "targets": _optional(_is_targets),
+}
 
 
 def record_from_state(state: VerifierState) -> TranscriptRecord:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import entcf
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
-from .protocol import message, validate_message
+from .protocol import FLAG_VALUES, ROUND_TYPES, is_pair, message, validate_message
 
 DEFAULT_RETRY_BUDGET = 64
 _SQRT_HALF = math.sqrt(0.5)
@@ -55,10 +55,10 @@ class ClawOracle:
     (ideal backend, whose keys are claw-revealing by construction).
     """
 
-    def __init__(self, params: entcf.EntcfParams, keys, trapdoors=None):
-        self.params = params
+    def __init__(self, keys, trapdoors=None):
         self.keys = tuple(keys)
         if trapdoors is None:
+            params = self.keys[0].params
             if params.backend != "ideal":
                 raise ConfigurationError(
                     "claw oracle needs trapdoors on non-ideal backends")
@@ -78,11 +78,17 @@ class Prover:
         """Play the session that ``keys_msg`` opens and return the verdict flag;
         ``exchange(msg)`` delivers a message to the verifier and returns its reply."""
         round_msg = validate_message(exchange(self.commit(keys_msg)), "round")
-        if round_msg["payload"].get("round") == "preimage":
+        round_type = round_msg["payload"].get("round")
+        if round_type not in ROUND_TYPES:
+            raise MalformedMessageError(f"unknown round type {round_type!r}")
+        if round_type == "preimage":
             verdict = exchange(self.preimage_answer())
         else:
             verdict = exchange(self.answers(exchange(self.equations())))
-        return validate_message(verdict, "verdict")["payload"]["flag"]
+        flag = validate_message(verdict, "verdict")["payload"].get("flag")
+        if flag not in FLAG_VALUES:
+            raise MalformedMessageError(f"unknown verdict flag {flag!r}")
+        return flag
 
     def commit(self, keys_msg: dict) -> dict:
         raise NotImplementedError
@@ -98,12 +104,10 @@ class Prover:
 
 
 class HonestProver(Prover):
-    def __init__(self, params: entcf.EntcfParams, rng: np.random.Generator,
-                 claw_oracle: ClawOracle | None = None, *,
+    def __init__(self, rng: np.random.Generator, claw_oracle: ClawOracle | None = None, *,
                  depolarize: float = 0.0, entangle: bool = True):
         if not 0.0 <= depolarize <= 1.0:
             raise ConfigurationError(f"depolarizing strength {depolarize} outside [0, 1]")
-        self.params = params
         self.rng = rng
         self.oracle = claw_oracle
         self.depolarize = depolarize
@@ -120,7 +124,7 @@ class HonestProver(Prover):
         params = entcf.EntcfParams.from_json(payload["params"])
         self.keys = tuple(entcf.PublicKey.from_json(k, params) for k in payload["keys"])
         if self.oracle is None:
-            self.oracle = ClawOracle(params, self.keys)
+            self.oracle = ClawOracle(self.keys)
         self._prepare()
         return message("commit", self.session_id, {
             "y1": entcf.image_to_wire(params, self.legs[0]["y"]),
@@ -165,8 +169,9 @@ class HonestProver(Prover):
     def equations(self) -> dict:
         params = self.keys[0].params
         for leg in self.legs:
-            d = entcf.random_preimage(params, self.rng)
-            leg["d"] = d
+            leg["d"] = 0
+            while not leg["d"]:  # the all-zero mask says nothing about the claw
+                leg["d"] = entcf.random_preimage(params, self.rng)
         return message("equations", self.session_id, {
             "d1": entcf.bits_to_wire(params, self.legs[0]["d"]),
             "d2": entcf.bits_to_wire(params, self.legs[1]["d"]),
@@ -179,13 +184,17 @@ class HonestProver(Prover):
         phase = (leg["d"] & leg["claw_xor"]).bit_count() & 1
         return (_SQRT_HALF, -_SQRT_HALF if phase else _SQRT_HALF)
 
-    def answers(self, questions_msg: dict) -> dict:
+    @staticmethod
+    def _questions(questions_msg: dict) -> tuple[int, int]:
         payload = validate_message(questions_msg, "questions")["payload"]
-        q = (int(payload["q1"]), int(payload["q2"]))
-        if q[0] not in (0, 1) or q[1] not in (0, 1):
-            raise MalformedMessageError("question bits must be 0 or 1")
+        q = (payload.get("q1"), payload.get("q2"))
+        if not is_pair(q):
+            raise MalformedMessageError(f"questions {q!r} are not a pair of bits")
+        return q
+
+    def answers(self, questions_msg: dict) -> dict:
         probs = born_table(self._amplitudes(self.legs[0]), self._amplitudes(self.legs[1]),
-                           q, self.entangle, self.depolarize)
+                           self._questions(questions_msg), self.entangle, self.depolarize)
         outcome = int(self.rng.choice(4, p=probs))
         return message("answers", self.session_id,
                        {"v1": outcome >> 1, "v2": outcome & 1})
@@ -195,7 +204,7 @@ class ClassicalGuessProver(HonestProver):
     """Commits honestly but sends uniformly random hadamard answers."""
 
     def answers(self, questions_msg):
-        validate_message(questions_msg, "questions")
+        self._questions(questions_msg)
         return message("answers", self.session_id,
                        {"v1": int(self.rng.integers(2)), "v2": int(self.rng.integers(2))})
 
@@ -267,13 +276,12 @@ def parse_strategy(name: str) -> dict:
     return out
 
 
-def make_prover(name: str, params: entcf.EntcfParams, rng: np.random.Generator,
-                claw_oracle: ClawOracle | None = None,
-                retry_budget: int = DEFAULT_RETRY_BUDGET) -> Prover:
+def make_prover(name: str, rng: np.random.Generator,
+                claw_oracle: ClawOracle | None = None) -> Prover:
     cfg = parse_strategy(name)
     cls = ClassicalGuessProver if cfg["kind"] == "classical_guess" else HonestProver
-    prover: Prover = cls(params, rng, claw_oracle, depolarize=cfg["depolarize"],
+    prover: Prover = cls(rng, claw_oracle, depolarize=cfg["depolarize"],
                          entangle=(cfg["kind"] != "no_entangler"))
     if cfg["perfected"]:
-        prover = PerfectedProver(prover, retry_budget)
+        prover = PerfectedProver(prover)
     return prover

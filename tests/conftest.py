@@ -5,13 +5,51 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, ObservableSet
-from bellcert.linalg import random_unitary
+from bellcert import analysis
+from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Device, ObservableSet
+from bellcert.errors import ValidationError
+from bellcert.linalg import VALIDATION_TOL, as_operator
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """Validate a hermitian operator squaring to the identity."""
+    obs = as_operator(obs)
+    if np.max(np.abs(obs - obs.conj().T)) > tol:
+        raise ValidationError("observable is not hermitian")
+    if np.max(np.abs(obs @ obs - np.eye(obs.shape[0]))) > tol:
+        raise ValidationError("observable does not square to the identity")
+    return obs
+
+
+def gamma_t(device: Device) -> float:
+    return 1.0 - min(analysis.test_tuple(device).values())
+
+
+def gamma_b(device: Device) -> float:
+    return 1.0 - min(analysis.bell_tuple(device).values())
+
+
+def commutation_norms(a: np.ndarray, b: np.ndarray,
+                      psi: np.ndarray) -> tuple[float, float]:
+    """Exact squared norms of {A,B}/... via the interference identity:
+    taking U1 = AB and U2 = BA makes 4p the anticommutator norm, and
+    U2 = -BA the commutator norm."""
+    ab, ba = a @ b, b @ a
+    anti = 4.0 * analysis.interferometric_pass_prob(ab, ba, psi)
+    comm = 4.0 * analysis.interferometric_pass_prob(ab, -ba, psi)
+    return anti, comm
 
 
 def random_measurement(dim: int, rng: np.random.Generator) -> dict:

@@ -19,8 +19,8 @@ from bellcert import analysis, entcf, net
 from bellcert.device import from_honest
 from bellcert.entcf import EntcfParams
 from bellcert.harness import RunConfig, estimate_gammas, run_sessions
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, random_unitary, tensor
-from conftest import random_density, random_observable_set
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
+from conftest import gamma_b, gamma_t, random_density, random_observable_set, random_unitary
 
 FAIL_FLAGS = ("fail_pre", "fail_test", "fail_bell")
 
@@ -169,7 +169,7 @@ def test_acceptance_07_cross_path_consistency():
     dominate the deficits via the counting bounds."""
     p = 0.2
     dev = from_honest(p)
-    white_t, white_b = analysis.gamma_t(dev), analysis.gamma_b(dev)
+    white_t, white_b = gamma_t(dev), gamma_b(dev)
     stats = run_sessions(RunConfig(params=EntcfParams("ideal"), sessions=10_000,
                                    strategy=f"honest_depolarized:{p}", seed=107))
     est = estimate_gammas(stats)

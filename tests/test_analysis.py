@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
-from bellcert.device import from_honest, marginal_observables
-from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, random_unitary,
-                             tensor)
-from conftest import random_density, random_observable_set
+from bellcert.device import from_honest
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
+from conftest import (commutation_norms, gamma_b, gamma_t, random_density,
+                      random_observable_set, random_unitary)
 
 
 def test_gammas_zero_for_noiseless_honest():
     dev = from_honest(0.0)
-    assert analysis.gamma_t(dev) == pytest.approx(0.0, abs=1e-12)
-    assert analysis.gamma_b(dev) == pytest.approx(0.0, abs=1e-12)
+    assert gamma_t(dev) == pytest.approx(0.0, abs=1e-12)
+    assert gamma_b(dev) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3])
@@ -23,8 +23,8 @@ def test_gammas_linear_in_depolarizing_noise(p):
     """Both deficits equal p/2 for the depolarized honest device: each pass
     tuple entry is (1-p) + p/2 because every checked projector is rank two."""
     dev = from_honest(p)
-    assert analysis.gamma_t(dev) == pytest.approx(p / 2, abs=1e-12)
-    assert analysis.gamma_b(dev) == pytest.approx(p / 2, abs=1e-12)
+    assert gamma_t(dev) == pytest.approx(p / 2, abs=1e-12)
+    assert gamma_b(dev) == pytest.approx(p / 2, abs=1e-12)
     for entry in analysis.test_tuple(dev).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
     for entry in analysis.bell_tuple(dev).values():
@@ -146,7 +146,7 @@ def test_commutation_norms_closed_form(rng):
     a = tensor(SIGMA_Z, ID2)
     b = tensor(SIGMA_X, ID2)
     psi = random_density(4, rng)
-    anti, comm = analysis.commutation_norms(a, b, psi)
+    anti, comm = commutation_norms(a, b, psi)
     assert anti == pytest.approx(0.0, abs=1e-12)
     assert comm == pytest.approx(4.0, abs=1e-12)
 

@@ -5,7 +5,8 @@ import pytest
 
 from bellcert import device as devmod
 from bellcert.errors import ValidationError
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, check_binary_observable, tensor
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
+from conftest import check_binary_observable
 
 
 def test_honest_device_is_valid():

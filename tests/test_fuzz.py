@@ -1,0 +1,84 @@
+"""Hostile input: whatever a peer sends, only a BellcertError may escape.
+
+``LineChannel.recv`` only frames and parses JSON, so ``protocol.respond``
+alone must refuse every message that is not the current phase's.
+"""
+from __future__ import annotations
+
+import json
+import socket
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bellcert import entcf, net, protocol
+from bellcert.errors import BellcertError
+from bellcert.harness import role_rng
+from bellcert.provers import ClawOracle, HonestProver
+
+BACKENDS = (entcf.EntcfParams(backend="ideal", ideal_w=16), entcf.EntcfParams(backend="lwe"))
+PHASES = ("commit", "preimage", "equations", "answers")
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+FIELD = st.sampled_from([0, 1]) | st.binary(max_size=12).map(bytes.hex) | JSON
+
+
+def _near(msg: dict):
+    """Messages that keep or replace each part of ``msg``, so that every
+    payload decoder is reached and some sessions finish."""
+    payload = st.fixed_dictionaries({k: st.just(v) | FIELD for k, v in msg["payload"].items()})
+    return st.fixed_dictionaries({
+        "type": st.just(msg["type"]) | st.sampled_from(protocol.MESSAGE_TYPES),
+        "session_id": st.just(msg["session_id"]) | JSON,
+        "payload": payload | JSON,
+    })
+
+
+def _session_at(params: entcf.EntcfParams, phase: str):
+    """A session waiting in ``phase``, with the honest prover's message for it."""
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    round_type = "preimage" if phase == "preimage" else "hadamard"
+    state, keys = protocol.start_session(params, vrng, round_type=round_type)
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
+    honest = prover.commit(keys)
+    if phase != "commit":
+        protocol.respond(state, honest, vrng)
+        honest = prover.preimage_answer() if phase == "preimage" else prover.equations()
+    if phase == "answers":
+        honest = prover.answers(protocol.respond(state, honest, vrng))
+    assert state.phase == phase
+    return state, vrng, honest
+
+
+@settings(max_examples=250, deadline=None)
+@given(params=st.sampled_from(BACKENDS), phase=st.sampled_from(PHASES), data=st.data())
+def test_respond_raises_only_bellcert_errors(params, phase, data):
+    state, vrng, honest = _session_at(params, phase)
+    msg = data.draw(_near(honest) | JSON)
+    try:
+        protocol.respond(state, msg, vrng)
+    except BellcertError:
+        return
+    if state.phase == "done":  # an accepted last message: its record must hold up
+        rec = protocol.record_from_state(state)
+        back = protocol.TranscriptRecord.from_json(json.loads(json.dumps(rec.to_json())))
+        assert back.to_json() == rec.to_json()
+        assert protocol.recheck_flag(back) is state.flag
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.binary(max_size=200) | JSON.map(lambda v: json.dumps(v).encode()))
+@example(line=b"[" * 3000 + b"]" * 3000)
+@example(line=b"1" * 5000)
+def test_recv_raises_only_bellcert_errors(line):
+    left, right = socket.socketpair()
+    with left, right:
+        right.sendall(line + b"\n")
+        try:
+            net.LineChannel(left, timeout=5).recv()
+        except BellcertError:
+            pass

@@ -110,7 +110,7 @@ def test_in_process_abort_is_counted(tmp_path, monkeypatch):
     """A session whose prover gives up counts as aborted and writes no record."""
     monkeypatch.setattr(HonestProver, "self_check", lambda self: False)
     path = tmp_path / "t.jsonl"
-    stats = harness.run_sessions(RunConfig(params=IDEAL, sessions=5, seed=1, retry_budget=3,
+    stats = harness.run_sessions(RunConfig(params=IDEAL, sessions=5, seed=1,
                                            strategy="perfected:honest",
                                            transcript_path=str(path)))
     assert stats.aborted == 5
@@ -150,6 +150,9 @@ def test_incomplete_record_is_malformed(tmp_path, round_type, field):
         harness.stats_from_transcripts(str(path))
 
 
+_TARGETS = {"b1": None, "b2": None, "u1": 0, "u2": 1, "deg1": False, "deg2": False}
+
+
 @pytest.mark.parametrize("round_type,field,value", [
     ("hadamard", "basis", ["a", "b"]), ("hadamard", "basis", [1]), ("hadamard", "basis", [2, 0]),
     ("hadamard", "basis", [1, True]), ("hadamard", "round_type", "sideways"),
@@ -157,6 +160,17 @@ def test_incomplete_record_is_malformed(tmp_path, round_type, field):
     ("hadamard", "questions", [0, 1, 0]), ("hadamard", "answers", [1.0, 0]),
     ("hadamard", "answers", ["1", "0"]), ("hadamard", "targets", [0, 1]),
     ("preimage", "pre_leg_ok", [1, 1]), ("preimage", "pre_leg_ok", [True]),
+    ("hadamard", "session_id", "5"), ("hadamard", "session_id", 5.7),
+    ("hadamard", "session_id", True), ("hadamard", "session_id", "abc"),
+    ("hadamard", "session_id", -1), ("hadamard", "images", "ab"),
+    ("hadamard", "images", ["zz"]), ("hadamard", "images", [1, 2]),
+    ("hadamard", "keys", "ab"), ("hadamard", "keys", [{}, []]),
+    ("preimage", "openings", [1, "00", 1]), ("preimage", "openings", [2, "00", 0, "00"]),
+    ("preimage", "openings", [1, 5, 1, "00"]), ("preimage", "openings", "ab"),
+    ("hadamard", "equations", "ab"), ("hadamard", "equations", ["00", 0]),
+    ("hadamard", "targets", _TARGETS | {"u2": "x"}), ("hadamard", "targets", _TARGETS | {"b1": 7}),
+    ("hadamard", "targets", _TARGETS | {"u1": True}),
+    ("hadamard", "targets", _TARGETS | {"deg1": 0}),
 ])
 def test_invalid_record_fields_are_malformed(tmp_path, round_type, field, value):
     """An edited record is refused on loading, before any recheck or count."""

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from bellcert import linalg
 from bellcert.errors import DimensionMismatchError, ValidationError
-from conftest import random_density
+from conftest import check_binary_observable, random_density, random_unitary
 
 
 def test_check_binary_observable():
-    linalg.check_binary_observable(linalg.SIGMA_X)
+    check_binary_observable(linalg.SIGMA_X)
     with pytest.raises(ValidationError):
-        linalg.check_binary_observable(np.diag([1.0, 0.5]))
+        check_binary_observable(np.diag([1.0, 0.5]))
 
 
 def test_non_square_rejected():
@@ -96,5 +96,5 @@ def test_state_norm_dominated_by_operator_norm(seed, dim, scale):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_unitary_is_unitary(seed):
     r = np.random.default_rng(seed)
-    u = linalg.random_unitary(5, r)
+    u = random_unitary(5, r)
     assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-10)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from bellcert import net
+from bellcert import net, protocol
 from bellcert.entcf import EntcfParams
 from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig, run_sessions
@@ -114,7 +114,7 @@ def _play_tampered(port: int, tamper) -> None:
             chan.send(tamper(msg) if msg["type"] == "commit" else msg)
             return chan.recv()
 
-        prover = make_prover("honest", IDEAL, np.random.default_rng(0))
+        prover = make_prover("honest", np.random.default_rng(0))
         with pytest.raises((AbortSessionError, OSError)):
             prover.play(keys_msg, exchange)
 
@@ -139,6 +139,56 @@ def test_wrong_session_id_aborts_session_only(tmp_path):
     assert flag in ("ok", "none")
     assert result[0].aborted == 1
     assert result[0].sessions == 1
+
+
+@pytest.mark.parametrize("line", [b"[" * 3000 + b"]" * 3000, b"1" * 5000],
+                         ids=["nested", "long_number"])
+def test_undecodable_json_aborts_session_only(tmp_path, line):
+    """Lines that make json.loads raise RecursionError or the int-string limit's
+    ValueError are refused; the server goes on."""
+    thread, port, result, _ = _serve(tmp_path, 2, 35)
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        chan = net.LineChannel(sock, timeout=5)
+        chan.recv()  # keys
+        sock.sendall(line + b"\n")
+        with pytest.raises((AbortSessionError, OSError)):
+            chan.recv()  # the server hangs up
+    flag = net.run_prover("127.0.0.1", port, "honest", 35)
+    thread.join(20)
+    assert flag in ("ok", "none")
+    assert result[0].aborted == 1
+    assert result[0].sessions == 1
+
+
+def _keys_line_to_prover(line: bytes):
+    """Run ``net.run_prover`` against a verifier that sends ``line`` first."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def verifier():
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(line)
+                conn.recv(1)  # until the prover hangs up
+
+        thread = threading.Thread(target=verifier)
+        thread.start()
+        try:
+            net.run_prover("127.0.0.1", server.getsockname()[1], "honest", 0, timeout=5)
+        finally:
+            thread.join(10)
+
+
+@pytest.mark.parametrize("session_id", ["5", -1, 5.0, True, None])
+def test_prover_refuses_bad_session_id(session_id):
+    """The prover seeds its stream only from a plain non-negative int session id."""
+    _, keys = protocol.start_session(IDEAL, np.random.default_rng(0))
+    keys["session_id"] = session_id
+    with pytest.raises(MalformedMessageError):
+        _keys_line_to_prover(json.dumps(keys).encode() + b"\n")
+
+
+def test_prover_refuses_keys_that_are_not_an_object():
+    with pytest.raises(MalformedMessageError):
+        _keys_line_to_prover(b"[0]\n")
 
 
 def test_accept_timeout_ends_serving(tmp_path):

@@ -20,7 +20,7 @@ PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
 def _run_honest(seed: int) -> protocol.VerifierState:
     vrng, prng = role_rng(seed, 0, 0), role_rng(seed, 0, 1)
     state, keys_msg = protocol.start_session(PARAMS, vrng)
-    prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
     prover.play(keys_msg, lambda msg: protocol.respond(state, msg, vrng))
     return state
 
@@ -87,7 +87,7 @@ def test_non_canonical_ideal_image_rejected(y1):
     params = entcf.EntcfParams("ideal")
     vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
     state, keys_msg = protocol.start_session(params, vrng)
-    commit = HonestProver(params, prng).commit(keys_msg)
+    commit = HonestProver(prng).commit(keys_msg)
     protocol.receive_commit(state, commit, vrng)  # the honest images are canonical
     state, _ = protocol.start_session(params, vrng)
     commit["payload"]["y1"] = y1
@@ -101,7 +101,7 @@ def test_lwe_image_coordinate_must_be_below_q():
     params = entcf.EntcfParams("lwe")
     vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
     state, keys_msg = protocol.start_session(params, vrng)
-    prover = HonestProver(params, prng, ClawOracle(params, state.keys, state.trapdoors))
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
     commit = prover.commit(keys_msg)
     y = entcf.image_from_wire(params, commit["payload"]["y1"])
     leg = prover.legs[0]
@@ -119,7 +119,7 @@ def _session_at(round_type: str):
     """An honest session driven up to the prover's reply in ``round_type``."""
     vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
     state, keys = protocol.start_session(PARAMS, vrng, round_type=round_type)
-    prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
     protocol.respond(state, prover.commit(keys), vrng)
     return state, prover, vrng
 
@@ -127,8 +127,7 @@ def _session_at(round_type: str):
 def test_respond_follows_the_phase():
     vrng = role_rng(0, 0, 0)
     state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")
-    prover = HonestProver(PARAMS, role_rng(0, 0, 1),
-                          ClawOracle(PARAMS, state.keys, state.trapdoors))
+    prover = HonestProver(role_rng(0, 0, 1), ClawOracle(state.keys, state.trapdoors))
     commit = prover.commit(keys)
     with pytest.raises(MalformedMessageError):  # an opening where the commit belongs
         protocol.respond(state, protocol.message("preimage", 0, {}), vrng)
@@ -148,7 +147,7 @@ def test_session_id_must_match(phase, session_id, bad):
     """A message is accepted only with its session's id, as a plain int."""
     vrng, prng = role_rng(0, session_id, 0), role_rng(0, session_id, 1)
     state, keys = protocol.start_session(PARAMS, vrng, session_id, round_type="hadamard")
-    prover = HonestProver(PARAMS, prng, ClawOracle(PARAMS, state.keys, state.trapdoors))
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
     msg = prover.commit(keys)
     if phase == "answers":
         protocol.respond(state, msg, vrng)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bellcert import entcf, protocol, provers
-from bellcert.errors import AbortSessionError, ConfigurationError
+from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from bellcert.harness import role_rng
 from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
@@ -31,8 +32,8 @@ def test_parse_strategy():
 def _session(strategy: str, seed: int, force_round=None):
     vrng, prng = role_rng(seed, 0, 0), role_rng(seed, 0, 1)
     state, keys = protocol.start_session(PARAMS, vrng, round_type=force_round)
-    oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-    prover = provers.make_prover(strategy, PARAMS, prng, oracle)
+    oracle = provers.ClawOracle(state.keys, state.trapdoors)
+    prover = provers.make_prover(strategy, prng, oracle)
     flag = prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
     assert flag == state.flag.value
     return state, prover
@@ -41,15 +42,15 @@ def _session(strategy: str, seed: int, force_round=None):
 def test_honest_self_check_always_passes(rng):
     vrng = role_rng(7, 0, 0)
     state, keys = protocol.start_session(PARAMS, vrng)
-    oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-    prover = provers.HonestProver(PARAMS, role_rng(7, 0, 1), oracle)
+    oracle = provers.ClawOracle(state.keys, state.trapdoors)
+    prover = provers.HonestProver(role_rng(7, 0, 1), oracle)
     prover.commit(keys)
     assert prover.self_check()
 
 
 def test_depolarize_range_validated(rng):
     with pytest.raises(ConfigurationError):
-        provers.HonestProver(PARAMS, rng, depolarize=1.5)
+        provers.HonestProver(rng, depolarize=1.5)
 
 
 def test_classical_guess_passes_preimage_rounds():
@@ -86,8 +87,8 @@ def test_perfected_wrapper_retries_until_clean():
     for seed in range(40):
         vrng, prng = role_rng(seed, 3, 0), role_rng(seed, 3, 1)
         state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")
-        oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-        prover = provers.PerfectedProver(_CorruptingProver(PARAMS, prng, oracle))
+        oracle = provers.ClawOracle(state.keys, state.trapdoors)
+        prover = provers.PerfectedProver(_CorruptingProver(prng, oracle))
         prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
         retries.append(prover.retry_count)
         assert state.flag is Flag.OK  # the surviving preparation is clean
@@ -101,8 +102,8 @@ def test_perfected_budget_exhaustion():
 
     vrng, prng = role_rng(1, 0, 0), role_rng(1, 0, 1)
     state, keys = protocol.start_session(PARAMS, vrng)
-    oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-    prover = provers.PerfectedProver(AlwaysBad(PARAMS, prng, oracle), retry_budget=5)
+    oracle = provers.ClawOracle(state.keys, state.trapdoors)
+    prover = provers.PerfectedProver(AlwaysBad(prng, oracle), retry_budget=5)
     with pytest.raises(AbortSessionError):
         prover.commit(keys)
     assert prover.retry_count == 5
@@ -118,8 +119,8 @@ def test_perfected_requires_hook():
 
 def test_claw_oracle_public_construction_matches_trapdoors(rng):
     state, _ = protocol.start_session(PARAMS, np.random.default_rng(5))
-    via_td = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-    via_pk = provers.ClawOracle(PARAMS, state.keys)
+    via_td = provers.ClawOracle(state.keys, state.trapdoors)
+    via_pk = provers.ClawOracle(state.keys)
     for leg, pk in enumerate(state.keys):
         x = entcf.random_preimage(PARAMS, rng)
         y = entcf.eval_sample(pk, 0, x, rng)
@@ -130,7 +131,7 @@ def test_claw_oracle_needs_trapdoors_on_lattice_backend():
     params = entcf.EntcfParams(backend="lwe")
     state, _ = protocol.start_session(params, np.random.default_rng(5))
     with pytest.raises(ConfigurationError):
-        provers.ClawOracle(params, state.keys)
+        provers.ClawOracle(state.keys)
 
 
 def test_honest_answers_distribution_basis11(rng):
@@ -142,8 +143,8 @@ def test_honest_answers_distribution_basis11(rng):
         state, keys = protocol.start_session(PARAMS, vrng, round_type="hadamard")
         if state.basis != (1, 1):
             continue
-        oracle = provers.ClawOracle(PARAMS, state.keys, state.trapdoors)
-        prover = provers.HonestProver(PARAMS, prng, oracle)
+        oracle = provers.ClawOracle(state.keys, state.trapdoors)
+        prover = provers.HonestProver(prng, oracle)
         protocol.respond(state, prover.commit(keys), vrng)
         protocol.respond(state, prover.equations(), vrng)
         state.questions = (0, 1)
@@ -152,6 +153,71 @@ def test_honest_answers_distribution_basis11(rng):
         assert state.flag is Flag.OK
         hits += 1
     assert hits > 20
+
+
+class _ZeroMaskProver(provers.HonestProver):
+    """Classical cheat: honest images, then the all-zero masks, whose parity
+    needs no claw, and the answers 0, 0."""
+
+    def equations(self):
+        zero = entcf.bits_to_wire(self.keys[0].params, 0)
+        return protocol.message("equations", self.session_id, {"d1": zero, "d2": zero})
+
+    def answers(self, questions_msg):
+        return protocol.message("answers", self.session_id, {"v1": 0, "v2": 0})
+
+
+@pytest.mark.parametrize("backend,sessions", [("ideal", 400), ("lwe", 80)])
+def test_zero_mask_prover_never_passes(backend, sessions):
+    """The all-zero mask decodes to nothing, so the Bell checks it reaches fail."""
+    params = entcf.EntcfParams(backend)
+    flags = Counter()
+    for sid in range(sessions):
+        vrng, prng = role_rng(0, sid, 0), role_rng(0, sid, 1)
+        state, keys = protocol.start_session(params, vrng, sid, basis=(1, 1),
+                                             round_type="hadamard")
+        prover = _ZeroMaskProver(prng, provers.ClawOracle(state.keys, state.trapdoors))
+        flags[prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))] += 1
+    assert set(flags) == {"fail_bell", "none"}
+
+
+@pytest.mark.parametrize("cls", [provers.HonestProver, provers.ClassicalGuessProver])
+def test_question_bits_validated(cls):
+    state, keys = protocol.start_session(PARAMS, role_rng(0, 0, 0))
+    prover = cls(role_rng(0, 0, 1), provers.ClawOracle(state.keys, state.trapdoors))
+    prover.commit(keys)
+    prover.equations()
+    prover.answers(protocol.message("questions", 0, {"q1": 1, "q2": 0}))
+    for bad in ("1", 1.7, True, 2, None):  # only the plain ints 0 and 1
+        with pytest.raises(MalformedMessageError):
+            prover.answers(protocol.message("questions", 0, {"q1": bad, "q2": 0}))
+
+
+def _round(round_type):
+    return protocol.message("round", 0, {"round": round_type})
+
+
+def _verdict(payload):
+    return protocol.message("verdict", 0, payload)
+
+
+_QUESTIONS = protocol.message("questions", 0, {"q1": 0, "q2": 1})
+
+
+@pytest.mark.parametrize("replies", [
+    [_round("sideways")], [_round(None)], [_round(["preimage"])], [_round(1)],
+    [_round("preimage"), _verdict({"flag": "great"})], [_round("preimage"), _verdict({})],
+    [_round("hadamard"), _QUESTIONS, _verdict({"flag": ["ok"]})],
+    [_round("hadamard"), _QUESTIONS, _verdict({"flag": None})],
+])
+def test_play_refuses_bad_round_or_verdict(replies):
+    """A verifier's round must be a known round type and its verdict a flag."""
+    state, keys = protocol.start_session(PARAMS, role_rng(0, 0, 0))
+    prover = provers.HonestProver(role_rng(0, 0, 1),
+                                  provers.ClawOracle(state.keys, state.trapdoors))
+    scripted = iter(replies)
+    with pytest.raises(MalformedMessageError):
+        prover.play(keys, lambda msg: next(scripted))
 
 
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
