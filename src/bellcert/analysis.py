@@ -10,9 +10,11 @@ Given a :class:`~bellcert.device.Device` this module computes:
   against ideal two-qubit Paulis, and the closeness of the conjugated
   cross-basis branches to shifted Bell states (the certification report).
 
-All quantities are exact traces of small matrices; the only statistical
-object here is the interferometric estimator used to cross-check the
-commutation residuals by sampling.
+All quantities are exact: traces of small matrices, and trace distances
+taken from low-rank factors of their operands through one small eigensolve
+each (see :func:`bell_report`).  The only statistical object here is the
+interferometric estimator used to cross-check the commutation residuals by
+sampling.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from .device import (Device, ObservableSet, OUTCOME_PAIRS, marginal_observables,
                      sigma, sigma_partial, validate)
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, as_operator, bell_state,
-                     matrix_to_json, projector_of, state_dep_norm_sq, tensor,
-                     trace_distance)
+                     factored_trace_distance, matrix_to_json, projector_of,
+                     signed_factor, state_dep_norm_sq, tensor)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -196,12 +198,28 @@ def bell_report(device: Device,
                 obs: ObservableSet | None = None) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
-    comparison after every question/outcome measurement update."""
+    comparison after every question/outcome measurement update.
+
+    Each distance is ``(1/2) ||V P part P^dag V^dag - (1/4) (pi phi)(pi phi)^dag
+    (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance.  Both
+    operands are taken as factors: ``part`` and ``xi`` are factored once per
+    case by :func:`~bellcert.linalg.signed_factor`, the left factor is
+    ``V P W`` and the right one ``(1/2) (pi phi) (x) X``.
+    :func:`~bellcert.linalg.factored_trace_distance` then needs one
+    eigensolve of side 2d rather than 4d, and it is exact: the eigenvalue
+    signs are carried, so the result equals the dense trace distance for
+    any hermitian operands, invalid devices with non-PSD branches included.
+    """
     if obs is None:
         obs = marginal_observables(device)
     v = swap_isometry(obs)
     d = device.dim
     full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
+    updates = []  # (name, V P, ancilla outcome vector) per measurement update
+    for (q1, q2), meas in device.measurements.items():
+        for (a, b), proj in meas.items():
+            updates.append((f"q{q1}{q2}_v{a}{b}", v @ proj,
+                            np.kron(_ancilla_outcome_vec(q1, a), _ancilla_outcome_vec(q2, b))))
 
     reports = []
     for s1, s2 in OUTCOME_PAIRS:
@@ -213,20 +231,17 @@ def bell_report(device: Device,
         degenerate = tr < _DEGENERATE_TRACE
         xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
 
-        part = sigma_partial(device, 1, s1, 1, s2)
-        pushed = v @ part @ v.conj().T
-        ideal = 0.25 * tensor(np.outer(phi, phi.conj()), xi)
-        state_distance = trace_distance(pushed, ideal)
+        w, sw = signed_factor(sigma_partial(device, 1, s1, 1, s2))
+        x, sx = signed_factor(xi)
 
-        meas_dist: dict[str, float] = {}
-        for (q1, q2), meas in device.measurements.items():
-            for (a, b), proj in meas.items():
-                lhs = v @ (proj @ part @ proj.conj().T) @ v.conj().T
-                va = _ancilla_outcome_vec(q1, a)
-                vb = _ancilla_outcome_vec(q2, b)
-                pi = tensor(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
-                rhs = 0.25 * tensor(pi @ np.outer(phi, phi.conj()) @ pi, xi)
-                meas_dist[f"q{q1}{q2}_v{a}{b}"] = trace_distance(lhs, rhs)
+        def distance(vp: np.ndarray, anc: np.ndarray) -> float:
+            # (1/2) (anc (x) X) has rows indexed (ancilla, junk), like V
+            g = 0.5 * (anc[:, None, None] * x).reshape(4 * d, d)
+            return factored_trace_distance(vp @ w, sw, g, sx)
+
+        state_distance = distance(v, phi)
+        meas_dist = {name: distance(vp, u * np.vdot(u, phi))
+                     for name, vp, u in updates}
         reports.append(BellCaseReport(label=(s1, s2), branch_trace=tr,
                                       state_distance=state_distance,
                                       measurement_distances=meas_dist,

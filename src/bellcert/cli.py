@@ -11,8 +11,7 @@ import sys
 
 from . import analysis, device as devmod, harness, net
 from .entcf import EntcfParams
-from .errors import (AbortSessionError, BellcertError, ConfigurationError,
-                     ValidationError)
+from .errors import BellcertError, ConfigurationError, ValidationError
 
 
 def _params_args(parser: argparse.ArgumentParser) -> None:
@@ -101,7 +100,7 @@ def _cmd_prove(args) -> int:
     for _ in range(args.sessions):
         try:
             flag = net.run_prover(args.host, args.port, args.strategy, args.seed)
-        except (OSError, AbortSessionError) as exc:
+        except (OSError, BellcertError) as exc:
             print(f"session failed: {exc}", file=sys.stderr)
             failures += 1
             continue

@@ -4,7 +4,10 @@ Everything here works on plain complex numpy arrays.  Structural checks
 (hermiticity, trace, projector/observable laws, here and in
 :func:`bellcert.device.validate`) use an absolute tolerance of
 ``VALIDATION_TOL``; quantities reported by the analysis layer are never
-rounded before serialization.
+rounded before serialization.  Trace distances between operators given as
+low-rank factors (:func:`signed_factor`) are taken through a QR of the
+stacked factors (:func:`factored_trace_distance`), which is exact and never
+forms the full-size operands.
 """
 from __future__ import annotations
 
@@ -80,6 +83,35 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     if np.max(np.abs(delta - delta.conj().T)) > VALIDATION_TOL:
         raise ValidationError("trace distance requires hermitian operands")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))))
+
+
+def signed_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a hermitian operator as ``W diag(s) W^dag`` with ``s`` in {-1, 0, 1}.
+
+    ``W`` holds the eigenvectors scaled by ``sqrt(|lambda|)`` and ``s`` the
+    eigenvalue signs, so an indefinite operator factors exactly too.
+    """
+    a = as_operator(a)
+    if np.max(np.abs(a - a.conj().T)) > VALIDATION_TOL:
+        raise ValidationError("signed factorization requires a hermitian operand")
+    lam, u = np.linalg.eigh((a + a.conj().T) / 2)
+    return u * np.sqrt(np.abs(lam)), np.sign(lam)
+
+
+def factored_trace_distance(f: np.ndarray, sf: np.ndarray,
+                            g: np.ndarray, sg: np.ndarray) -> float:
+    """(1/2) ||F diag(sf) F^dag - G diag(sg) G^dag||_1 without forming either operand.
+
+    With ``[F G] = QR`` the difference is ``Q (R D R^dag) Q^dag`` for
+    ``D = diag(sf, -sg)``.  Q has orthonormal columns, so the nonzero
+    eigenvalues of the difference are those of the small hermitian
+    ``R D R^dag``, whose side is at most the summed widths of F and G.
+    """
+    if f.shape[0] != g.shape[0]:
+        raise DimensionMismatchError("factors have different row counts")
+    r = np.linalg.qr(np.hstack([f, g]), mode="r")
+    m = (r * np.concatenate([sf, -sg])) @ r.conj().T
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

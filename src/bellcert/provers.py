@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from . import entcf
-from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
+from .errors import (AbortSessionError, BellcertError, ConfigurationError,
+                     MalformedMessageError)
 from .protocol import FLAG_VALUES, ROUND_TYPES, is_pair, message, validate_message
 
 DEFAULT_RETRY_BUDGET = 64
@@ -69,6 +70,19 @@ class ClawOracle:
     def partner(self, leg: int, b: int, y):
         """The (1-b)-branch preimage of image y on the given leg."""
         return entcf.invert(self.trapdoors[leg], self.keys[leg], 1 - b, y)
+
+
+def _decode_keys(payload: dict) -> tuple[entcf.EntcfParams, tuple[entcf.PublicKey, ...]]:
+    """The params and the two public keys of a keys payload, or MalformedMessageError."""
+    params, keys = payload.get("params"), payload.get("keys")
+    if not (isinstance(params, dict) and isinstance(keys, list) and len(keys) == 2
+            and all(isinstance(k, dict) for k in keys)):
+        raise MalformedMessageError("keys payload needs a params object and two key objects")
+    try:
+        params = entcf.EntcfParams.from_json(params)
+        return params, tuple(entcf.PublicKey.from_json(k, params) for k in keys)
+    except (BellcertError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedMessageError(f"bad keys payload: {exc!r}") from exc
 
 
 class Prover:
@@ -121,8 +135,7 @@ class HonestProver(Prover):
     def commit(self, keys_msg: dict) -> dict:
         payload = validate_message(keys_msg, "keys")["payload"]
         self.session_id = keys_msg["session_id"]
-        params = entcf.EntcfParams.from_json(payload["params"])
-        self.keys = tuple(entcf.PublicKey.from_json(k, params) for k in payload["keys"])
+        params, self.keys = _decode_keys(payload)
         if self.oracle is None:
             self.oracle = ClawOracle(self.keys)
         self._prepare()

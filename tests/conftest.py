@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellcert import analysis
-from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Device, ObservableSet
+from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, ObservableSet
 from bellcert.errors import ValidationError
 from bellcert.linalg import VALIDATION_TOL, as_operator
 
@@ -84,6 +84,24 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def embed_device(dev: Device, junk_dim: int, rng: np.random.Generator) -> Device:
+    """The device tensored with a random junk state on a ``junk_dim``-dim
+    register, then conjugated by a Haar-random unitary.  No diagnostic of
+    the report may change under this embedding."""
+    junk = random_density(junk_dim, rng)
+    u = random_unitary(dev.dim * junk_dim, rng)
+
+    def conj(op):
+        return u @ op @ u.conj().T
+
+    branches = {basis: [Branch(br.label, br.weight, conj(np.kron(br.state, junk)))
+                        for br in brs]
+                for basis, brs in dev.branches.items()}
+    measurements = {q: {o: conj(np.kron(proj, np.eye(junk_dim))) for o, proj in meas.items()}
+                    for q, meas in dev.measurements.items()}
+    return Device(dim=dev.dim * junk_dim, branches=branches, measurements=measurements)
 
 
 def pytest_collection_modifyitems(config, items):

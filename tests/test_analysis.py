@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
-from bellcert.device import from_honest
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
-from conftest import (commutation_norms, gamma_b, gamma_t, random_density,
+from bellcert.device import (OUTCOME_PAIRS, from_honest, marginal_observables, sigma,
+                             sigma_partial, validate)
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, bell_state, tensor, trace_distance
+from conftest import (commutation_norms, embed_device, gamma_b, gamma_t, random_density,
                       random_observable_set, random_unitary)
 
 
@@ -130,6 +131,104 @@ def test_bell_report_flags_missing_branch():
     assert reports[(0, 0)].branch_trace == pytest.approx(1.0)
     assert reports[(0, 1)].degenerate
     assert reports[(0, 1)].branch_trace == pytest.approx(0.0, abs=1e-12)
+
+
+def _dense_bell_distances(device):
+    """The distances of ``analysis.bell_report`` from the full (4d x 4d)
+    operands, one dense trace distance each: the loop the report ran
+    before it took its operands as factors."""
+    obs = marginal_observables(device)
+    v = analysis.swap_isometry(obs)
+    d = device.dim
+    full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
+
+    reports = []
+    for s1, s2 in OUTCOME_PAIRS:
+        phi = bell_state(s1, s2)
+        # contract the ancilla against phi to extract the junk state
+        t = full.reshape(4, d, 4, d)
+        m = np.einsum("i,ijkl,k->jl", phi.conj(), t, phi)
+        tr = float(np.real(np.trace(m)))
+        degenerate = tr < analysis._DEGENERATE_TRACE
+        xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
+
+        part = sigma_partial(device, 1, s1, 1, s2)
+        pushed = v @ part @ v.conj().T
+        ideal = 0.25 * tensor(np.outer(phi, phi.conj()), xi)
+        state_distance = trace_distance(pushed, ideal)
+
+        meas_dist: dict[str, float] = {}
+        for (q1, q2), meas in device.measurements.items():
+            for (a, b), proj in meas.items():
+                lhs = v @ (proj @ part @ proj.conj().T) @ v.conj().T
+                va = analysis._ancilla_outcome_vec(q1, a)
+                vb = analysis._ancilla_outcome_vec(q2, b)
+                pi = tensor(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
+                rhs = 0.25 * tensor(pi @ np.outer(phi, phi.conj()) @ pi, xi)
+                meas_dist[f"q{q1}{q2}_v{a}{b}"] = trace_distance(lhs, rhs)
+        reports.append((state_distance, meas_dist))
+    return reports
+
+
+def _negative_weight_device():
+    """Honest p=0.1 device whose (1,1) branch (0,1) has weight -0.1, made
+    up on branch (0,0); ``validate`` reports it, and its partial state for
+    label (0,1) is negative definite."""
+    dev = from_honest(0.1)
+    for br in dev.branches[(1, 1)]:
+        br.weight = {(0, 0): 0.45, (0, 1): -0.1}.get(br.label, br.weight)
+    return dev
+
+
+def _dense_reference_devices():
+    rng = np.random.default_rng(7007)
+    devices = [pytest.param(from_honest(p), id=f"honest-{p}") for p in (0.0, 0.1, 0.2, 0.3)]
+    devices += [pytest.param(embed_device(from_honest(p), k, rng), id=f"embedded-{p}-{k}")
+                for p, k in ((0.2, 2), (0.05, 3), (0.3, 4))]
+    return devices + [pytest.param(_negative_weight_device(), id="negative_weight")]
+
+
+@pytest.mark.parametrize("dev", _dense_reference_devices())
+def test_bell_report_matches_dense_reference(dev):
+    reports = analysis.bell_report(dev)
+    for case, (state_distance, meas_dist) in zip(reports, _dense_bell_distances(dev)):
+        assert case.state_distance == pytest.approx(state_distance, abs=1e-12)
+        assert list(case.measurement_distances) == list(meas_dist)
+        for key, value in meas_dist.items():
+            assert case.measurement_distances[key] == pytest.approx(value, abs=1e-12), key
+
+
+def test_negative_weight_device_is_reported_invalid():
+    dev = _negative_weight_device()
+    assert any("weight" in v.name for v in validate(dev))
+    assert np.linalg.eigvalsh(sigma_partial(dev, 1, 0, 1, 1)).max() < 0
+
+
+def _assert_bell_closed_form(reports, p, tol):
+    """Depolarized honest device: the pushed branch minus the ideal one is
+    (p/4)(I/4 - phi phi^dag) (x) |00><00|, whose eigenvalues -3/4 and 3 x 1/4
+    give the state distance 3p/16.  The rank-one update onto outcome u
+    leaves (p/4)(1/4 - |<u|phi>|^2) |u><u|; |<u|phi>|^2 is 1/4 for every
+    outcome of questions (0,0) and (1,1), giving 0, and 0 or 1/2 for the
+    mixed pairs, giving p/32."""
+    assert len(reports) == 4
+    for case in reports:
+        assert case.state_distance == pytest.approx(3 * p / 16, abs=tol)
+        assert len(case.measurement_distances) == 16
+        for key, value in case.measurement_distances.items():
+            expected = p / 32 if key[1:3] in ("01", "10") else 0.0
+            assert value == pytest.approx(expected, abs=tol), key
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.3, 1.0])
+def test_bell_report_closed_form_honest(p):
+    _assert_bell_closed_form(analysis.bell_report(from_honest(p)), p, 1e-12)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_bell_report_closed_form_embedded(p, rng):
+    _assert_bell_closed_form(analysis.bell_report(embed_device(from_honest(p), 3, rng)),
+                             p, 1e-10)
 
 
 def test_interferometric_pass_prob_interpolates():

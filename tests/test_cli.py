@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -66,3 +68,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_prove_counts_a_malformed_session_and_goes_on(capsys):
+    """A session whose keys message the prover cannot decode is a failed
+    session; the next one is still played."""
+    lines = [b'{"type": "keys", "session_id": 0, "payload": {}}\n', b"[0]\n"]
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(10)
+
+        def verifier():
+            for line in lines:
+                conn, _ = server.accept()
+                with conn:
+                    conn.sendall(line)
+                    conn.recv(1)  # until the prover hangs up
+
+        thread = threading.Thread(target=verifier)
+        thread.start()
+        try:
+            rc = cli.main(["prove", "--port", str(server.getsockname()[1]),
+                           "--sessions", str(len(lines))])
+        finally:
+            thread.join(10)
+    assert rc == 1
+    assert capsys.readouterr().err.count("session failed") == len(lines)

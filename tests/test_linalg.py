@@ -55,6 +55,56 @@ def test_trace_distance_basics():
                                  np.diag([0.0, 1.0])) == pytest.approx(1.0)
 
 
+def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _signs(width: int, kind: str, rng: np.random.Generator) -> np.ndarray:
+    return {"psd": np.ones(width), "zero": np.zeros(width),
+            "indefinite": rng.choice([-1.0, 0.0, 1.0], size=width)}[kind]
+
+
+@pytest.mark.parametrize("rows,wf,wg,kf,kg", [
+    (12, 3, 2, "psd", "psd"),                  # rank-deficient operands
+    (12, 6, 6, "psd", "zero"),                 # zero right operand, as for a degenerate xi
+    (12, 6, 6, "indefinite", "indefinite"),    # stacked width equal to the rows
+    (6, 6, 6, "indefinite", "psd"),            # full-width factors, stack wider than the rows
+    (6, 0, 4, "psd", "indefinite"),            # empty left factor
+])
+def test_factored_trace_distance_matches_dense(rng, rows, wf, wg, kf, kg):
+    for _ in range(5):
+        f, g = _ginibre(rows, wf, rng), _ginibre(rows, wg, rng)
+        sf, sg = _signs(wf, kf, rng), _signs(wg, kg, rng)
+        dense = linalg.trace_distance((f * sf) @ f.conj().T, (g * sg) @ g.conj().T)
+        assert linalg.factored_trace_distance(f, sf, g, sg) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim,rank_a,rank_b", [(8, 8, 8), (8, 3, 5), (8, 0, 2)])
+def test_signed_factor_reproduces_hermitian_operand(rng, dim, rank_a, rank_b):
+    """An indefinite operand of any rank and a PSD one factor exactly, and
+    their factors give the dense trace distance."""
+    for _ in range(5):
+        c = _ginibre(dim, rank_a, rng)
+        a = (c * _signs(rank_a, "indefinite", rng)) @ c.conj().T
+        g = _ginibre(dim, rank_b, rng)
+        b = g @ g.conj().T
+        (wa, sa), (wb, sb) = linalg.signed_factor(a), linalg.signed_factor(b)
+        assert np.max(np.abs((wa * sa) @ wa.conj().T - a)) < 1e-12
+        assert np.max(np.abs((wb * sb) @ wb.conj().T - b)) < 1e-12
+        assert linalg.factored_trace_distance(wa, sa, wb, sb) == \
+            pytest.approx(linalg.trace_distance(a, b), abs=1e-12)
+
+
+def test_signed_factor_rejects_non_hermitian():
+    with pytest.raises(ValidationError):
+        linalg.signed_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_factored_trace_distance_rejects_row_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        linalg.factored_trace_distance(np.eye(3), np.ones(3), np.eye(2), np.ones(2))
+
+
 def test_matrix_json_roundtrip(rng):
     m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     d = linalg.matrix_to_json(m)

@@ -191,6 +191,22 @@ def test_prover_refuses_keys_that_are_not_an_object():
         _keys_line_to_prover(b"[0]\n")
 
 
+@pytest.mark.parametrize("make_payload", [
+    lambda honest: {},
+    lambda honest: {"params": {}, "keys": []},
+    lambda honest: {**honest, "keys": [1, 2]},
+    lambda honest: {**honest, "params": {"ideal_w": "16"}},
+    lambda honest: {**honest, "keys": [dict(k, payload=[]) for k in honest["keys"]]},
+], ids=["empty", "no_keys", "keys_not_objects", "bad_params", "key_payload_not_object"])
+def test_prover_refuses_malformed_keys_payload(make_payload):
+    """A keys payload the prover cannot decode ends the session with a
+    package error, never with a bare KeyError, IndexError or AttributeError."""
+    _, keys = protocol.start_session(IDEAL, np.random.default_rng(0))
+    keys["payload"] = make_payload(keys["payload"])
+    with pytest.raises(MalformedMessageError):
+        _keys_line_to_prover(json.dumps(keys).encode() + b"\n")
+
+
 def test_accept_timeout_ends_serving(tmp_path):
     """With no second client, serving stops after the accept timeout and
     returns what it gathered; the transcript is closed with one line."""
