@@ -23,15 +23,21 @@ gives w.  Two interchangeable backends exist:
 """
 from __future__ import annotations
 
+import array
 import hashlib
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, FamilyError, InvalidImageError, ValidationError
+from .errors import (ConfigurationError, FamilyError, InvalidImageError,
+                     MalformedMessageError, ValidationError)
 
 FAMILIES = ("F", "G")
 BACKENDS = ("ideal", "lwe")
+# JSON types of the EntcfParams fields that are not plain ints
+_WIRE_TYPES = {"backend": (str,), "lwe_sigma": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,14 @@ class EntcfParams:
             raise ConfigurationError(
                 f"lwe_m={self.lwe_m} must exceed lwe_n*log2(q)={self.lwe_n * k} "
                 "or the public matrix carries no hidden rows")
+        if self.lwe_n < 1 or self.lwe_q > 1 << 32:
+            # lattice images travel as 32-bit words (image_to_wire)
+            raise ConfigurationError("need lwe_n >= 1 and lwe_q <= 2**32")
         if not (0 < self.lwe_eval_bound < self.lwe_check_bound):
             raise ConfigurationError("need 0 < lwe_eval_bound < lwe_check_bound")
+        if not 0 <= self.lwe_sigma <= self.lwe_eval_bound:
+            # wider noise would make the rejection sampler spin
+            raise ConfigurationError("need 0 <= lwe_sigma <= lwe_eval_bound")
         if 2 * self.lwe_check_bound >= self.lwe_q // (2 * 4):
             # decoding needs check_bound + eval slack well below q/8
             raise ConfigurationError("lwe_check_bound too large for reliable decoding")
@@ -88,7 +100,13 @@ class EntcfParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "EntcfParams":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        """Params from a wire object; a field of the wrong type raises
+        MalformedMessageError, an absent one takes its default."""
+        fields = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
+        bad = [k for k, v in fields.items() if type(v) not in _WIRE_TYPES.get(k, (int,))]
+        if bad:
+            raise MalformedMessageError(f"params fields of the wrong type: {bad}")
+        return cls(**fields)
 
 
 @dataclass
@@ -102,9 +120,14 @@ class PublicKey:
 
     @classmethod
     def from_json(cls, d: dict, params: EntcfParams) -> "PublicKey":
-        if d.get("family") not in FAMILIES:
-            raise ValidationError(f"bad key family {d.get('family')!r}")
-        return cls(d["family"], params, _payload_from_json(d["payload"]))
+        """A key from a wire object, its payload checked against the backend
+        of ``params``; anything else raises MalformedMessageError."""
+        family, payload = d.get("family"), d.get("payload")
+        if not (type(family) is str and family in FAMILIES and isinstance(payload, dict)):
+            raise MalformedMessageError("a key needs a family F or G and a payload object")
+        if params.backend == "ideal":
+            return cls(family, params, _ideal_payload_from_json(family, params, payload))
+        return cls(family, params, _lwe_payload_from_json(params, payload))
 
 
 @dataclass
@@ -126,16 +149,56 @@ def _payload_to_json(payload: dict) -> dict:
     return out
 
 
-def _payload_from_json(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, dict) and "__array__" in v:
-            out[k] = np.array(v["__array__"], dtype=np.int64)
-        elif isinstance(v, dict) and "__hex__" in v:
-            out[k] = bytes.fromhex(v["__hex__"])
-        else:
-            out[k] = v
+def _wrapped(payload: dict, key: str, tag: str):
+    """The value under ``payload[key][tag]``, as ``_payload_to_json`` wraps it."""
+    v = payload[key]
+    if not (isinstance(v, dict) and len(v) == 1 and tag in v):
+        raise MalformedMessageError(f"key field {key!r} is not a {tag} object")
+    return v[tag]
+
+
+_SEED_HEX = re.compile("[0-9a-f]{64}")
+
+
+def _ideal_payload_from_json(family: str, params: EntcfParams, payload: dict) -> dict:
+    if set(payload) != ({"seed", "w", "delta"} if family == "F" else {"seed", "w"}):
+        raise MalformedMessageError(f"bad ideal {family} key fields {list(payload)}")
+    seed, w = _wrapped(payload, "seed", "__hex__"), payload["w"]
+    if type(seed) is not str or not _SEED_HEX.fullmatch(seed):
+        raise MalformedMessageError("ideal key seed is not 32 bytes of canonical hex")
+    if type(w) is not int or w != params.ideal_w:
+        raise MalformedMessageError(f"ideal key width {w!r} is not ideal_w = {params.ideal_w}")
+    out = {"seed": bytes.fromhex(seed), "w": w}
+    if family == "F":
+        delta = payload["delta"]
+        if type(delta) is not int or delta < 1 or delta.bit_length() > w:
+            raise MalformedMessageError(f"ideal key delta outside [1, 2**{w})")
+        out["delta"] = delta
     return out
+
+
+def _lwe_payload_from_json(params: EntcfParams, payload: dict) -> dict:
+    """``a`` (m×n) and ``u`` (m) of plain ints in [0, q), checked in one pass."""
+    if set(payload) != {"a", "u"}:
+        raise MalformedMessageError(f"bad lattice key fields {list(payload)}")
+    m, n, q = params.lwe_m, params.lwe_n, params.lwe_q
+    a, u = _wrapped(payload, "a", "__array__"), _wrapped(payload, "u", "__array__")
+    if not (type(a) is list and len(a) == m and type(u) is list and len(u) == m):
+        raise MalformedMessageError(f"lattice key needs {m} rows in a and {m} entries in u")
+    try:
+        if set(map(len, a)) != {n}:
+            raise MalformedMessageError(f"lattice key rows of a need {n} entries")
+        flat = list(chain(chain.from_iterable(a), u))
+        # array("q") takes ints (and bools) only, within int64
+        arr = np.frombuffer(array.array("q", flat), np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise MalformedMessageError(f"lattice key entries are not ints: {exc}") from exc
+    lo, hi = arr.min(), arr.max()
+    if lo < 0 or hi >= q:
+        raise MalformedMessageError("lattice key entry outside [0, lwe_q)")
+    if lo <= 1 and any(type(flat[i]) is not int for i in np.flatnonzero(arr <= 1).tolist()):
+        raise MalformedMessageError("lattice key entries must be plain ints, not true/false")
+    return {"a": arr[:m * n].reshape(m, n), "u": arr[m * n:]}
 
 
 # ---------------------------------------------------------------------------

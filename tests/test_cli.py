@@ -4,9 +4,11 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
-from bellcert import cli
+from bellcert import cli, protocol
+from bellcert.entcf import EntcfParams
 
 
 def test_run_writes_stats(tmp_path, capsys):
@@ -70,10 +72,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def _keys_line(change) -> bytes:
+    """An honest ideal keys message, as a line, after ``change(payload)``."""
+    _, keys = protocol.start_session(EntcfParams(), np.random.default_rng(0))
+    change(keys["payload"])
+    return json.dumps(keys).encode() + b"\n"
+
+
 def test_prove_counts_a_malformed_session_and_goes_on(capsys):
     """A session whose keys message the prover cannot decode is a failed
     session; the next one is still played."""
-    lines = [b'{"type": "keys", "session_id": 0, "payload": {}}\n', b"[0]\n"]
+    lines = [b'{"type": "keys", "session_id": 0, "payload": {}}\n', b"[0]\n",
+             _keys_line(lambda p: p["keys"].__setitem__(0, {"family": "F", "payload": {}})),
+             _keys_line(lambda p: p["params"].__setitem__("ideal_w", 8.5)),
+             _keys_line(lambda p: p["keys"][1]["payload"].__setitem__("w", 31))]
     with socket.create_server(("127.0.0.1", 0)) as server:
         server.settimeout(10)
 

@@ -25,6 +25,12 @@ def test_param_validation():
         entcf.EntcfParams(backend="lwe", lwe_m=64)  # no room above the gadget
     with pytest.raises(ConfigurationError):
         entcf.EntcfParams(backend="lwe", lwe_q=1000)  # not a power of two
+    with pytest.raises(ConfigurationError):
+        entcf.EntcfParams(backend="lwe", lwe_q=2 ** 40, lwe_m=200)  # images are 32-bit words
+    with pytest.raises(ConfigurationError):
+        entcf.EntcfParams(backend="lwe", lwe_sigma=17.0)  # wider than lwe_eval_bound
+    with pytest.raises(ConfigurationError):
+        entcf.EntcfParams(backend="lwe", lwe_sigma=float("nan"))
 
 
 def test_params_json_roundtrip(params):

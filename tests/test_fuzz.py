@@ -11,8 +11,8 @@ import socket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellcert import entcf, net, protocol
-from bellcert.errors import BellcertError
+from bellcert import entcf, net, protocol, provers
+from bellcert.errors import BellcertError, MalformedMessageError
 from bellcert.harness import role_rng
 from bellcert.provers import ClawOracle, HonestProver
 
@@ -82,3 +82,28 @@ def test_recv_raises_only_bellcert_errors(line):
             net.LineChannel(left, timeout=5).recv()
         except BellcertError:
             pass
+
+
+def _near_value(v):
+    """``v``, or ``v`` with one part anywhere inside it kept, changed or replaced."""
+    options = st.just(v) | JSON | st.integers()
+    if isinstance(v, dict):
+        options |= st.fixed_dictionaries({k: _near_value(x) for k, x in v.items()})
+    if isinstance(v, list) and v:
+        options |= st.integers(0, len(v) - 1).flatmap(
+            lambda i: _near_value(v[i]).map(lambda x: v[:i] + [x] + v[i + 1:]))
+    return options
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.sampled_from(BACKENDS), data=st.data())
+def test_decode_keys_raises_only_malformed(params, data):
+    """Whatever a verifier puts in the keys payload object, the prover
+    either decodes it or raises MalformedMessageError."""
+    _, keys = protocol.start_session(params, role_rng(0, 0, 0), basis=(1, 0))
+    honest = json.loads(json.dumps(keys["payload"]))
+    payload = data.draw(st.fixed_dictionaries({k: _near_value(v) for k, v in honest.items()}))
+    try:
+        provers._decode_keys(payload)
+    except MalformedMessageError:
+        pass

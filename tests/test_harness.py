@@ -201,6 +201,8 @@ def _transcript_digest(tmp_path, backend: str, **config) -> str:
      "fc3d51cdd25f5e6c744753609d48d3b47182101898a913869ff71e9441b5bc82"),
     ("lwe", "honest", 60, 8,
      "7733253e96b4eb56fe287397f05360dc51301b838f6cd63c69ecc41e6baa154c"),
+    ("lwe", "classical_guess", 60, 14,
+     "971172626e38fe680113f4cf01059845f9fc13e230984b3e05826ecd15bb82a3"),
 ])
 def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest):
     """Fixed-seed unforced runs write byte-identical transcripts."""
@@ -215,6 +217,10 @@ def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest)
      "76e84d42b1d2536fe57c3ad218bd0ca44f408a17075939c68d7bec7cbd0e5466"),
     ("lwe", "honest", 60, 11, (0, 1), "hadamard",
      "18d28b6e1e805ec3c64dbfb1fa6745c56f748be63e34fa7b79285b5c045c73ca"),
+    ("lwe", "honest", 60, 12, (1, 1), "hadamard",
+     "e96b7a4c51cf9b1e6235c70c89b2192504fa963d12057eda4626e76ae995dbf3"),
+    ("lwe", "honest", 60, 13, None, "preimage",
+     "6dd34416c89c0fa2e52338d21cea8bc39a2369c282b8cf25a66f641f117b9ade"),
 ])
 def test_golden_forced_transcripts(tmp_path, backend, strategy, sessions, seed,
                                    force_basis, force_round, digest):

@@ -6,6 +6,70 @@ import pytest
 from bellcert import entcf, lwe
 
 PARAMS = entcf.EntcfParams(backend="lwe")
+SMALL = entcf.EntcfParams("lwe", lwe_n=2, lwe_q=2 ** 12, lwe_m=40, lwe_eval_bound=8,
+                          lwe_check_bound=200)
+
+
+def _centered(v: np.ndarray, q: int) -> np.ndarray:
+    return ((v + q // 2) % q) - q // 2
+
+
+def _reference_gadget_decode(v: np.ndarray, n: int, k: int, q: int) -> int:
+    """Recover x from a noisy G x (mod q), least-significant bit first."""
+    x = 0
+    for i in range(n):
+        coord = 0
+        for j in range(k):
+            row = i * k + (k - 1 - j)
+            t = int((int(v[row]) - (coord << (k - 1 - j))) % q)
+            bit = 1 if q // 4 <= t < 3 * q // 4 else 0
+            coord |= bit << j
+        x |= coord << (i * k)
+    return x
+
+
+def _decode_inputs(params, rng):
+    """Honest noisy images after the trapdoor, uniform vectors, and vectors
+    whose every coordinate sits on a decision threshold."""
+    n, k, q = params.lwe_n, params.gadget_bits, params.lwe_q
+    mbar = params.lwe_m - n * k
+    for family in entcf.FAMILIES:
+        pk, td = entcf.gen(family, params, rng)
+        for _ in range(100):
+            b = int(rng.integers(2))
+            y = entcf.eval_sample(pk, b, entcf.random_preimage(params, rng), rng)
+            target = (y - b * pk.payload["u"]) % q
+            yield (target[mbar:] + td.payload["r"] @ target[:mbar]) % q
+    for _ in range(500):
+        yield rng.integers(0, q, size=n * k, dtype=np.int64)
+    for t in (q // 4 - 1, q // 4, 3 * q // 4 - 1, 3 * q // 4):
+        yield np.full(n * k, t, dtype=np.int64)
+        for _ in range(20):
+            v = rng.integers(0, q, size=n * k, dtype=np.int64)
+            v[rng.integers(0, n * k, size=n)] = t
+            yield v
+
+
+@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+def test_gadget_decode_matches_reference(params, rng):
+    n, k, q = params.lwe_n, params.gadget_bits, params.lwe_q
+    for v in _decode_inputs(params, rng):
+        assert lwe._gadget_decode(v, n, k, q) == _reference_gadget_decode(v, n, k, q)
+
+
+@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+def test_gadget_is_cached_and_read_only(params):
+    n, k = params.lwe_n, params.gadget_bits
+    fresh = np.zeros((n * k, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(k):
+            fresh[i * k + j, i] = 1 << j
+    g = lwe._gadget(n, k)
+    assert g is lwe._gadget(n, k)
+    assert g.dtype == np.int64 and np.array_equal(g, fresh)
+    with pytest.raises(ValueError):
+        g[0, 0] = 2
+    assert np.array_equal(lwe._gadget(n, k), fresh)
 
 
 def test_gadget_decode_exact_under_bounded_noise(rng):
@@ -32,7 +96,7 @@ def test_eval_noise_within_bound(rng):
     x = entcf.random_preimage(PARAMS, rng)
     xv = lwe._int_to_vec(x, PARAMS.lwe_n, PARAMS.gadget_bits)
     y = entcf.eval_sample(pk, 0, x, rng)
-    resid = lwe._centered((y - pk.payload["a"] @ xv) % PARAMS.lwe_q, PARAMS.lwe_q)
+    resid = _centered((y - pk.payload["a"] @ xv) % PARAMS.lwe_q, PARAMS.lwe_q)
     assert np.max(np.abs(resid)) <= PARAMS.lwe_eval_bound
 
 
@@ -43,6 +107,35 @@ def test_chk_rejects_beyond_check_bound(rng):
     assert entcf.chk(pk, y, 0, x)
     y_far = (y + PARAMS.lwe_check_bound + PARAMS.lwe_eval_bound + 1) % PARAMS.lwe_q
     assert not entcf.chk(pk, y_far, 0, x)
+
+
+def _reference_chk(pk, y, b, x) -> bool:
+    params = pk.params
+    xv = lwe._int_to_vec(x, params.lwe_n, params.gadget_bits)
+    resid = _centered((y - pk.payload["a"] @ xv - b * pk.payload["u"]) % params.lwe_q,
+                      params.lwe_q)
+    return bool(np.max(np.abs(resid)) <= params.lwe_check_bound)
+
+
+@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+def test_chk_matches_centered_reference(params, rng):
+    """chk agrees with the centred residual test, also with one coordinate
+    exactly at or one past the check bound on either side."""
+    q, bound = params.lwe_q, params.lwe_check_bound
+    for family in entcf.FAMILIES:
+        pk, _ = entcf.gen(family, params, rng)
+        for _ in range(50):
+            b, x = int(rng.integers(2)), entcf.random_preimage(params, rng)
+            y = entcf.eval_sample(pk, b, x, rng)
+            xv = lwe._int_to_vec(x, params.lwe_n, params.gadget_bits)
+            exact = (pk.payload["a"] @ xv + b * pk.payload["u"]) % q
+            for offset in (bound, bound + 1, -bound, -bound - 1, q // 2, -q // 2):
+                y_off, j = y.copy(), int(rng.integers(params.lwe_m))
+                y_off[j] = (exact[j] + offset) % q
+                for bb in (0, 1):
+                    assert lwe.chk(pk, y_off, bb, x) == _reference_chk(pk, y_off, bb, x)
+            garbage = rng.integers(0, q, size=params.lwe_m, dtype=np.int64)
+            assert lwe.chk(pk, garbage, b, x) == _reference_chk(pk, garbage, b, x)
 
 
 def test_invert_rejects_garbage(rng):
@@ -83,6 +176,6 @@ def test_trapdoor_quality_margin(rng):
     xv = lwe._int_to_vec(x, n, k)
     y = entcf.eval_sample(pk, 0, x, rng)
     v = (y[mbar:] + td.payload["r"] @ y[:mbar]) % q
-    resid = lwe._centered((v - lwe._gadget(n, k) @ xv) % q, q)
+    resid = _centered((v - lwe._gadget(n, k) @ xv) % q, q)
     worst = PARAMS.lwe_eval_bound * (1 + mbar)
     assert np.max(np.abs(resid)) <= worst < q // 4

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from types import SimpleNamespace
 
@@ -218,6 +219,82 @@ def test_play_refuses_bad_round_or_verdict(replies):
     scripted = iter(replies)
     with pytest.raises(MalformedMessageError):
         prover.play(keys, lambda msg: next(scripted))
+
+
+LWE = entcf.EntcfParams(backend="lwe")
+
+
+def _set(path, value):
+    """A change to a keys payload that puts ``value`` at ``path``."""
+    def change(payload):
+        *head, last = path
+        for step in head:
+            payload = payload[step]
+        payload[last] = value
+    return change
+
+
+def _seed(i):
+    return ["keys", i, "payload", "seed", "__hex__"]
+
+
+def _entry(name, *index):
+    return ["keys", 0, "payload", name, "__array__", *index]
+
+
+_BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
+    "ideal": {
+        "key_payload_empty": _set(["keys", 0], {"family": "F", "payload": {}}),
+        "ideal_w_float": _set(["params", "ideal_w"], 8.5),
+        "ideal_w_bool": _set(["params", "ideal_w"], True),
+        "backend_unknown": _set(["params", "backend"], "quantum"),
+        "sigma_string": _set(["params", "lwe_sigma"], "1.6"),
+        "sigma_nan": _set(["params", "lwe_sigma"], float("nan")),
+        "family_list": _set(["keys", 1, "family"], ["G"]),
+        "seed_upper_case": lambda p: _set(_seed(0), p["keys"][0]["payload"]["seed"]
+                                          ["__hex__"].upper())(p),
+        "seed_short": lambda p: _set(_seed(1), p["keys"][1]["payload"]["seed"]
+                                     ["__hex__"][:-2])(p),
+        "seed_not_hex": _set(_seed(0), "zz" * 32),
+        "seed_unwrapped": _set(["keys", 0, "payload", "seed"], "00" * 32),
+        "width_mismatch": _set(["keys", 1, "payload", "w"], 17),
+        "delta_zero": _set(["keys", 0, "payload", "delta"], 0),
+        "delta_too_wide": _set(["keys", 0, "payload", "delta"], 1 << 16),
+        "delta_float": _set(["keys", 0, "payload", "delta"], 3.0),
+        "delta_on_g_key": _set(["keys", 1, "payload", "delta"], 3),
+    },
+    "lwe": {
+        "entry_float": _set(_entry("a", 0, 0), 1.5),
+        "entry_bool": _set(_entry("a", 5, 1), True),
+        "entry_string": _set(_entry("u", 7), "7"),
+        "entry_huge": _set(_entry("a", 2, 3), 2 ** 70),
+        "entry_at_q": _set(_entry("u", 0), LWE.lwe_q),
+        "entry_negative": _set(_entry("u", 79), -1),
+        "row_short": lambda p: _set(_entry("a", 3), p["keys"][0]["payload"]["a"]
+                                    ["__array__"][3][:-1])(p),
+        "row_not_list": _set(_entry("a", 3), 4),
+        "u_short": lambda p: p["keys"][0]["payload"]["u"]["__array__"].pop(),
+        "extra_field": _set(["keys", 1, "payload", "s"], {"__array__": [1, 2, 3, 4]}),
+        "q_above_32_bits": lambda p: p["params"].update(lwe_q=2 ** 40, lwe_m=200),
+        "sigma_above_eval_bound": _set(["params", "lwe_sigma"], 1e9),
+    },
+}
+
+
+@pytest.mark.parametrize("backend,name", [(b, n) for b, cases in _BAD_KEYS.items()
+                                          for n in cases])
+def test_commit_refuses_bad_key_contents(backend, name):
+    """Params of the wrong type and key payloads that do not fit their
+    backend end the prover's commit with MalformedMessageError."""
+    params = PARAMS if backend == "ideal" else LWE
+    state, keys = protocol.start_session(params, role_rng(0, 0, 0), basis=(1, 0))
+    prover = provers.HonestProver(role_rng(0, 0, 1),
+                                  provers.ClawOracle(state.keys, state.trapdoors))
+    prover.commit(json.loads(json.dumps(keys)))  # the unchanged message is played
+    keys = json.loads(json.dumps(keys))
+    _BAD_KEYS[backend][name](keys["payload"])
+    with pytest.raises(MalformedMessageError):
+        prover.commit(keys)
 
 
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
