@@ -59,8 +59,9 @@ class EntcfParams:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
-        if self.ideal_w < 4:
-            raise ConfigurationError("ideal_w must be at least 4")
+        if not 4 <= self.ideal_w <= 63:
+            # _ideal_gen draws the claw shift as an int64 in [1, 2^w)
+            raise ConfigurationError("need 4 <= ideal_w <= 63")
         if self.lwe_q & (self.lwe_q - 1):
             raise ConfigurationError("lwe_q must be a power of two")
         k = self.lwe_q.bit_length() - 1

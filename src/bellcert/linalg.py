@@ -6,8 +6,13 @@ Everything here works on plain complex numpy arrays.  Structural checks
 ``VALIDATION_TOL``; quantities reported by the analysis layer are never
 rounded before serialization.  Trace distances between operators given as
 low-rank factors (:func:`signed_factor`) are taken through a QR of the
-stacked factors (:func:`factored_trace_distance`), which is exact and never
-forms the full-size operands.
+stacked factors (:func:`factored_trace_distance`), which never forms the
+full-size operands.  The factors keep only the eigen-components that
+``eigh`` resolves from 0 (:func:`signed_factor`), so their width is the
+operand's numerical rank; what is dropped lies within ``eigh``'s own error,
+and moves a trace distance by at most ``(1/2) n^2 eps`` times the largest
+eigenvalue magnitudes involved (``n`` the operand side, ``eps`` the float64
+machine epsilon).
 """
 from __future__ import annotations
 
@@ -86,16 +91,26 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def signed_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a hermitian operator as ``W diag(s) W^dag`` with ``s`` in {-1, 0, 1}.
+    """Factor a hermitian operator as ``W diag(s) W^dag`` with ``s`` in {-1, 1}.
 
     ``W`` holds the eigenvectors scaled by ``sqrt(|lambda|)`` and ``s`` the
-    eigenvalue signs, so an indefinite operator factors exactly too.
+    eigenvalue signs, so an indefinite operator factors too.  Only the
+    eigen-components with ``|lambda| > n eps max|lambda|`` are kept (``n``
+    the operand's side, ``eps`` the float64 machine epsilon; the
+    ``numpy.linalg.matrix_rank`` rule), so ``W`` is as wide as the
+    operand's numerical rank and a zero operand gives a zero-width factor.
+    ``eigh`` knows each eigenvalue only to about ``n eps ||a||_2``, so a
+    dropped component is indistinguishable from 0; dropping at most ``n``
+    of them moves the operand by at most ``n^2 eps max|lambda|`` in trace
+    norm.
     """
     a = as_operator(a)
     if np.max(np.abs(a - a.conj().T)) > VALIDATION_TOL:
         raise ValidationError("signed factorization requires a hermitian operand")
     lam, u = np.linalg.eigh((a + a.conj().T) / 2)
-    return u * np.sqrt(np.abs(lam)), np.sign(lam)
+    mag = np.abs(lam)
+    keep = mag > a.shape[0] * np.finfo(float).eps * mag.max(initial=0.0)
+    return u[:, keep] * np.sqrt(mag[keep]), np.sign(lam[keep])
 
 
 def factored_trace_distance(f: np.ndarray, sf: np.ndarray,
@@ -120,7 +135,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     rows, cols = m.shape
-    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    entries = np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "entries": entries}
 
 

@@ -100,6 +100,9 @@ class VerifierState:
     phase: str = "commit"
     round_type: Optional[str] = None   # forced by start_session, else drawn at commit
     images: Optional[tuple] = None
+    # the images as received, for the record: image_from_wire accepts only
+    # the canonical spelling, so these equal their re-encoding
+    image_hex: Optional[tuple[str, str]] = None
     equations: Optional[tuple[int, int]] = None
     questions: Optional[tuple[int, int]] = None
     answers: Optional[tuple[int, int]] = None
@@ -162,6 +165,7 @@ def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) ->
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMessageError(f"bad commitment: {exc}") from exc
     state.images = (y1, y2)
+    state.image_hex = (payload["y1"], payload["y2"])
     drawn = ROUND_TYPES[int(rng.integers(2))]  # even when forced: the stream is kept
     state.round_type = state.round_type or drawn
     state.phase = "preimage" if state.round_type == "preimage" else "equations"
@@ -391,7 +395,7 @@ def record_from_state(state: VerifierState) -> TranscriptRecord:
     return TranscriptRecord(
         session_id=state.session_id, basis=state.basis, round_type=state.round_type,
         flag=state.flag.value,
-        images=tuple(entcf.image_to_wire(params, y) for y in state.images),
+        images=state.image_hex,
         keys=tuple(pk.to_json() for pk in state.keys),
         openings=openings, pre_leg_ok=state.pre_leg_ok, equations=equations,
         questions=state.questions, answers=state.answers,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from bellcert import analysis, protocol
 from bellcert.device import (OUTCOME_PAIRS, from_honest, marginal_observables, sigma,
                              sigma_partial, validate)
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, bell_state, tensor, trace_distance
+from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, signed_factor, tensor,
+                             trace_distance)
 from conftest import (commutation_norms, embed_device, gamma_b, gamma_t, random_density,
                       random_observable_set, random_unitary)
 
@@ -186,6 +187,15 @@ def _dense_reference_devices():
     devices += [pytest.param(embed_device(from_honest(p), k, rng), id=f"embedded-{p}-{k}")
                 for p, k in ((0.2, 2), (0.05, 3), (0.3, 4))]
     return devices + [pytest.param(_negative_weight_device(), id="negative_weight")]
+
+
+@pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])
+def test_embedded_junk_factor_width(rng, p, junk_dim):
+    """The honest device's junk state is pure, so an embedded device's xi
+    has rank ``junk_dim`` and its factor is that narrow, not ``dim`` wide."""
+    dev = embed_device(from_honest(p), junk_dim, rng)
+    for case in analysis.bell_report(dev):
+        assert signed_factor(case.xi)[0].shape == (dev.dim, junk_dim)
 
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())

@@ -31,6 +31,19 @@ def test_param_validation():
         entcf.EntcfParams(backend="lwe", lwe_sigma=17.0)  # wider than lwe_eval_bound
     with pytest.raises(ConfigurationError):
         entcf.EntcfParams(backend="lwe", lwe_sigma=float("nan"))
+    with pytest.raises(ConfigurationError):
+        entcf.EntcfParams(backend="ideal", ideal_w=64)  # claw shift beyond int64
+
+
+def test_widest_ideal_keys(rng):
+    """At ideal_w = 63, the largest accepted, both families generate and
+    round-trip."""
+    params = entcf.EntcfParams(backend="ideal", ideal_w=63)
+    for family in "FG":
+        pk, td = entcf.gen(family, params, rng)
+        x = entcf.random_preimage(params, rng)
+        y = entcf.eval_sample(pk, 1, x, rng)
+        assert entcf.chk(pk, y, 1, x) and entcf.invert(td, pk, 1, y) == x
 
 
 def test_params_json_roundtrip(params):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,8 @@ def _signs(width: int, kind: str, rng: np.random.Generator) -> np.ndarray:
     (12, 6, 6, "indefinite", "indefinite"),    # stacked width equal to the rows
     (6, 6, 6, "indefinite", "psd"),            # full-width factors, stack wider than the rows
     (6, 0, 4, "psd", "indefinite"),            # empty left factor
+    (6, 4, 0, "indefinite", "psd"),            # empty right factor
+    (6, 0, 0, "psd", "psd"),                   # both factors empty
 ])
 def test_factored_trace_distance_matches_dense(rng, rows, wf, wg, kf, kg):
     for _ in range(5):
@@ -95,6 +99,21 @@ def test_signed_factor_reproduces_hermitian_operand(rng, dim, rank_a, rank_b):
             pytest.approx(linalg.trace_distance(a, b), abs=1e-12)
 
 
+@pytest.mark.parametrize("rank", [0, 3, 8])
+@pytest.mark.parametrize("kind", ["psd", "indefinite"])
+def test_signed_factor_width_is_rank(rng, rank, kind):
+    """A factor keeps exactly the operand's rank of columns, with its
+    inertia as the signs, and still rebuilds the operand."""
+    for _ in range(5):
+        c = _ginibre(8, rank, rng)
+        signs = np.ones(rank) if kind == "psd" else rng.choice([-1.0, 1.0], size=rank)
+        a = (c * signs) @ c.conj().T
+        w, s = linalg.signed_factor(a)
+        assert w.shape == (8, rank) and s.shape == (rank,)
+        assert np.array_equal(np.sort(s), np.sort(signs))
+        assert np.max(np.abs((w * s) @ w.conj().T - a), initial=0.0) < 1e-12
+
+
 def test_signed_factor_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         linalg.signed_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -110,6 +129,18 @@ def test_matrix_json_roundtrip(rng):
     d = linalg.matrix_to_json(m)
     assert d["rows"] == 3 and d["cols"] == 5
     assert np.array_equal(linalg.matrix_from_json(d), m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[-0.0, 1.5 - 0.0j], [complex(0.0, -0.0), -2.25e-300 + 3j]]),
+    np.array([0.1 + 0.2j, -0.0, complex(-0.0, -0.0)]),
+])
+def test_matrix_json_matches_entry_loop(m):
+    """The serialized entries equal those of a per-entry loop, signed
+    zeros included, so reports stay byte-identical."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    loop = [[float(z.real), float(z.imag)] for z in flat]
+    assert json.dumps(linalg.matrix_to_json(m)["entries"]) == json.dumps(loop)
 
 
 def test_matrix_json_rejects_bad_entry_count():

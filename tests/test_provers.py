@@ -242,11 +242,19 @@ def _entry(name, *index):
     return ["keys", 0, "payload", name, "__array__", *index]
 
 
+def _widen(payload):
+    """Params and both keys at ideal_w = 2**17, consistent with each other."""
+    payload["params"]["ideal_w"] = 1 << 17
+    for key in payload["keys"]:
+        key["payload"]["w"] = 1 << 17
+
+
 _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
     "ideal": {
         "key_payload_empty": _set(["keys", 0], {"family": "F", "payload": {}}),
         "ideal_w_float": _set(["params", "ideal_w"], 8.5),
         "ideal_w_bool": _set(["params", "ideal_w"], True),
+        "ideal_w_huge": _widen,
         "backend_unknown": _set(["params", "backend"], "quantum"),
         "sigma_string": _set(["params", "lwe_sigma"], "1.6"),
         "sigma_nan": _set(["params", "lwe_sigma"], float("nan")),
