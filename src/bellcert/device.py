@@ -61,8 +61,8 @@ class Violation:
     magnitude: float
 
 
-def validate(device: Device, tol: float = VALIDATION_TOL) -> list[Violation]:
-    """Collect every structural violation beyond tolerance (empty = valid)."""
+def validate(device: Device) -> list[Violation]:
+    """Collect every structural violation beyond ``VALIDATION_TOL`` (empty = valid)."""
     out: list[Violation] = []
     eye = np.eye(device.dim)
     for basis in BASIS_PAIRS:
@@ -73,23 +73,23 @@ def validate(device: Device, tol: float = VALIDATION_TOL) -> list[Violation]:
         total = 0.0
         for br in branches:
             total += br.weight
-            if br.weight < -tol:
+            if br.weight < -VALIDATION_TOL:
                 out.append(Violation(f"branch {basis}/{br.label} weight", -br.weight))
             st = as_operator(br.state)
             if st.shape != (device.dim, device.dim):
                 out.append(Violation(f"branch {basis}/{br.label} dim", float("inf")))
                 continue
             herm = float(np.max(np.abs(st - st.conj().T)))
-            if herm > tol:
+            if herm > VALIDATION_TOL:
                 out.append(Violation(f"branch {basis}/{br.label} hermiticity", herm))
             else:
                 low = float(np.linalg.eigvalsh(st).min())
-                if low < -tol:
+                if low < -VALIDATION_TOL:
                     out.append(Violation(f"branch {basis}/{br.label} positivity", -low))
             tr_err = abs(float(np.real(np.trace(st))) - 1.0)
-            if tr_err > tol:
+            if tr_err > VALIDATION_TOL:
                 out.append(Violation(f"branch {basis}/{br.label} trace", tr_err))
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > VALIDATION_TOL:
             out.append(Violation(f"branches[{basis}] weight sum", abs(total - 1.0)))
     for q in QUESTION_PAIRS:
         meas = device.measurements.get(q)
@@ -101,17 +101,17 @@ def validate(device: Device, tol: float = VALIDATION_TOL) -> list[Violation]:
             proj = as_operator(proj)
             idem = float(np.max(np.abs(proj @ proj - proj)))
             herm = float(np.max(np.abs(proj - proj.conj().T)))
-            if max(idem, herm) > tol:
+            if max(idem, herm) > VALIDATION_TOL:
                 out.append(Violation(f"measurements[{q}][{outcome}] projector",
                                      max(idem, herm)))
             acc = acc + proj
         comp = float(np.max(np.abs(acc - eye)))
-        if comp > tol:
+        if comp > VALIDATION_TOL:
             out.append(Violation(f"measurements[{q}] completeness", comp))
         for i, oa in enumerate(OUTCOME_PAIRS):
             for ob in OUTCOME_PAIRS[i + 1:]:
                 ortho = float(np.max(np.abs(meas[oa] @ meas[ob])))
-                if ortho > tol:
+                if ortho > VALIDATION_TOL:
                     out.append(Violation(f"measurements[{q}] orthogonality "
                                          f"{oa}/{ob}", ortho))
     return out

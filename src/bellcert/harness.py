@@ -77,10 +77,8 @@ class RunStats:
     def add_record(self, rec: TranscriptRecord) -> None:
         self.sessions += 1
         self.flag_counts[rec.flag] += 1
-        basis = tuple(rec.basis)
+        basis = rec.basis
         if rec.round_type == "preimage":
-            if rec.pre_leg_ok is None:
-                raise MalformedMessageError("preimage record lacks leg outcomes")
             fc = self.fail_cond.setdefault("fail_pre", [0, 0])
             fc[1] += 1
             fc[0] += rec.flag == Flag.FAIL_PRE.value
@@ -89,13 +87,11 @@ class RunStats:
                 cell[1] += 1
                 cell[0] += bool(ok)
             return
-        pair = protocol.accepted_pair(basis, rec.targets or {})
+        pair = protocol.accepted_pair(basis, rec.targets)
         if None in pair:
             self.undecodable += 1
             return
-        if rec.questions is None or rec.answers is None:
-            raise MalformedMessageError("hadamard record is incomplete")
-        q, v = tuple(rec.questions), tuple(rec.answers)
+        q, v = rec.questions, rec.answers
         rows = [c for c in protocol.CHECKS if c.basis == basis]
         if not rows:
             return
@@ -172,6 +168,10 @@ def stats_from_transcripts(path: str) -> RunStats:
 # estimates
 # ---------------------------------------------------------------------------
 
+# a bucket with fewer samples marks its estimate insufficient
+MIN_SAMPLES = 20
+
+
 @dataclass
 class Estimate:
     value: float
@@ -185,14 +185,14 @@ class Estimate:
                 "samples": self.samples, "insufficient": self.insufficient}
 
 
-def _deficit_estimate(counts: dict, min_samples: int) -> Estimate:
+def _deficit_estimate(counts: dict) -> Estimate:
     """1 - (smallest bucket pass frequency), with its binomial error bar."""
     if not counts:
         return Estimate(float("nan"), float("nan"), "", 0, True)
     worst_name, worst_rate, worst_n = "", 2.0, 0
     insufficient = False
     for name, (ok, total) in sorted(counts.items()):
-        if total < min_samples:
+        if total < MIN_SAMPLES:
             insufficient = True
         rate = ok / total if total else 0.0
         if total and rate < worst_rate:
@@ -215,14 +215,14 @@ class GammaEstimates:
                 "conditional_fail_rates": dict(self.fail_rates)}
 
 
-def estimate_gammas(stats: RunStats, min_samples: int = 20) -> GammaEstimates:
+def estimate_gammas(stats: RunStats) -> GammaEstimates:
     rates = {}
     for kind, (fails, total) in stats.fail_cond.items():
         rates[kind] = fails / total if total else float("nan")
     return GammaEstimates(
-        gamma_p=_deficit_estimate(stats.pre_counts, min_samples),
-        gamma_t=_deficit_estimate(stats.test_counts, min_samples),
-        gamma_b=_deficit_estimate(stats.bell_counts, min_samples),
+        gamma_p=_deficit_estimate(stats.pre_counts),
+        gamma_t=_deficit_estimate(stats.test_counts),
+        gamma_b=_deficit_estimate(stats.bell_counts),
         fail_rates=rates)
 
 

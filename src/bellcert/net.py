@@ -1,16 +1,18 @@
 """Line-delimited JSON transport for running sessions over TCP.
 
 One connection carries one session.  Messages are single JSON objects
-terminated by a newline, at most 64 KiB per line, with a 30 second
-default timeout per message.  Both ends drive a session as the in-process
-harness does (``protocol.respond``, ``Prover.play``, ``harness.collect``) with
-its per-session random streams, so transcripts are identical byte for byte.
+terminated by a newline, at most 64 KiB per line, and each end gives the
+whole session a 30 second default timeout.  Both ends drive a session as
+the in-process harness does (``protocol.respond``, ``Prover.play``,
+``harness.collect``) with its per-session random streams, so transcripts
+are identical byte for byte.
 """
 from __future__ import annotations
 
 import json
 import socket
 import threading
+import time
 
 from . import protocol
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
@@ -22,18 +24,27 @@ DEFAULT_TIMEOUT = 30.0
 
 
 class LineChannel:
-    """Newline-framed JSON messages over a socket."""
+    """Newline-framed JSON messages over a socket, all due within ``timeout``
+    seconds of the channel's creation."""
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
-        sock.settimeout(timeout)
         self.sock = sock
+        self._deadline = time.monotonic() + timeout
         self._buf = b""
+
+    def _time_left(self) -> None:
+        """Bound the next socket call by what is left of the session's time."""
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise AbortSessionError("session deadline passed")
+        self.sock.settimeout(left)
 
     def send(self, obj: dict) -> None:
         data = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
         if len(data) > MAX_LINE_BYTES:
             raise MalformedMessageError(f"outgoing message of {len(data)} bytes "
                                         f"exceeds the {MAX_LINE_BYTES} byte line limit")
+        self._time_left()
         self.sock.sendall(data)
 
     def recv(self):
@@ -41,6 +52,7 @@ class LineChannel:
         while b"\n" not in self._buf:
             if len(self._buf) > MAX_LINE_BYTES:
                 raise MalformedMessageError("incoming line exceeds the size limit")
+            self._time_left()
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise AbortSessionError("peer closed the connection mid-session")
@@ -93,8 +105,9 @@ def serve(host: str, port: int, config: RunConfig, *,
           timeout: float = DEFAULT_TIMEOUT) -> RunStats:
     """Accept ``config.sessions`` connections and verify one session each.
 
-    Serving stops early, returning the statistics gathered so far, when no
-    connection arrives within ``timeout`` seconds.
+    A session not finished within ``timeout`` seconds of its accept is
+    aborted.  Serving stops early, returning the statistics gathered so
+    far, when no connection arrives within ``timeout`` seconds.
 
     Session ids follow accept order, so sequential clients reproduce the
     in-process harness exactly.

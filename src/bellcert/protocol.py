@@ -16,6 +16,8 @@ The test and Bell checks have one home, the table ``CHECKS``, which the
 verdicts, the harness statistics and the white-box pass tuples all read.
 Forced-basis and forced-round diagnostics pass both to :func:`start_session`,
 and :func:`respond` hands each prover message to the step of the current phase.
+Each step writes what it accepted into the session's :class:`TranscriptRecord`,
+and the verdict is :func:`recheck_flag` of the finished record, as in an audit.
 
 Messages are plain dicts ``{"type", "session_id", "payload"}`` so the same
 objects travel in-process, over the line-delimited TCP transport, and into
@@ -23,7 +25,7 @@ transcript logs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -92,33 +94,25 @@ def _hexbits(payload: dict, key: str, params: entcf.EntcfParams) -> int:
 
 @dataclass
 class VerifierState:
+    """What the verifier holds beyond the record: the keys, their trapdoors
+    and the decoded images.  Each ``receive_*`` step writes the values it
+    accepted into ``record`` as the strings it received; the wire decoders
+    accept only the canonical spelling, so these equal their re-encoding."""
     params: entcf.EntcfParams
-    basis: tuple[int, int]
     keys: tuple[entcf.PublicKey, entcf.PublicKey]
     trapdoors: tuple[entcf.Trapdoor, entcf.Trapdoor]
-    session_id: int = 0
+    record: TranscriptRecord
     phase: str = "commit"
-    round_type: Optional[str] = None   # forced by start_session, else drawn at commit
     images: Optional[tuple] = None
-    # the images as received, for the record: image_from_wire accepts only
-    # the canonical spelling, so these equal their re-encoding
-    image_hex: Optional[tuple[str, str]] = None
-    equations: Optional[tuple[int, int]] = None
-    questions: Optional[tuple[int, int]] = None
-    answers: Optional[tuple[int, int]] = None
-    openings: Optional[tuple] = None
-    targets: dict = field(default_factory=dict)
-    pre_leg_ok: Optional[tuple[bool, bool]] = None
-    flag: Optional[Flag] = None
 
     def _payload(self, msg, phase: str) -> dict:
         """The payload of ``msg``, which must be this session's ``phase`` message."""
         if self.phase != phase:
             raise ProtocolStateError(f"session in phase {self.phase!r}, expected {phase!r}")
         sid = validate_message(msg, phase)["session_id"]
-        if type(sid) is not int or sid != self.session_id:
+        if type(sid) is not int or sid != self.record.session_id:
             raise MalformedMessageError(
-                f"message for session {sid!r} sent to session {self.session_id}")
+                f"message for session {sid!r} sent to session {self.record.session_id}")
         return msg["payload"]
 
 
@@ -132,13 +126,14 @@ def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
     drawn = (int(rng.integers(2)), int(rng.integers(2)))
     basis = drawn if basis is None else tuple(basis)
     pairs = [entcf.gen("F" if theta else "G", params, rng) for theta in basis]
-    state = VerifierState(params=params, basis=basis,
-                          keys=(pairs[0][0], pairs[1][0]),
-                          trapdoors=(pairs[0][1], pairs[1][1]),
-                          session_id=session_id, round_type=round_type)
+    keys = (pairs[0][0], pairs[1][0])
+    # the record encodes the keys itself: an in-process prover may edit its message
+    record = TranscriptRecord(session_id, basis, tuple(pk.to_json() for pk in keys),
+                              round_type)
+    state = VerifierState(params, keys, (pairs[0][1], pairs[1][1]), record)
     msg = message("keys", session_id, {
         "params": params.to_json(),
-        "keys": [pk.to_json() for pk in state.keys],
+        "keys": [pk.to_json() for pk in keys],
     })
     return state, msg
 
@@ -153,7 +148,7 @@ def respond(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
         return receive_equations(state, msg, rng)
     if state.phase == "answers":
         return receive_answers(state, msg)
-    raise ProtocolStateError(f"session {state.session_id} is already {state.phase}")
+    raise ProtocolStateError(f"session {state.record.session_id} is already {state.phase}")
 
 
 def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
@@ -164,44 +159,50 @@ def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) ->
         y2 = entcf.image_from_wire(state.params, payload["y2"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMessageError(f"bad commitment: {exc}") from exc
+    rec = state.record
     state.images = (y1, y2)
-    state.image_hex = (payload["y1"], payload["y2"])
+    rec.images = (payload["y1"], payload["y2"])
     drawn = ROUND_TYPES[int(rng.integers(2))]  # even when forced: the stream is kept
-    state.round_type = state.round_type or drawn
-    state.phase = "preimage" if state.round_type == "preimage" else "equations"
-    return message("round", state.session_id, {"round": state.round_type})
+    rec.round_type = rec.round_type or drawn
+    state.phase = "preimage" if rec.round_type == "preimage" else "equations"
+    return message("round", rec.session_id, {"round": rec.round_type})
 
 
 def receive_preimage(state: VerifierState, msg: dict) -> dict:
     payload = state._payload(msg, "preimage")
     b = (_bit(payload, "b1"), _bit(payload, "b2"))
     x = (_hexbits(payload, "x1", state.params), _hexbits(payload, "x2", state.params))
-    state.openings = (b[0], x[0], b[1], x[1])
-    leg_ok = tuple(entcf.chk(state.keys[i], state.images[i], b[i], x[i]) for i in (0, 1))
-    state.pre_leg_ok = leg_ok
-    state.flag = preimage_flag(leg_ok)
-    state.phase = "done"
-    return message("verdict", state.session_id, {"flag": state.flag.value})
+    rec = state.record
+    rec.openings = (b[0], payload["x1"], b[1], payload["x2"])
+    rec.pre_leg_ok = tuple(entcf.chk(state.keys[i], state.images[i], b[i], x[i])
+                           for i in (0, 1))
+    return _finish(state)
 
 
 def receive_equations(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
     payload = state._payload(msg, "equations")
     d = (_hexbits(payload, "d1", state.params), _hexbits(payload, "d2", state.params))
-    state.equations = d
-    state.targets = _decode_targets(state, d)
-    state.questions = (int(rng.integers(2)), int(rng.integers(2)))
+    rec = state.record
+    rec.equations = (payload["d1"], payload["d2"])
+    rec.targets = _decode_targets(state, d)
+    rec.questions = (int(rng.integers(2)), int(rng.integers(2)))
     state.phase = "answers"
-    return message("questions", state.session_id,
-                   {"q1": state.questions[0], "q2": state.questions[1]})
+    return message("questions", rec.session_id,
+                   {"q1": rec.questions[0], "q2": rec.questions[1]})
 
 
 def receive_answers(state: VerifierState, msg: dict) -> dict:
     payload = state._payload(msg, "answers")
-    v = (_bit(payload, "v1"), _bit(payload, "v2"))
-    state.answers = v
-    state.flag = hadamard_flag(state.basis, state.questions, v, state.targets)
+    state.record.answers = (_bit(payload, "v1"), _bit(payload, "v2"))
+    return _finish(state)
+
+
+def _finish(state: VerifierState) -> dict:
+    """Settle the complete record's verdict, as an audit of it would."""
+    rec = state.record
+    rec.flag = recheck_flag(rec).value
     state.phase = "done"
-    return message("verdict", state.session_id, {"flag": state.flag.value})
+    return message("verdict", rec.session_id, {"flag": rec.flag})
 
 
 def _decode_targets(state: VerifierState, d: tuple[int, int]) -> dict:
@@ -210,7 +211,7 @@ def _decode_targets(state: VerifierState, d: tuple[int, int]) -> dict:
     for i in (0, 1):
         key_b, key_u, key_deg = f"b{i + 1}", f"u{i + 1}", f"deg{i + 1}"
         td, pk, y = state.trapdoors[i], state.keys[i], state.images[i]
-        if state.basis[i] == 0:
+        if state.record.basis[i] == 0:
             try:
                 out[key_b] = entcf.decode_bit(td, pk, y)
             except InvalidImageError:
@@ -307,13 +308,14 @@ def hadamard_flag(basis: tuple[int, int], q: tuple[int, int], v: tuple[int, int]
 
 @dataclass
 class TranscriptRecord:
-    """Everything needed to replay a finished session's verdict."""
+    """What a session accepted and its verdict: everything needed to replay
+    the verdict.  A live session fills it in step by step."""
     session_id: int
     basis: tuple[int, int]
-    round_type: str
-    flag: str
-    images: tuple[str, str]
     keys: tuple[dict, dict]
+    round_type: Optional[str] = None
+    flag: Optional[str] = None
+    images: Optional[tuple[str, str]] = None
     openings: Optional[tuple[int, str, int, str]] = None
     pre_leg_ok: Optional[tuple[bool, bool]] = None
     equations: Optional[tuple[str, str]] = None
@@ -322,20 +324,11 @@ class TranscriptRecord:
     targets: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "basis": list(self.basis),
-            "round_type": self.round_type,
-            "flag": self.flag,
-            "images": list(self.images),
-            "keys": list(self.keys),
-            "openings": list(self.openings) if self.openings else None,
-            "pre_leg_ok": list(self.pre_leg_ok) if self.pre_leg_ok else None,
-            "equations": list(self.equations) if self.equations else None,
-            "questions": list(self.questions) if self.questions else None,
-            "answers": list(self.answers) if self.answers else None,
-            "targets": self.targets,
-        }
+        out = {}
+        for k in _RECORD_FIELDS:
+            v = getattr(self, k)
+            out[k] = list(v) if isinstance(v, tuple) else v
+        return out
 
     @classmethod
     def from_json(cls, d: dict) -> "TranscriptRecord":
@@ -345,6 +338,9 @@ class TranscriptRecord:
         bad = [k for k, valid in _RECORD_FIELDS.items() if not valid(raw[k])]
         if bad:
             raise MalformedMessageError(f"bad transcript record fields: {bad}")
+        missing = [k for k in _ROUND_FIELDS[raw["round_type"]] if raw[k] is None]
+        if missing:
+            raise MalformedMessageError(f"{raw['round_type']} record lacks {missing}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
@@ -362,8 +358,8 @@ def _is_targets(t) -> bool:
             and all(type(t.get(k, False)) is bool for k in ("deg1", "deg2")))
 
 
-# the validity rule of every stored field, in TranscriptRecord order; only
-# the fields from openings on may be None
+# the validity rule of every stored field, in the order records are written;
+# only the fields from openings on may be None
 _RECORD_FIELDS = {
     "session_id": lambda v: type(v) is int and v >= 0,
     "basis": is_pair,
@@ -380,35 +376,21 @@ _RECORD_FIELDS = {
     "targets": _optional(_is_targets),
 }
 
+# the fields a finished session of each round type always fills in
+_ROUND_FIELDS = {
+    "preimage": ("openings", "pre_leg_ok"),
+    "hadamard": ("equations", "questions", "answers", "targets"),
+}
+
 
 def record_from_state(state: VerifierState) -> TranscriptRecord:
     if state.phase != "done":
         raise ProtocolStateError("session is not finished")
-    params = state.params
-    openings = None
-    if state.openings is not None:
-        b1, x1, b2, x2 = state.openings
-        openings = (b1, entcf.bits_to_wire(params, x1), b2, entcf.bits_to_wire(params, x2))
-    equations = None
-    if state.equations is not None:
-        equations = tuple(entcf.bits_to_wire(params, d) for d in state.equations)
-    return TranscriptRecord(
-        session_id=state.session_id, basis=state.basis, round_type=state.round_type,
-        flag=state.flag.value,
-        images=state.image_hex,
-        keys=tuple(pk.to_json() for pk in state.keys),
-        openings=openings, pre_leg_ok=state.pre_leg_ok, equations=equations,
-        questions=state.questions, answers=state.answers,
-        targets=dict(state.targets) if state.targets else None)
+    return state.record
 
 
 def recheck_flag(record: TranscriptRecord) -> Flag:
-    """Recompute a record's verdict from its stored answers and targets."""
+    """Recompute a complete record's verdict from its stored answers and targets."""
     if record.round_type == "preimage":
-        if record.pre_leg_ok is None:
-            raise MalformedMessageError("preimage record lacks leg outcomes")
-        return preimage_flag(tuple(bool(v) for v in record.pre_leg_ok))
-    if record.questions is None or record.answers is None or record.targets is None:
-        raise MalformedMessageError("hadamard record is incomplete")
-    return hadamard_flag(tuple(record.basis), tuple(record.questions),
-                         tuple(record.answers), record.targets)
+        return preimage_flag(record.pre_leg_ok)
+    return hadamard_flag(record.basis, record.questions, record.answers, record.targets)

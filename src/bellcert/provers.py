@@ -225,17 +225,14 @@ class ClassicalGuessProver(HonestProver):
 class PerfectedProver(Prover):
     """Wraps a strategy and retries preparation until its self-check passes.
 
-    The wrapped strategy must expose a ``self_check`` hook.  Exceeding the
-    retry budget aborts the session.
+    The wrapped strategy must expose a ``self_check`` hook.  Failing it
+    ``DEFAULT_RETRY_BUDGET`` times in a row aborts the session.
     """
 
-    def __init__(self, inner: Prover, retry_budget: int = DEFAULT_RETRY_BUDGET):
+    def __init__(self, inner: Prover):
         if not hasattr(inner, "self_check"):
             raise ConfigurationError("wrapped strategy lacks a self_check hook")
-        if retry_budget < 1:
-            raise ConfigurationError("retry budget must be positive")
         self.inner = inner
-        self.retry_budget = retry_budget
         self.retry_count = 0
 
     def commit(self, keys_msg):
@@ -245,9 +242,9 @@ class PerfectedProver(Prover):
             if self.inner.self_check():
                 return commit_msg
             self.retry_count += 1
-            if self.retry_count >= self.retry_budget:
+            if self.retry_count >= DEFAULT_RETRY_BUDGET:
                 raise AbortSessionError(
-                    f"self-check failed {self.retry_budget} times in a row")
+                    f"self-check failed {DEFAULT_RETRY_BUDGET} times in a row")
 
     def preimage_answer(self):
         return self.inner.preimage_answer()

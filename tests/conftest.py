@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,16 @@ from bellcert import analysis
 from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, ObservableSet
 from bellcert.errors import ValidationError
 from bellcert.linalg import VALIDATION_TOL, as_operator
+
+# hypothesis imports this module to report a failing example; its import
+# raises a DeprecationWarning from a dependency, which the per-test "error"
+# filter below would turn into an internal error instead of the report
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bellcert import entcf, net, protocol, provers
 from bellcert.errors import BellcertError, MalformedMessageError
 from bellcert.harness import role_rng
+from bellcert.protocol import Flag
 from bellcert.provers import ClawOracle, HonestProver
 
 BACKENDS = (entcf.EntcfParams(backend="ideal", ideal_w=16), entcf.EntcfParams(backend="lwe"))
@@ -67,7 +68,7 @@ def test_respond_raises_only_bellcert_errors(params, phase, data):
         rec = protocol.record_from_state(state)
         back = protocol.TranscriptRecord.from_json(json.loads(json.dumps(rec.to_json())))
         assert back.to_json() == rec.to_json()
-        assert protocol.recheck_flag(back) is state.flag
+        assert protocol.recheck_flag(back) is Flag(state.record.flag)
 
 
 @settings(max_examples=300, deadline=None)

@@ -85,10 +85,11 @@ def test_estimates_track_noise():
 
 
 def test_deficit_estimate_flags_small_buckets():
-    est = harness._deficit_estimate({"a": [4, 5]}, min_samples=20)
+    est = harness._deficit_estimate({"a": [4, 5]})
     assert est.insufficient
     assert est.value == pytest.approx(0.2)
-    assert math.isnan(harness._deficit_estimate({}, 20).value)
+    assert not harness._deficit_estimate({"a": [4, harness.MIN_SAMPLES]}).insufficient
+    assert math.isnan(harness._deficit_estimate({}).value)
 
 
 def test_sweep_rows_and_csv(tmp_path):
@@ -137,14 +138,30 @@ def _first_record(path, round_type: str) -> dict:
                 if r["round_type"] == round_type)
 
 
-@pytest.mark.parametrize("round_type,field", [("preimage", "pre_leg_ok"),
-                                              ("hadamard", "questions")])
-def test_incomplete_record_is_malformed(tmp_path, round_type, field):
+_UNDECODABLE = {"b1": None, "b2": None, "u1": None, "u2": None, "deg1": False, "deg2": False}
+
+
+@pytest.mark.parametrize("round_type,edit", [
+    pytest.param("preimage", {"pre_leg_ok": None}, id="preimage-pre_leg_ok"),
+    pytest.param("preimage", {"openings": None}, id="preimage-openings"),
+    pytest.param("hadamard", {"questions": None}, id="hadamard-questions"),
+    pytest.param("hadamard", {"equations": None}, id="hadamard-equations"),
+    pytest.param("hadamard", {"targets": None}, id="hadamard-targets"),
+    pytest.param("hadamard", {"targets": _UNDECODABLE, "questions": None},
+                 id="hadamard-undecodable-questions"),
+    pytest.param("hadamard", {"targets": _UNDECODABLE, "answers": None},
+                 id="hadamard-undecodable-answers"),
+])
+def test_incomplete_record_is_malformed(tmp_path, round_type, edit):
+    """A record that lacks a field its round type always fills in is refused
+    on loading, whether or not its targets decode."""
     path = tmp_path / "t.jsonl"
     rec = _first_record(path, round_type)
-    if round_type == "hadamard":  # decodable, so add_record reads its questions
+    if round_type == "hadamard":  # decodable, so only an edit can make it undecodable
         assert None not in protocol.accepted_pair(tuple(rec["basis"]), rec["targets"])
-    rec[field] = None
+    rec.update(edit)
+    with pytest.raises(MalformedMessageError):
+        protocol.TranscriptRecord.from_json(rec)
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(MalformedMessageError):
         harness.stats_from_transcripts(str(path))

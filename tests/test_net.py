@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,33 @@ def test_undecodable_json_aborts_session_only(tmp_path, line):
             chan.recv()  # the server hangs up
     flag = net.run_prover("127.0.0.1", port, "honest", 35)
     thread.join(20)
+    assert flag in ("ok", "none")
+    assert result[0].aborted == 1
+    assert result[0].sessions == 1
+
+
+def test_session_deadline_ends_a_trickling_client(tmp_path):
+    """A client that sends a byte every 0.3 s but never a whole line is cut
+    off once the session's time is up; the server goes on."""
+    cfg = RunConfig(params=IDEAL, sessions=2, seed=36, transcript_path=str(tmp_path / "t.jsonl"))
+    thread, port, result = net.serve_in_thread("127.0.0.1", 0, cfg, timeout=1)
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        start = time.monotonic()
+        net.LineChannel(sock, timeout=5).recv()  # keys
+        sock.settimeout(0.3)
+        while time.monotonic() - start < 4:
+            try:
+                sock.sendall(b"x")
+                if sock.recv(1) == b"":  # the server hung up
+                    break
+            except TimeoutError:
+                continue
+            except OSError:
+                break
+        held = time.monotonic() - start
+    assert held < 2
+    flag = net.run_prover("127.0.0.1", port, "honest", 36)
+    thread.join(10)
     assert flag in ("ok", "none")
     assert result[0].aborted == 1
     assert result[0].sessions == 1

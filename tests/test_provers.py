@@ -36,7 +36,7 @@ def _session(strategy: str, seed: int, force_round=None):
     oracle = provers.ClawOracle(state.keys, state.trapdoors)
     prover = provers.make_prover(strategy, prng, oracle)
     flag = prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
-    assert flag == state.flag.value
+    assert flag == state.record.flag
     return state, prover
 
 
@@ -57,20 +57,20 @@ def test_depolarize_range_validated(rng):
 def test_classical_guess_passes_preimage_rounds():
     for seed in range(30):
         state, _ = _session("classical_guess", seed, force_round="preimage")
-        assert state.flag is Flag.OK
+        assert state.record.flag == Flag.OK.value
 
 
 def test_no_entangler_passes_preimage_rounds():
     for seed in range(30):
         state, _ = _session("no_entangler", seed, force_round="preimage")
-        assert state.flag is Flag.OK
+        assert state.record.flag == Flag.OK.value
 
 
 def test_perfected_honest_never_retries():
     for seed in range(20):
         state, prover = _session("perfected:honest", seed)
         assert prover.retry_count == 0
-        assert state.flag in (Flag.OK, Flag.NONE)
+        assert state.record.flag in (Flag.OK.value, Flag.NONE.value)
 
 
 class _CorruptingProver(provers.HonestProver):
@@ -92,7 +92,7 @@ def test_perfected_wrapper_retries_until_clean():
         prover = provers.PerfectedProver(_CorruptingProver(prng, oracle))
         prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
         retries.append(prover.retry_count)
-        assert state.flag is Flag.OK  # the surviving preparation is clean
+        assert state.record.flag == Flag.OK.value  # the surviving preparation is clean
     assert max(retries) >= 1  # the wrapper actually did some work
 
 
@@ -104,10 +104,10 @@ def test_perfected_budget_exhaustion():
     vrng, prng = role_rng(1, 0, 0), role_rng(1, 0, 1)
     state, keys = protocol.start_session(PARAMS, vrng)
     oracle = provers.ClawOracle(state.keys, state.trapdoors)
-    prover = provers.PerfectedProver(AlwaysBad(prng, oracle), retry_budget=5)
+    prover = provers.PerfectedProver(AlwaysBad(prng, oracle))
     with pytest.raises(AbortSessionError):
         prover.commit(keys)
-    assert prover.retry_count == 5
+    assert prover.retry_count == provers.DEFAULT_RETRY_BUDGET
 
 
 def test_perfected_requires_hook():
@@ -142,16 +142,16 @@ def test_honest_answers_distribution_basis11(rng):
     for seed in range(200):
         vrng, prng = role_rng(seed, 1, 0), role_rng(seed, 1, 1)
         state, keys = protocol.start_session(PARAMS, vrng, round_type="hadamard")
-        if state.basis != (1, 1):
+        if state.record.basis != (1, 1):
             continue
         oracle = provers.ClawOracle(state.keys, state.trapdoors)
         prover = provers.HonestProver(prng, oracle)
         protocol.respond(state, prover.commit(keys), vrng)
         protocol.respond(state, prover.equations(), vrng)
-        state.questions = (0, 1)
+        state.record.questions = (0, 1)
         answers = prover.answers(protocol.message("questions", 0, {"q1": 0, "q2": 1}))
         protocol.respond(state, answers, vrng)
-        assert state.flag is Flag.OK
+        assert state.record.flag == Flag.OK.value
         hits += 1
     assert hits > 20
 
