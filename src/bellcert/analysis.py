@@ -15,9 +15,7 @@ and trace distances taken from low-rank factors of their operands through
 one small eigensolve each (see :func:`bell_report`).  The factors keep only
 the eigen-components that ``eigh`` can tell from 0, so each distance moves
 by at most ``(1/2) d^2 eps (||VP||^2 max|lambda_part| + (1/4) max|lambda_xi|)``
-(below 1e-13 for a valid device at d = 24).  The only statistical object
-here is the interferometric estimator used to cross-check the commutation
-residuals by sampling.
+(below 1e-13 for a valid device at d = 24).
 """
 from __future__ import annotations
 
@@ -28,8 +26,8 @@ import numpy as np
 
 from .device import (Device, ObservableSet, OUTCOME_PAIRS, marginal_observables,
                      sigma, sigma_partial, validate)
-from .errors import DimensionMismatchError, ValidationError
-from .linalg import (ID2, SIGMA_X, SIGMA_Z, as_operator, bell_state,
+from .errors import ValidationError
+from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
                      factored_trace_distance, matrix_to_json, projector_of,
                      signed_factor, state_dep_norm_sq, tensor)
 from .protocol import CHECKS, Flag
@@ -41,8 +39,7 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
-def _pass_probs(device: Device, obs: ObservableSet | None,
-                kind: Flag) -> dict[str, float]:
+def _pass_probs(device: Device, obs: ObservableSet, kind: Flag) -> dict[str, float]:
     """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
 
     A row's observable is its named marginal, or the product of the two
@@ -51,8 +48,6 @@ def _pass_probs(device: Device, obs: ObservableSet | None,
     reproduces the label bit of the row's slot on the matching
     subnormalized state.
     """
-    if obs is None:
-        obs = marginal_observables(device)
     named = obs.named()
     out = {}
     for row in CHECKS:
@@ -68,12 +63,12 @@ def _pass_probs(device: Device, obs: ObservableSet | None,
     return out
 
 
-def test_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, float]:
+def test_tuple(device: Device, obs: ObservableSet) -> dict[str, float]:
     """Pass probabilities of the single-answer checks in the two mixed bases."""
     return _pass_probs(device, obs, Flag.FAIL_TEST)
 
 
-def bell_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, float]:
+def bell_tuple(device: Device, obs: ObservableSet) -> dict[str, float]:
     """Pass probabilities of the two cross-parity checks in basis (1,1)."""
     return _pass_probs(device, obs, Flag.FAIL_BELL)
 
@@ -83,19 +78,15 @@ def bell_tuple(device: Device, obs: ObservableSet | None = None) -> dict[str, fl
 # ---------------------------------------------------------------------------
 
 def anticomm_residual(device: Device, leg: int, theta1: int, theta2: int,
-                      obs: ObservableSet | None = None) -> float:
+                      obs: ObservableSet) -> float:
     """||{Z_leg, X_leg}||^2 on the full state of one basis pair."""
-    if obs is None:
-        obs = marginal_observables(device)
     z, x = (obs.z1, obs.x1) if leg == 0 else (obs.z2, obs.x2)
     return state_dep_norm_sq(z @ x + x @ z, sigma(device, theta1, theta2))
 
 
 def comm_residual(device: Device, pair: str, theta1: int, theta2: int,
-                  obs: ObservableSet | None = None) -> float:
+                  obs: ObservableSet) -> float:
     """||[A, B]||^2 for the cross-leg pairs 'z1_x2' and 'z2_x1'."""
-    if obs is None:
-        obs = marginal_observables(device)
     if pair == "z1_x2":
         a, b = obs.z1, obs.x2
     elif pair == "z2_x1":
@@ -143,16 +134,13 @@ _PRODUCT_TARGETS = {
 }
 
 
-def pauli_rounding_report(device: Device,
-                          obs: ObservableSet | None = None) -> dict[str, float]:
+def pauli_rounding_report(device: Device, obs: ObservableSet) -> dict[str, float]:
     """Residuals of the swap-rounded observables against two-qubit Paulis.
 
     Single-observable entries measure ``||V^dag (P x 1) V - O||^2`` on the
     all-claw-free basis state; product entries measure the conjugated form
     ``||V O V^dag - (P x 1)||^2`` on the pushed-forward state.
     """
-    if obs is None:
-        obs = marginal_observables(device)
     v = swap_isometry(obs)
     d = device.dim
     eyed = np.eye(d)
@@ -197,8 +185,7 @@ class BellCaseReport:
                 "xi": matrix_to_json(self.xi), "degenerate": self.degenerate}
 
 
-def bell_report(device: Device,
-                obs: ObservableSet | None = None) -> list[BellCaseReport]:
+def bell_report(device: Device, obs: ObservableSet) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
     comparison after every question/outcome measurement update.
@@ -219,8 +206,6 @@ def bell_report(device: Device,
     below 1e-13 for a valid device at d = 24 (``||VP|| <= 1``, both
     operands of unit trace at most).
     """
-    if obs is None:
-        obs = marginal_observables(device)
     v = swap_isometry(obs)
     d = device.dim
     full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
@@ -256,38 +241,6 @@ def bell_report(device: Device,
                                       measurement_distances=meas_dist,
                                       xi=xi, degenerate=degenerate))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# sampling cross-check
-# ---------------------------------------------------------------------------
-
-def interferometric_pass_prob(u1: np.ndarray, u2: np.ndarray,
-                              psi: np.ndarray) -> float:
-    """Exact acceptance probability Tr[(U1+U2)^dag (U1+U2) psi] / 4."""
-    u1, u2 = as_operator(u1), as_operator(u2)
-    if u1.shape != u2.shape or u1.shape != psi.shape:
-        raise DimensionMismatchError("operator/state shapes differ")
-    s = u1 + u2
-    return float(np.real(np.trace(s.conj().T @ s @ psi))) / 4.0
-
-
-def interferometric_norm_estimate(u1: np.ndarray, u2: np.ndarray,
-                                  psi: np.ndarray, shots: int,
-                                  rng: np.random.Generator) -> tuple[float, float]:
-    """Sampled estimate of ||U1 + U2||^2 on psi with one-sigma error.
-
-    Simulates the standard controlled-swap interference test: the
-    acceptance probability p satisfies ||U1 + U2||^2_psi = 4p, so the
-    estimator is 4 * (accept count) / shots.
-    """
-    if shots < 1:
-        raise ValidationError("shots must be positive")
-    p = min(max(interferometric_pass_prob(u1, u2, psi), 0.0), 1.0)
-    hits = int(rng.binomial(shots, p))
-    est = 4.0 * hits / shots
-    err = 4.0 * np.sqrt(max(p * (1.0 - p), 1.0 / shots) / shots)
-    return est, err
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,9 @@ def device_from_json(d: dict) -> Device:
         for br in br_list:
             if br.state.shape != (dim, dim):
                 raise DimensionMismatchError("branch state has wrong dimension")
+    for projs in dev.measurements.values():
+        if any(m.shape != (dim, dim) for m in projs.values()):
+            raise DimensionMismatchError("measurement projector has wrong dimension")
     return dev
 
 

@@ -112,23 +112,22 @@ class EntcfParams:
 
 @dataclass
 class PublicKey:
-    family: str
+    """A key as the prover sees it: no family, bar an ideal F key's ``delta``."""
     params: EntcfParams
     payload: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"family": self.family, "payload": _payload_to_json(self.payload)}
+        return {"payload": _payload_to_json(self.payload)}
 
     @classmethod
     def from_json(cls, d: dict, params: EntcfParams) -> "PublicKey":
         """A key from a wire object, its payload checked against the backend
         of ``params``; anything else raises MalformedMessageError."""
-        family, payload = d.get("family"), d.get("payload")
-        if not (type(family) is str and family in FAMILIES and isinstance(payload, dict)):
-            raise MalformedMessageError("a key needs a family F or G and a payload object")
+        if set(d) != {"payload"} or not isinstance(d["payload"], dict):
+            raise MalformedMessageError("a key is exactly a payload object")
         if params.backend == "ideal":
-            return cls(family, params, _ideal_payload_from_json(family, params, payload))
-        return cls(family, params, _lwe_payload_from_json(params, payload))
+            return cls(params, _ideal_payload_from_json(params, d["payload"]))
+        return cls(params, _lwe_payload_from_json(params, d["payload"]))
 
 
 @dataclass
@@ -161,16 +160,21 @@ def _wrapped(payload: dict, key: str, tag: str):
 _SEED_HEX = re.compile("[0-9a-f]{64}")
 
 
-def _ideal_payload_from_json(family: str, params: EntcfParams, payload: dict) -> dict:
-    if set(payload) != ({"seed", "w", "delta"} if family == "F" else {"seed", "w"}):
-        raise MalformedMessageError(f"bad ideal {family} key fields {list(payload)}")
+def ideal_family(payload: dict) -> str:
+    """The family of an ideal key: an F payload is the one carrying ``delta``."""
+    return "F" if "delta" in payload else "G"
+
+
+def _ideal_payload_from_json(params: EntcfParams, payload: dict) -> dict:
+    if set(payload) - {"delta"} != {"seed", "w"}:
+        raise MalformedMessageError(f"bad ideal key fields {list(payload)}")
     seed, w = _wrapped(payload, "seed", "__hex__"), payload["w"]
     if type(seed) is not str or not _SEED_HEX.fullmatch(seed):
         raise MalformedMessageError("ideal key seed is not 32 bytes of canonical hex")
     if type(w) is not int or w != params.ideal_w:
         raise MalformedMessageError(f"ideal key width {w!r} is not ideal_w = {params.ideal_w}")
     out = {"seed": bytes.fromhex(seed), "w": w}
-    if family == "F":
+    if ideal_family(payload) == "F":
         delta = payload["delta"]
         if type(delta) is not int or delta < 1 or delta.bit_length() > w:
             raise MalformedMessageError(f"ideal key delta outside [1, 2**{w})")
@@ -253,9 +257,7 @@ def _ideal_gen(family: str, params: EntcfParams, rng: np.random.Generator):
         # hiding in exchange for exactness.
         delta = int(rng.integers(1, 1 << w))
         payload["delta"] = delta
-    pk = PublicKey(family, params, dict(payload))
-    td = Trapdoor(family, params, dict(payload))
-    return pk, td
+    return PublicKey(params, dict(payload)), Trapdoor(family, params, dict(payload))
 
 
 def eval_sample(pk: PublicKey, b: int, x: int, rng: np.random.Generator):
@@ -270,7 +272,7 @@ def eval_sample(pk: PublicKey, b: int, x: int, rng: np.random.Generator):
 
 def _ideal_eval(pk: PublicKey, b: int, x: int) -> int:
     w = pk.params.ideal_w
-    if pk.family == "F":
+    if ideal_family(pk.payload) == "F":
         return _permute(pk.payload["seed"], w, x ^ (b * pk.payload["delta"]))
     return _permute(pk.payload["seed"], w, (b << w) | x)
 
@@ -314,27 +316,22 @@ def decode_bit(td: Trapdoor, pk: PublicKey, y) -> int:
     raise InvalidImageError("image lies outside both branch ranges")
 
 
-@dataclass(frozen=True)
-class EquationDecoding:
-    value: int
-    degenerate: bool   # true when the mask is all-zero (trivially satisfied)
-
-
 def decode_equation(td: Trapdoor, pk: PublicKey, y, d: int):
     """Parity d . (x0 xor x1) of the claw of an F-family image.
 
-    Returns None when y is not a valid image; flags the all-zero mask as
-    degenerate so callers can decide whether to accept it.
+    Returns None when y is not a valid image, and for the all-zero mask,
+    whose parity says nothing about the claw.
     """
     if td.family != "F":
         raise FamilyError("equation decoding is defined for family F only")
     d = _check_preimage(td.params, d)
+    if d == 0:
+        return None
     x0 = invert(td, pk, 0, y)
     x1 = invert(td, pk, 1, y)
     if x0 is None or x1 is None:
         return None
-    value = (d & (x0 ^ x1)).bit_count() & 1
-    return EquationDecoding(value=value, degenerate=(d == 0))
+    return (d & (x0 ^ x1)).bit_count() & 1
 
 
 def random_preimage(params: EntcfParams, rng: np.random.Generator) -> int:

@@ -150,11 +150,17 @@ def run_sessions(config: RunConfig) -> RunStats:
 
 
 def read_transcripts(path: str) -> Iterable[TranscriptRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield TranscriptRecord.from_json(json.loads(line))
+    """The records of a JSONL transcript; a line that does not decode, as
+    a run killed mid-write leaves, raises MalformedMessageError naming it."""
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (RecursionError, ValueError) as exc:  # bad UTF-8 and JSON
+                raise MalformedMessageError(f"transcript line {n} does not decode: {exc}") from exc
+            yield TranscriptRecord.from_json(obj)
 
 
 def stats_from_transcripts(path: str) -> RunStats:

@@ -71,9 +71,7 @@ def gen(family: str, params: EntcfParams, rng: np.random.Generator):
     else:
         u = rng.integers(0, q, size=m, dtype=np.int64)
         td_payload = {"r": r}
-    pk = PublicKey(family, params, {"a": a, "u": u})
-    td = Trapdoor(family, params, td_payload)
-    return pk, td
+    return PublicKey(params, {"a": a, "u": u}), Trapdoor(family, params, td_payload)
 
 
 def eval_sample(pk: PublicKey, b: int, x: int, rng: np.random.Generator) -> np.ndarray:

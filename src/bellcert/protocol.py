@@ -25,6 +25,7 @@ transcript logs.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -209,20 +210,14 @@ def _decode_targets(state: VerifierState, d: tuple[int, int]) -> dict:
     """Trapdoor-decode the per-leg branch bit or claw parity."""
     out: dict = {}
     for i in (0, 1):
-        key_b, key_u, key_deg = f"b{i + 1}", f"u{i + 1}", f"deg{i + 1}"
         td, pk, y = state.trapdoors[i], state.keys[i], state.images[i]
-        if state.record.basis[i] == 0:
-            try:
-                out[key_b] = entcf.decode_bit(td, pk, y)
-            except InvalidImageError:
-                out[key_b] = None
-            out[key_u], out[key_deg] = None, False
+        b = u = None
+        if state.record.basis[i]:
+            u = entcf.decode_equation(td, pk, y, d[i])
         else:
-            eq = entcf.decode_equation(td, pk, y, d[i])
-            out[key_b] = None
-            # the all-zero mask's parity needs no claw, so it decodes nothing
-            out[key_u] = None if eq is None or eq.degenerate else eq.value
-            out[key_deg] = False if eq is None else eq.degenerate
+            with contextlib.suppress(InvalidImageError):
+                b = entcf.decode_bit(td, pk, y)
+        out[f"b{i + 1}"], out[f"u{i + 1}"] = b, u
     return out
 
 
@@ -353,9 +348,8 @@ def _is_str(v) -> bool:
 
 
 def _is_targets(t) -> bool:
-    return (isinstance(t, dict)
-            and all(t.get(k) is None or is_bit(t[k]) for k in ("b1", "b2", "u1", "u2"))
-            and all(type(t.get(k, False)) is bool for k in ("deg1", "deg2")))
+    return (isinstance(t, dict) and set(t) == {"b1", "u1", "b2", "u2"}
+            and all(v is None or is_bit(v) for v in t.values()))
 
 
 # the validity rule of every stored field, in the order records are written;
@@ -366,7 +360,7 @@ _RECORD_FIELDS = {
     "round_type": lambda v: v in ROUND_TYPES,
     "flag": lambda v: v in FLAG_VALUES,
     "images": lambda v: is_pair(v, _is_str),
-    "keys": lambda v: is_pair(v, lambda k: isinstance(k, dict)),
+    "keys": lambda v: is_pair(v, lambda k: isinstance(k, dict) and set(k) == {"payload"}),
     "openings": _optional(lambda v: isinstance(v, list) and len(v) == 4
                           and is_pair(v[0::2]) and is_pair(v[1::2], _is_str)),
     "pre_leg_ok": _optional(lambda v: is_pair(v, lambda b: type(b) is bool)),

@@ -50,7 +50,8 @@ def born_table(amp1: tuple[float, float], amp2: tuple[float, float],
 
 
 class ClawOracle:
-    """Simulation-only handle answering claw-partner queries.
+    """Simulation-only handle answering claw-partner queries; the honest
+    simulation learns which legs are claw-free from it alone.
 
     Built either from trapdoors (any backend) or from public keys alone
     (ideal backend, whose keys are claw-revealing by construction).
@@ -63,13 +64,18 @@ class ClawOracle:
             if params.backend != "ideal":
                 raise ConfigurationError(
                     "claw oracle needs trapdoors on non-ideal backends")
-            trapdoors = tuple(entcf.Trapdoor(pk.family, params, dict(pk.payload))
-                              for pk in self.keys)
+            trapdoors = tuple(entcf.Trapdoor(entcf.ideal_family(pk.payload), params,
+                                             dict(pk.payload)) for pk in self.keys)
         self.trapdoors = tuple(trapdoors)
 
-    def partner(self, leg: int, b: int, y):
-        """The (1-b)-branch preimage of image y on the given leg."""
-        return entcf.invert(self.trapdoors[leg], self.keys[leg], 1 - b, y)
+    def claw_xor(self, leg: int, b: int, x: int, y):
+        """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G leg."""
+        if self.trapdoors[leg].family != "F":
+            return None
+        partner = entcf.invert(self.trapdoors[leg], self.keys[leg], 1 - b, y)
+        if partner is None:
+            raise AbortSessionError("claw oracle failed to invert a fresh image")
+        return x ^ partner
 
 
 def _decode_keys(payload: dict) -> tuple[entcf.EntcfParams, tuple[entcf.PublicKey, ...]]:
@@ -151,11 +157,9 @@ class HonestProver(Prover):
             x = entcf.random_preimage(pk.params, self.rng)
             y = entcf.eval_sample(pk, b, x, self.rng)
             leg = {"pk": pk, "b": b, "x": x, "y": y}
-            if pk.family == "F":
-                partner = self.oracle.partner(i, b, y)
-                if partner is None:
-                    raise AbortSessionError("claw oracle failed to invert a fresh image")
-                leg["claw_xor"] = x ^ partner
+            claw_xor = self.oracle.claw_xor(i, b, x, y)
+            if claw_xor is not None:  # a claw-free leg
+                leg["claw_xor"] = claw_xor
             self.legs.append(leg)
 
     def self_check(self) -> bool:
@@ -167,7 +171,7 @@ class HonestProver(Prover):
         params = self.keys[0].params
         opening = []
         for leg in self.legs:
-            if leg["pk"].family == "F":
+            if "claw_xor" in leg:
                 # either claw member is a valid opening; pick uniformly
                 c = int(self.rng.integers(2))
                 b, x = leg["b"] ^ c, leg["x"] ^ (c * leg["claw_xor"])
@@ -192,7 +196,7 @@ class HonestProver(Prover):
 
     @staticmethod
     def _amplitudes(leg: dict) -> tuple[float, float]:
-        if leg["pk"].family == "G":
+        if "claw_xor" not in leg:
             return (0.0, 1.0) if leg["b"] else (1.0, 0.0)
         phase = (leg["d"] & leg["claw_xor"]).bit_count() & 1
         return (_SQRT_HALF, -_SQRT_HALF if phase else _SQRT_HALF)

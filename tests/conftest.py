@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from bellcert import analysis
-from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, ObservableSet
-from bellcert.errors import ValidationError
+from bellcert.device import (OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, ObservableSet,
+                             marginal_observables)
+from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import VALIDATION_TOL, as_operator
 
 # hypothesis imports this module to report a failing example; its import
@@ -45,11 +46,39 @@ def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> 
 
 
 def gamma_t(device: Device) -> float:
-    return 1.0 - min(analysis.test_tuple(device).values())
+    return 1.0 - min(analysis.test_tuple(device, marginal_observables(device)).values())
 
 
 def gamma_b(device: Device) -> float:
-    return 1.0 - min(analysis.bell_tuple(device).values())
+    return 1.0 - min(analysis.bell_tuple(device, marginal_observables(device)).values())
+
+
+def interferometric_pass_prob(u1: np.ndarray, u2: np.ndarray,
+                              psi: np.ndarray) -> float:
+    """Exact acceptance probability Tr[(U1+U2)^dag (U1+U2) psi] / 4."""
+    u1, u2 = as_operator(u1), as_operator(u2)
+    if u1.shape != u2.shape or u1.shape != psi.shape:
+        raise DimensionMismatchError("operator/state shapes differ")
+    s = u1 + u2
+    return float(np.real(np.trace(s.conj().T @ s @ psi))) / 4.0
+
+
+def interferometric_norm_estimate(u1: np.ndarray, u2: np.ndarray,
+                                  psi: np.ndarray, shots: int,
+                                  rng: np.random.Generator) -> tuple[float, float]:
+    """Sampled estimate of ||U1 + U2||^2 on psi with one-sigma error.
+
+    Simulates the standard controlled-swap interference test: the
+    acceptance probability p satisfies ||U1 + U2||^2_psi = 4p, so the
+    estimator is 4 * (accept count) / shots.
+    """
+    if shots < 1:
+        raise ValidationError("shots must be positive")
+    p = min(max(interferometric_pass_prob(u1, u2, psi), 0.0), 1.0)
+    hits = int(rng.binomial(shots, p))
+    est = 4.0 * hits / shots
+    err = 4.0 * np.sqrt(max(p * (1.0 - p), 1.0 / shots) / shots)
+    return est, err
 
 
 def commutation_norms(a: np.ndarray, b: np.ndarray,
@@ -58,8 +87,8 @@ def commutation_norms(a: np.ndarray, b: np.ndarray,
     taking U1 = AB and U2 = BA makes 4p the anticommutator norm, and
     U2 = -BA the commutator norm."""
     ab, ba = a @ b, b @ a
-    anti = 4.0 * analysis.interferometric_pass_prob(ab, ba, psi)
-    comm = 4.0 * analysis.interferometric_pass_prob(ab, -ba, psi)
+    anti = 4.0 * interferometric_pass_prob(ab, ba, psi)
+    comm = 4.0 * interferometric_pass_prob(ab, -ba, psi)
     return anti, comm
 
 

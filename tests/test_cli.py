@@ -83,7 +83,7 @@ def test_prove_counts_a_malformed_session_and_goes_on(capsys):
     """A session whose keys message the prover cannot decode is a failed
     session; the next one is still played."""
     lines = [b'{"type": "keys", "session_id": 0, "payload": {}}\n', b"[0]\n",
-             _keys_line(lambda p: p["keys"].__setitem__(0, {"family": "F", "payload": {}})),
+             _keys_line(lambda p: p["keys"].__setitem__(0, {"payload": {}})),
              _keys_line(lambda p: p["params"].__setitem__("ideal_w", 8.5)),
              _keys_line(lambda p: p["keys"][1]["payload"].__setitem__("w", 31))]
     with socket.create_server(("127.0.0.1", 0)) as server:

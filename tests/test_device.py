@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from bellcert import cli
 from bellcert import device as devmod
-from bellcert.errors import ValidationError
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, tensor
+from bellcert.errors import DimensionMismatchError, ValidationError
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, matrix_to_json, tensor
 from conftest import check_binary_observable
 
 
@@ -81,6 +84,20 @@ def test_device_json_requires_all_bases():
     d["measurements"]["11"] = d["measurements"]["11"][:3]
     with pytest.raises(ValidationError):
         devmod.device_from_json(d)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_device_json_refuses_wrong_size_projector(tmp_path, capsys, size):
+    """A projector of the wrong size is refused on loading, and ``analyze``
+    reports it as a failure rather than crashing in ``validate``."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["measurements"]["00"][0] = matrix_to_json(np.eye(size))
+    with pytest.raises(DimensionMismatchError):
+        devmod.device_from_json(d)
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert "failure:" in capsys.readouterr().err
 
 
 def test_validate_catches_broken_devices():

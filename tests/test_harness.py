@@ -138,7 +138,7 @@ def _first_record(path, round_type: str) -> dict:
                 if r["round_type"] == round_type)
 
 
-_UNDECODABLE = {"b1": None, "b2": None, "u1": None, "u2": None, "deg1": False, "deg2": False}
+_UNDECODABLE = {"b1": None, "b2": None, "u1": None, "u2": None}
 
 
 @pytest.mark.parametrize("round_type,edit", [
@@ -167,7 +167,24 @@ def test_incomplete_record_is_malformed(tmp_path, round_type, edit):
         harness.stats_from_transcripts(str(path))
 
 
-_TARGETS = {"b1": None, "b2": None, "u1": 0, "u2": 1, "deg1": False, "deg2": False}
+def test_truncated_transcript_is_malformed(tmp_path):
+    """A transcript cut mid-line, as a run killed mid-write leaves it, reads
+    up to the cut and then raises MalformedMessageError naming the line."""
+    path = tmp_path / "t.jsonl"
+    harness.run_sessions(RunConfig(params=IDEAL, sessions=20, seed=8,
+                                   transcript_path=str(path)))
+    data = path.read_bytes()
+    whole = data[:5000].count(b"\n")
+    path.write_bytes(data[:5000])
+    records = harness.read_transcripts(str(path))
+    assert len([next(records) for _ in range(whole)]) == whole
+    with pytest.raises(MalformedMessageError, match=f"line {whole + 1} "):
+        next(records)
+    with pytest.raises(MalformedMessageError):
+        harness.stats_from_transcripts(str(path))
+
+
+_TARGETS = {"b1": None, "b2": None, "u1": 0, "u2": 1}
 
 
 @pytest.mark.parametrize("round_type,field,value", [
@@ -188,6 +205,8 @@ _TARGETS = {"b1": None, "b2": None, "u1": 0, "u2": 1, "deg1": False, "deg2": Fal
     ("hadamard", "targets", _TARGETS | {"u2": "x"}), ("hadamard", "targets", _TARGETS | {"b1": 7}),
     ("hadamard", "targets", _TARGETS | {"u1": True}),
     ("hadamard", "targets", _TARGETS | {"deg1": 0}),
+    ("hadamard", "targets", _TARGETS | {"deg1": False}),  # the earlier format's flag
+    ("hadamard", "keys", [{"family": "F", "payload": {}}, {"payload": {}}]),
 ])
 def test_invalid_record_fields_are_malformed(tmp_path, round_type, field, value):
     """An edited record is refused on loading, before any recheck or count."""
@@ -211,15 +230,15 @@ def _transcript_digest(tmp_path, backend: str, **config) -> str:
 
 @pytest.mark.parametrize("backend,strategy,sessions,seed,digest", [
     ("ideal", "honest_depolarized:0.3", 300, 5,
-     "e12a746778b324050a74d1bf7defd78b51b1d1d78ee82969d83e1d43854294fa"),
+     "2e00e552cce4ff9a6184d2995e1d4d76e896c295a846bbbdb09b723f202077ec"),
     ("ideal", "classical_guess", 300, 6,
-     "b4a3285a747344fccba0275e44e4cf261f46dc62d8f167213c885d42345c976f"),
+     "90802131a07e88052ccb1152288c2d9cf31a6597b6a2e572c65e2b9d65df32cf"),
     ("ideal", "no_entangler", 300, 7,
-     "fc3d51cdd25f5e6c744753609d48d3b47182101898a913869ff71e9441b5bc82"),
+     "4e15f6ac80eb489785365407255c5e84f6e6b5caf0859924a91bb79b5d75856e"),
     ("lwe", "honest", 60, 8,
-     "7733253e96b4eb56fe287397f05360dc51301b838f6cd63c69ecc41e6baa154c"),
+     "467ad21212f090138c21f60aca8cf437ac931e1db90273db2a5de704e8de43c2"),
     ("lwe", "classical_guess", 60, 14,
-     "971172626e38fe680113f4cf01059845f9fc13e230984b3e05826ecd15bb82a3"),
+     "b371c9c39fc5bc7cf83d71c0f42f9539226d176d19cade1fc57df5bf56e51623"),
 ])
 def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest):
     """Fixed-seed unforced runs write byte-identical transcripts."""
@@ -229,15 +248,15 @@ def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest)
 
 @pytest.mark.parametrize("backend,strategy,sessions,seed,force_basis,force_round,digest", [
     ("ideal", "classical_guess", 300, 9, (1, 1), "hadamard",
-     "23063421261102f8ab9b5096803c71ab8b955ad844d1acff2b7a59e141aa4ddf"),
+     "36d4655cc3d064c9e482610cb05660d20d1f981746827a2b580310cc459d9ec9"),
     ("ideal", "honest", 300, 10, None, "preimage",
-     "76e84d42b1d2536fe57c3ad218bd0ca44f408a17075939c68d7bec7cbd0e5466"),
+     "14fc7f3d200eef42c35342155ba75b6e4aa989d6a4a1a237e54afc2381eef44d"),
     ("lwe", "honest", 60, 11, (0, 1), "hadamard",
-     "18d28b6e1e805ec3c64dbfb1fa6745c56f748be63e34fa7b79285b5c045c73ca"),
+     "d6b4db724384f5beb7ceb8281d70c652975b21c792234e3d3a559ab4a217bfa0"),
     ("lwe", "honest", 60, 12, (1, 1), "hadamard",
-     "e96b7a4c51cf9b1e6235c70c89b2192504fa963d12057eda4626e76ae995dbf3"),
+     "a1d650e4d30227bd3a07be0e25a78926320ae32393f831d54a7d12c0393ac80b"),
     ("lwe", "honest", 60, 13, None, "preimage",
-     "6dd34416c89c0fa2e52338d21cea8bc39a2369c282b8cf25a66f641f117b9ade"),
+     "dd584c488144883b0b3b28d30564dddfc6769dfb226148c866aa2dab2368d4d2"),
 ])
 def test_golden_forced_transcripts(tmp_path, backend, strategy, sessions, seed,
                                    force_basis, force_round, digest):

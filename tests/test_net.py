@@ -225,7 +225,7 @@ def test_prover_refuses_keys_that_are_not_an_object():
     lambda honest: {**honest, "keys": [1, 2]},
     lambda honest: {**honest, "params": {"ideal_w": "16"}},
     lambda honest: {**honest, "keys": [dict(k, payload=[]) for k in honest["keys"]]},
-    lambda honest: {**honest, "keys": [{"family": "F", "payload": {}}, honest["keys"][1]]},
+    lambda honest: {**honest, "keys": [{"payload": {}}, honest["keys"][1]]},
     lambda honest: {**honest, "params": {**honest["params"], "ideal_w": 8.5}},
 ], ids=["empty", "no_keys", "keys_not_objects", "bad_params", "key_payload_not_object",
         "key_payload_empty", "ideal_w_float"])

@@ -32,13 +32,24 @@ def test_honest_sessions_never_fail():
         assert state.phase == "done"
 
 
+def _shape(key: dict) -> dict:
+    """Each payload field's name with the shape of its array, if it has one."""
+    return {k: np.shape(v.get("__array__")) for k, v in key["payload"].items()}
+
+
 def test_keys_message_schema():
-    state, msg = protocol.start_session(PARAMS, np.random.default_rng(0))
-    protocol.validate_message(msg, "keys")
-    assert set(msg["payload"]) == {"params", "keys"}
-    assert len(msg["payload"]["keys"]) == 2
-    for theta, key in zip(state.record.basis, msg["payload"]["keys"]):
-        assert key["family"] == ("F" if theta else "G")
+    """Each key is exactly a payload; an lwe F key and G key have the same
+    fields and array shapes, so the message does not show the basis."""
+    for params, basis in itertools.product((PARAMS, entcf.EntcfParams("lwe")),
+                                           ((0, 1), (1, 0))):
+        state, msg = protocol.start_session(params, np.random.default_rng(0), basis=basis)
+        protocol.validate_message(msg, "keys")
+        assert set(msg["payload"]) == {"params", "keys"}
+        keys = msg["payload"]["keys"]
+        assert len(keys) == 2 and keys == list(state.record.keys)
+        assert all(set(key) == {"payload"} for key in keys)
+        if params.backend == "lwe":
+            assert _shape(keys[0]) == _shape(keys[1]) == {"a": (80, 4), "u": (80,)}
 
 
 def test_keys_message_carries_no_trapdoor_fields():
@@ -202,7 +213,7 @@ def test_non_canonical_opening_rejected(bad):
 
 
 def _targets(b1=None, b2=None, u1=None, u2=None):
-    return {"b1": b1, "b2": b2, "u1": u1, "u2": u2, "deg1": False, "deg2": False}
+    return {"b1": b1, "b2": b2, "u1": u1, "u2": u2}
 
 
 def test_hadamard_flag_table_first_test_case():

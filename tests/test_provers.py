@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,13 +118,15 @@ def test_perfected_requires_hook():
 
 
 def test_claw_oracle_public_construction_matches_trapdoors(rng):
-    state, _ = protocol.start_session(PARAMS, np.random.default_rng(5))
+    state, _ = protocol.start_session(PARAMS, np.random.default_rng(5), basis=(1, 0))
     via_td = provers.ClawOracle(state.keys, state.trapdoors)
     via_pk = provers.ClawOracle(state.keys)
     for leg, pk in enumerate(state.keys):
         x = entcf.random_preimage(PARAMS, rng)
         y = entcf.eval_sample(pk, 0, x, rng)
-        assert via_td.partner(leg, 0, y) == via_pk.partner(leg, 0, y)
+        claw_xor = via_pk.claw_xor(leg, 0, x, y)
+        assert claw_xor == via_td.claw_xor(leg, 0, x, y)
+        assert (claw_xor is None) == (state.record.basis[leg] == 0)  # only F legs have a claw
 
 
 def test_claw_oracle_needs_trapdoors_on_lattice_backend():
@@ -249,16 +250,21 @@ def _widen(payload):
         key["payload"]["w"] = 1 << 17
 
 
+def _label_family(payload):
+    """Key 0 as the earlier format sent it, with its family beside the payload."""
+    payload["keys"][0]["family"] = "F"
+
+
 _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
     "ideal": {
-        "key_payload_empty": _set(["keys", 0], {"family": "F", "payload": {}}),
+        "key_payload_empty": _set(["keys", 0], {"payload": {}}),
+        "family_field": _label_family,
         "ideal_w_float": _set(["params", "ideal_w"], 8.5),
         "ideal_w_bool": _set(["params", "ideal_w"], True),
         "ideal_w_huge": _widen,
         "backend_unknown": _set(["params", "backend"], "quantum"),
         "sigma_string": _set(["params", "lwe_sigma"], "1.6"),
         "sigma_nan": _set(["params", "lwe_sigma"], float("nan")),
-        "family_list": _set(["keys", 1, "family"], ["G"]),
         "seed_upper_case": lambda p: _set(_seed(0), p["keys"][0]["payload"]["seed"]
                                           ["__hex__"].upper())(p),
         "seed_short": lambda p: _set(_seed(1), p["keys"][1]["payload"]["seed"]
@@ -269,9 +275,9 @@ _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
         "delta_zero": _set(["keys", 0, "payload", "delta"], 0),
         "delta_too_wide": _set(["keys", 0, "payload", "delta"], 1 << 16),
         "delta_float": _set(["keys", 0, "payload", "delta"], 3.0),
-        "delta_on_g_key": _set(["keys", 1, "payload", "delta"], 3),
     },
     "lwe": {
+        "family_field": _label_family,
         "entry_float": _set(_entry("a", 0, 0), 1.5),
         "entry_bool": _set(_entry("a", 5, 1), True),
         "entry_string": _set(_entry("u", 7), "7"),
@@ -309,7 +315,7 @@ _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def _reference_qubit(leg: dict) -> np.ndarray:
-    if leg["pk"].family == "G":
+    if "claw_xor" not in leg:
         vec = np.zeros(2, dtype=complex)
         vec[leg["b"]] = 1.0
         return vec
@@ -335,12 +341,12 @@ def _reference_table(legs, q, entangle, depolarize) -> np.ndarray:
 
 
 def _legs_of_every_kind():
-    """G legs with branch bit 0/1 and F legs with claw parity 0/1."""
+    """G legs with branch bit 0/1 and F legs, marked by their ``claw_xor``,
+    with claw parity 0/1."""
     for b in (0, 1):
-        yield {"pk": SimpleNamespace(family="G"), "b": b}
+        yield {"b": b}
     for claw_xor in (0b11, 0b01):  # parity of d & claw_xor: 0, then 1
-        yield {"pk": SimpleNamespace(family="F"), "b": 0, "d": 0b11,
-               "claw_xor": claw_xor}
+        yield {"b": 0, "d": 0b11, "claw_xor": claw_xor}
 
 
 def test_born_table_matches_density_matrix_reference():
