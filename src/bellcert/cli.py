@@ -12,6 +12,7 @@ import sys
 from . import analysis, device as devmod, harness, net
 from .entcf import EntcfParams
 from .errors import BellcertError, ConfigurationError, ValidationError
+from .provers import parse_strategy
 
 
 def _params_args(parser: argparse.ArgumentParser) -> None:
@@ -96,6 +97,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    if args.sessions < 1:
+        raise ConfigurationError("need at least one session")
+    parse_strategy(args.strategy)  # refuse a bad name before connecting
     failures = 0
     for _ in range(args.sessions):
         try:

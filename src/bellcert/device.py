@@ -17,6 +17,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, as_operator,
                      bell_state, matrix_from_json, matrix_to_json,
                      projector_of, tensor)
+from .protocol import is_pair
 
 BASIS_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -73,6 +74,8 @@ def validate(device: Device) -> list[Violation]:
         total = 0.0
         for br in branches:
             total += br.weight
+            if tuple(br.label) not in OUTCOME_PAIRS:
+                out.append(Violation(f"branch {basis}/{br.label} label", float("inf")))
             if br.weight < -VALIDATION_TOL:
                 out.append(Violation(f"branch {basis}/{br.label} weight", -br.weight))
             st = as_operator(br.state)
@@ -222,7 +225,7 @@ def device_from_json(d: dict) -> Device:
         branches = {}
         for key, brs in d["branches"].items():
             branches[_pair_from_key(key)] = [
-                Branch(label=tuple(int(t) for t in br["label"]),
+                Branch(label=tuple(br["label"]),
                        weight=float(br["weight"]),
                        state=matrix_from_json(br["state"]))
                 for br in brs]
@@ -243,6 +246,8 @@ def device_from_json(d: dict) -> Device:
             raise ValidationError(f"missing measurement for questions {q}")
     for br_list in dev.branches.values():
         for br in br_list:
+            if not is_pair(br.label):
+                raise ValidationError(f"branch label {list(br.label)} is not a pair of bits")
             if br.state.shape != (dim, dim):
                 raise DimensionMismatchError("branch state has wrong dimension")
     for projs in dev.measurements.values():

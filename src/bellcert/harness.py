@@ -1,6 +1,6 @@
 """Session runs, accumulators and parameter sweeps.
 
-Runs verifier and simulated prover in-process (``Prover.play`` against
+Runs verifier and simulated prover in-process (``HonestProver.play`` against
 ``protocol.respond``); :func:`collect`, the record loop shared with the TCP
 server, accumulates per-bucket pass counts for empirical deficit estimates
 with binomial error bars.  Per-session ``(seed, session_id, role)`` streams
@@ -22,7 +22,7 @@ from . import analysis, device as devmod, protocol
 from .entcf import EntcfParams
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from .protocol import Flag, TranscriptRecord
-from .provers import ClawOracle, make_prover
+from .provers import ClawOracle, make_prover, parse_strategy
 
 VERIFIER_ROLE, PROVER_ROLE = 0, 1
 
@@ -50,6 +50,7 @@ class RunConfig:
             raise ConfigurationError(f"bad forced round {self.force_round!r}")
         if self.force_basis is not None and not protocol.is_pair(self.force_basis):
             raise ConfigurationError(f"forced basis {self.force_basis!r} is not a pair of bits")
+        parse_strategy(self.strategy)
 
 
 def run_one_session(config: RunConfig, session_id: int) -> TranscriptRecord:

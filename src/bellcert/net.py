@@ -3,7 +3,7 @@
 One connection carries one session.  Messages are single JSON objects
 terminated by a newline, at most 64 KiB per line, and each end gives the
 whole session a 30 second default timeout.  Both ends drive a session as
-the in-process harness does (``protocol.respond``, ``Prover.play``,
+the in-process harness does (``protocol.respond``, ``HonestProver.play``,
 ``harness.collect``) with its per-session random streams, so transcripts
 are identical byte for byte.
 """
@@ -17,7 +17,7 @@ import time
 from . import protocol
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from .harness import PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, collect, role_rng
-from .provers import make_prover
+from .provers import make_prover, parse_strategy
 
 MAX_LINE_BYTES = 64 * 1024
 DEFAULT_TIMEOUT = 30.0
@@ -27,7 +27,7 @@ class LineChannel:
     """Newline-framed JSON messages over a socket, all due within ``timeout``
     seconds of the channel's creation."""
 
-    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, sock: socket.socket, timeout: float):
         self.sock = sock
         self._deadline = time.monotonic() + timeout
         self._buf = b""
@@ -138,8 +138,9 @@ def run_prover(host: str, port: int, strategy: str, seed: int, *,
     the opening keys message, matching the in-process harness.  Only the
     ideal backend supports networked honest provers: its public keys
     suffice to build the claw oracle, whereas trapdoors never leave the
-    verifier.
+    verifier.  A bad ``strategy`` raises ConfigurationError before connecting.
     """
+    parse_strategy(strategy)
     with socket.create_connection((host, port), timeout=timeout) as sock:
         chan = LineChannel(sock, timeout)
         keys_msg = chan.recv()

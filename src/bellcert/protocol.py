@@ -44,8 +44,6 @@ class Flag(str, Enum):
     NONE = "none"            # round carried no applicable check
 
 
-MESSAGE_TYPES = ("keys", "commit", "round", "preimage", "equations",
-                 "questions", "answers", "verdict")
 ROUND_TYPES = ("preimage", "hadamard")
 FLAG_VALUES = tuple(f.value for f in Flag)
 
@@ -54,16 +52,14 @@ def message(mtype: str, session_id: int, payload: dict) -> dict:
     return {"type": mtype, "session_id": int(session_id), "payload": payload}
 
 
-def validate_message(obj, expected_type: str | None = None) -> dict:
+def validate_message(obj, expected_type: str) -> dict:
     if not isinstance(obj, dict):
         raise MalformedMessageError("message is not an object")
     extra = set(obj) - {"type", "session_id", "payload"}
     missing = {"type", "session_id", "payload"} - set(obj)
     if extra or missing:
         raise MalformedMessageError(f"bad message keys: missing={missing} extra={extra}")
-    if obj["type"] not in MESSAGE_TYPES:
-        raise MalformedMessageError(f"unknown message type {obj['type']!r}")
-    if expected_type is not None and obj["type"] != expected_type:
+    if obj["type"] != expected_type:
         raise MalformedMessageError(f"expected {expected_type!r}, got {obj['type']!r}")
     if not isinstance(obj["payload"], dict):
         raise MalformedMessageError("payload is not an object")

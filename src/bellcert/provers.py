@@ -26,7 +26,6 @@ from .errors import (AbortSessionError, BellcertError, ConfigurationError,
                      MalformedMessageError)
 from .protocol import FLAG_VALUES, ROUND_TYPES, is_pair, message, validate_message
 
-DEFAULT_RETRY_BUDGET = 64
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -91,8 +90,22 @@ def _decode_keys(payload: dict) -> tuple[entcf.EntcfParams, tuple[entcf.PublicKe
         raise MalformedMessageError(f"bad keys payload: {exc!r}") from exc
 
 
-class Prover:
-    """One session of a prover strategy: :meth:`play` runs the four step methods."""
+class HonestProver:
+    """One session of the honest strategy: :meth:`play` runs the four step methods."""
+
+    def __init__(self, rng: np.random.Generator, claw_oracle: ClawOracle | None = None, *,
+                 depolarize: float = 0.0, entangle: bool = True):
+        if not 0.0 <= depolarize <= 1.0:
+            raise ConfigurationError(f"depolarizing strength {depolarize} outside [0, 1]")
+        self.rng = rng
+        self.oracle = claw_oracle
+        self.depolarize = depolarize
+        self.entangle = entangle
+        self.session_id = 0
+        self.keys: tuple[entcf.PublicKey, ...] | None = None
+        self.legs: list[dict] = []
+
+    # -- protocol steps ----------------------------------------------------
 
     def play(self, keys_msg: dict, exchange) -> str:
         """Play the session that ``keys_msg`` opens and return the verdict flag;
@@ -109,34 +122,6 @@ class Prover:
         if flag not in FLAG_VALUES:
             raise MalformedMessageError(f"unknown verdict flag {flag!r}")
         return flag
-
-    def commit(self, keys_msg: dict) -> dict:
-        raise NotImplementedError
-
-    def preimage_answer(self) -> dict:
-        raise NotImplementedError
-
-    def equations(self) -> dict:
-        raise NotImplementedError
-
-    def answers(self, questions_msg: dict) -> dict:
-        raise NotImplementedError
-
-
-class HonestProver(Prover):
-    def __init__(self, rng: np.random.Generator, claw_oracle: ClawOracle | None = None, *,
-                 depolarize: float = 0.0, entangle: bool = True):
-        if not 0.0 <= depolarize <= 1.0:
-            raise ConfigurationError(f"depolarizing strength {depolarize} outside [0, 1]")
-        self.rng = rng
-        self.oracle = claw_oracle
-        self.depolarize = depolarize
-        self.entangle = entangle
-        self.session_id = 0
-        self.keys: tuple[entcf.PublicKey, ...] | None = None
-        self.legs: list[dict] = []
-
-    # -- protocol steps ----------------------------------------------------
 
     def commit(self, keys_msg: dict) -> dict:
         payload = validate_message(keys_msg, "keys")["payload"]
@@ -161,11 +146,6 @@ class HonestProver(Prover):
             if claw_xor is not None:  # a claw-free leg
                 leg["claw_xor"] = claw_xor
             self.legs.append(leg)
-
-    def self_check(self) -> bool:
-        """Public re-check of the tracked openings against the images."""
-        return all(entcf.chk(leg["pk"], leg["y"], leg["b"], leg["x"])
-                   for leg in self.legs)
 
     def preimage_answer(self) -> dict:
         params = self.keys[0].params
@@ -226,76 +206,32 @@ class ClassicalGuessProver(HonestProver):
                        {"v1": int(self.rng.integers(2)), "v2": int(self.rng.integers(2))})
 
 
-class PerfectedProver(Prover):
-    """Wraps a strategy and retries preparation until its self-check passes.
-
-    The wrapped strategy must expose a ``self_check`` hook.  Failing it
-    ``DEFAULT_RETRY_BUDGET`` times in a row aborts the session.
-    """
-
-    def __init__(self, inner: Prover):
-        if not hasattr(inner, "self_check"):
-            raise ConfigurationError("wrapped strategy lacks a self_check hook")
-        self.inner = inner
-        self.retry_count = 0
-
-    def commit(self, keys_msg):
-        self.retry_count = 0
-        while True:
-            commit_msg = self.inner.commit(keys_msg)
-            if self.inner.self_check():
-                return commit_msg
-            self.retry_count += 1
-            if self.retry_count >= DEFAULT_RETRY_BUDGET:
-                raise AbortSessionError(
-                    f"self-check failed {DEFAULT_RETRY_BUDGET} times in a row")
-
-    def preimage_answer(self):
-        return self.inner.preimage_answer()
-
-    def equations(self):
-        return self.inner.equations()
-
-    def answers(self, questions_msg):
-        return self.inner.answers(questions_msg)
+STRATEGIES = {  # name -> (class, entangle)
+    "honest": (HonestProver, True),
+    "no_entangler": (HonestProver, False),
+    "classical_guess": (ClassicalGuessProver, True),
+}
+_DEPOLARIZED = "honest_depolarized:"  # then a strength p in [0, 1]: honest through noise
 
 
-def parse_strategy(name: str) -> dict:
-    """Parse a strategy string into keyword settings for :func:`make_prover`.
-
-    Recognized forms: ``honest``, ``honest_depolarized:<p>``,
-    ``no_entangler``, ``classical_guess``, each optionally prefixed with
-    ``perfected:``.
-    """
-    out = {"perfected": False, "kind": None, "depolarize": 0.0}
-    rest = name.strip()
-    if rest.startswith("perfected:"):
-        out["perfected"] = True
-        rest = rest[len("perfected:"):]
-    if rest == "honest":
-        out["kind"] = "honest"
-    elif rest.startswith("honest_depolarized:"):
-        try:
-            p = float(rest.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigurationError(f"bad depolarizing strength in {name!r}") from exc
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"depolarizing strength {p} outside [0, 1]")
-        out["kind"] = "honest"
-        out["depolarize"] = p
-    elif rest in ("no_entangler", "classical_guess"):
-        out["kind"] = rest
-    else:
+def parse_strategy(name: str) -> tuple[type[HonestProver], float, bool]:
+    """The class, depolarizing strength and ``entangle`` setting of a strategy:
+    a :data:`STRATEGIES` name or ``honest_depolarized:<p>``; else ConfigurationError."""
+    if name in STRATEGIES:
+        cls, entangle = STRATEGIES[name]
+        return cls, 0.0, entangle
+    if not name.startswith(_DEPOLARIZED):
         raise ConfigurationError(f"unknown strategy {name!r}")
-    return out
+    try:
+        p = float(name[len(_DEPOLARIZED):])
+    except ValueError as exc:
+        raise ConfigurationError(f"bad depolarizing strength in {name!r}") from exc
+    if not 0.0 <= p <= 1.0:
+        raise ConfigurationError(f"depolarizing strength {p} outside [0, 1]")
+    return HonestProver, p, True
 
 
 def make_prover(name: str, rng: np.random.Generator,
-                claw_oracle: ClawOracle | None = None) -> Prover:
-    cfg = parse_strategy(name)
-    cls = ClassicalGuessProver if cfg["kind"] == "classical_guess" else HonestProver
-    prover: Prover = cls(rng, claw_oracle, depolarize=cfg["depolarize"],
-                         entangle=(cfg["kind"] != "no_entangler"))
-    if cfg["perfected"]:
-        prover = PerfectedProver(prover)
-    return prover
+                claw_oracle: ClawOracle | None = None) -> HonestProver:
+    cls, depolarize, entangle = parse_strategy(name)
+    return cls(rng, claw_oracle, depolarize=depolarize, entangle=entangle)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from bellcert import cli, protocol
+from bellcert import cli, harness, net, protocol
 from bellcert.entcf import EntcfParams
 
 
@@ -26,6 +26,23 @@ def test_run_writes_stats(tmp_path, capsys):
 
 def test_run_rejects_bad_strategy():
     assert cli.main(["run", "--sessions", "10", "--strategy", "telepathy"]) == 2
+
+
+@pytest.mark.parametrize("strategy", ["honset", "perfected:honest"])
+def test_prove_refuses_bad_strategy_before_connecting(strategy, capsys):
+    """A bad name is a usage error: no connection, so no aborted sessions."""
+    cfg = harness.RunConfig(params=EntcfParams(), sessions=2)
+    thread, port, result = net.serve_in_thread("127.0.0.1", 0, cfg, timeout=1)
+    rc = cli.main(["prove", "--port", str(port), "--sessions", "2", "--strategy", strategy])
+    thread.join(10)
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert (result[0].sessions, result[0].aborted) == (0, 0)
+
+
+@pytest.mark.parametrize("sessions", ["0", "-1"])
+def test_prove_refuses_no_sessions(sessions):
+    assert cli.main(["prove", "--sessions", sessions]) == 2
 
 
 def test_gen_device_and_analyze(tmp_path, capsys):

@@ -117,3 +117,20 @@ def test_validate_catches_broken_devices():
     names = [v.name for v in devmod.validate(dev)]
     assert any("projector" in n for n in names)
     assert any("completeness" in n for n in names)
+
+
+@pytest.mark.parametrize("label", [[0], [0, 7], ["1", "0"], [True, 0]])
+def test_device_json_refuses_bad_branch_label(label):
+    """A label that is not two plain bits would match no outcome, so its
+    branch's weight would silently drop out of the analysis."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["branches"]["11"][0]["label"] = label
+    with pytest.raises(ValidationError):
+        devmod.device_from_json(d)
+
+
+def test_validate_catches_bad_branch_label():
+    dev = devmod.from_honest(0.0)
+    dev.branches[(1, 1)][0].label = (0, 7)
+    names = [v.name for v in devmod.validate(dev)]
+    assert names == ["branch (1, 1)/(0, 7) label"]

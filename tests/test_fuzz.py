@@ -25,6 +25,8 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
                                                                  max_size=4),
     max_leaves=10)
+MESSAGE_TYPES = ("keys", "commit", "round", "preimage", "equations",
+                 "questions", "answers", "verdict")
 FIELD = st.sampled_from([0, 1]) | st.binary(max_size=12).map(bytes.hex) | JSON
 
 
@@ -33,7 +35,7 @@ def _near(msg: dict):
     payload decoder is reached and some sessions finish."""
     payload = st.fixed_dictionaries({k: st.just(v) | FIELD for k, v in msg["payload"].items()})
     return st.fixed_dictionaries({
-        "type": st.just(msg["type"]) | st.sampled_from(protocol.MESSAGE_TYPES),
+        "type": st.just(msg["type"]) | st.sampled_from(MESSAGE_TYPES),
         "session_id": st.just(msg["session_id"]) | JSON,
         "payload": payload | JSON,
     })

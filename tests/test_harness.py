@@ -8,9 +8,9 @@ import pytest
 
 from bellcert import harness, protocol
 from bellcert.entcf import EntcfParams
-from bellcert.errors import ConfigurationError, MalformedMessageError
+from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig
-from bellcert.provers import HonestProver
+from bellcert.provers import ClawOracle
 
 IDEAL = EntcfParams(backend="ideal", ideal_w=16)
 
@@ -20,6 +20,9 @@ def test_run_config_validation():
         RunConfig(sessions=0)
     with pytest.raises(ConfigurationError):
         RunConfig(force_round="sideways")
+    for strategy in ("telepathy", "perfected:honest", "honest_depolarized:"):
+        with pytest.raises(ConfigurationError):
+            RunConfig(strategy=strategy)
     for basis in ((2, 0), (1,), (1, 1, 0), ("1", "1")):
         with pytest.raises(ConfigurationError):
             RunConfig(force_basis=basis)
@@ -109,10 +112,12 @@ def test_sweep_rows_and_csv(tmp_path):
 
 def test_in_process_abort_is_counted(tmp_path, monkeypatch):
     """A session whose prover gives up counts as aborted and writes no record."""
-    monkeypatch.setattr(HonestProver, "self_check", lambda self: False)
+    def fail_to_invert(self, leg, b, x, y):
+        raise AbortSessionError("claw oracle failed to invert a fresh image")
+
+    monkeypatch.setattr(ClawOracle, "claw_xor", fail_to_invert)
     path = tmp_path / "t.jsonl"
     stats = harness.run_sessions(RunConfig(params=IDEAL, sessions=5, seed=1,
-                                           strategy="perfected:honest",
                                            transcript_path=str(path)))
     assert stats.aborted == 5
     assert stats.sessions == 0

@@ -41,7 +41,7 @@ def test_wire_matches_in_process(tmp_path):
 def test_wire_strategies_other_than_honest(tmp_path):
     thread, port, result, _ = _serve(tmp_path, 10, 3)
     for _ in range(10):
-        flag = net.run_prover("127.0.0.1", port, "perfected:classical_guess", 3)
+        flag = net.run_prover("127.0.0.1", port, "classical_guess", 3)
         assert flag in ("ok", "none", "fail_test", "fail_bell")
     thread.join(20)
     assert result[0].sessions == 10

@@ -84,10 +84,10 @@ def test_malformed_messages_rejected(rng):
     with pytest.raises(MalformedMessageError):
         protocol.receive_commit(state, protocol.message("commit", 0, {"y1": "zz"}), rng)
     with pytest.raises(MalformedMessageError):
-        protocol.validate_message({"type": "commit", "payload": {}})
+        protocol.validate_message({"type": "commit", "payload": {}}, "commit")
     with pytest.raises(MalformedMessageError):
         protocol.validate_message(
-            {"type": "commit", "session_id": 0, "payload": {}, "extra": 1})
+            {"type": "commit", "session_id": 0, "payload": {}, "extra": 1}, "commit")
 
 
 @pytest.mark.parametrize("y1", ["ab" * 80, "00" * 8 + "01", "AB" + "00" * 8,

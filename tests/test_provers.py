@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellcert import entcf, protocol, provers
-from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
+from bellcert.errors import ConfigurationError, MalformedMessageError
 from bellcert.harness import role_rng
 from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
@@ -17,16 +17,27 @@ PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
 
 
 def test_parse_strategy():
-    assert provers.parse_strategy("honest") == \
-        {"perfected": False, "kind": "honest", "depolarize": 0.0}
-    assert provers.parse_strategy("honest_depolarized:0.25")["depolarize"] == 0.25
-    assert provers.parse_strategy("perfected:no_entangler") == \
-        {"perfected": True, "kind": "no_entangler", "depolarize": 0.0}
-    assert provers.parse_strategy("classical_guess")["kind"] == "classical_guess"
-    for bad in ("", "honest_depolarized:", "honest_depolarized:1.5", "quantum",
-                "perfected:", "perfected:perfected:honest"):
+    """Each accepted name builds its class with its depolarize/entangle settings."""
+    expected = {
+        "honest": (provers.HonestProver, 0.0, True),
+        "honest_depolarized:0.25": (provers.HonestProver, 0.25, True),
+        "honest_depolarized:1": (provers.HonestProver, 1.0, True),
+        "no_entangler": (provers.HonestProver, 0.0, False),
+        "classical_guess": (provers.ClassicalGuessProver, 0.0, True),
+    }
+    rng = np.random.default_rng(0)
+    for name, (cls, depolarize, entangle) in expected.items():
+        assert provers.parse_strategy(name) == (cls, depolarize, entangle)
+        prover = provers.make_prover(name, rng)
+        assert type(prover) is cls
+        assert (prover.depolarize, prover.entangle) == (depolarize, entangle)
+    for bad in ("", "honest_depolarized:", "honest_depolarized:1.5",
+                "honest_depolarized:nan", "quantum", "perfected:", "perfected:perfected:honest",
+                "perfected:honest", "perfected:classical_guess", " honest"):
         with pytest.raises(ConfigurationError):
             provers.parse_strategy(bad)
+        with pytest.raises(ConfigurationError):
+            provers.make_prover(bad, rng)
 
 
 def _session(strategy: str, seed: int, force_round=None):
@@ -36,16 +47,19 @@ def _session(strategy: str, seed: int, force_round=None):
     prover = provers.make_prover(strategy, prng, oracle)
     flag = prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
     assert flag == state.record.flag
-    return state, prover
+    return state
 
 
-def test_honest_self_check_always_passes(rng):
-    vrng = role_rng(7, 0, 0)
-    state, keys = protocol.start_session(PARAMS, vrng)
-    oracle = provers.ClawOracle(state.keys, state.trapdoors)
-    prover = provers.HonestProver(role_rng(7, 0, 1), oracle)
-    prover.commit(keys)
-    assert prover.self_check()
+def test_honest_self_check_always_passes():
+    """On both backends every honest leg's tracked opening (b, x) of its
+    committed image y passes the public check."""
+    for params, seed in itertools.product((PARAMS, entcf.EntcfParams(backend="lwe")), range(10)):
+        state, keys = protocol.start_session(params, role_rng(seed, 0, 0))
+        prover = provers.HonestProver(role_rng(seed, 0, 1),
+                                      provers.ClawOracle(state.keys, state.trapdoors))
+        prover.commit(keys)
+        for leg in prover.legs:
+            assert entcf.chk(leg["pk"], leg["y"], leg["b"], leg["x"])
 
 
 def test_depolarize_range_validated(rng):
@@ -55,66 +69,14 @@ def test_depolarize_range_validated(rng):
 
 def test_classical_guess_passes_preimage_rounds():
     for seed in range(30):
-        state, _ = _session("classical_guess", seed, force_round="preimage")
+        state = _session("classical_guess", seed, force_round="preimage")
         assert state.record.flag == Flag.OK.value
 
 
 def test_no_entangler_passes_preimage_rounds():
     for seed in range(30):
-        state, _ = _session("no_entangler", seed, force_round="preimage")
+        state = _session("no_entangler", seed, force_round="preimage")
         assert state.record.flag == Flag.OK.value
-
-
-def test_perfected_honest_never_retries():
-    for seed in range(20):
-        state, prover = _session("perfected:honest", seed)
-        assert prover.retry_count == 0
-        assert state.record.flag in (Flag.OK.value, Flag.NONE.value)
-
-
-class _CorruptingProver(provers.HonestProver):
-    """Honest prover whose preparation scrambles a tracked preimage half
-    the time, so its own opening check fails with probability ~1/2."""
-
-    def _prepare(self):
-        super()._prepare()
-        if self.rng.integers(2):
-            self.legs[0]["x"] ^= 1 + int(self.rng.integers(1 << 8))
-
-
-def test_perfected_wrapper_retries_until_clean():
-    retries = []
-    for seed in range(40):
-        vrng, prng = role_rng(seed, 3, 0), role_rng(seed, 3, 1)
-        state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")
-        oracle = provers.ClawOracle(state.keys, state.trapdoors)
-        prover = provers.PerfectedProver(_CorruptingProver(prng, oracle))
-        prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
-        retries.append(prover.retry_count)
-        assert state.record.flag == Flag.OK.value  # the surviving preparation is clean
-    assert max(retries) >= 1  # the wrapper actually did some work
-
-
-def test_perfected_budget_exhaustion():
-    class AlwaysBad(provers.HonestProver):
-        def self_check(self):
-            return False
-
-    vrng, prng = role_rng(1, 0, 0), role_rng(1, 0, 1)
-    state, keys = protocol.start_session(PARAMS, vrng)
-    oracle = provers.ClawOracle(state.keys, state.trapdoors)
-    prover = provers.PerfectedProver(AlwaysBad(prng, oracle))
-    with pytest.raises(AbortSessionError):
-        prover.commit(keys)
-    assert prover.retry_count == provers.DEFAULT_RETRY_BUDGET
-
-
-def test_perfected_requires_hook():
-    class NoHook(provers.Prover):
-        pass
-
-    with pytest.raises(ConfigurationError):
-        provers.PerfectedProver(NoHook())
 
 
 def test_claw_oracle_public_construction_matches_trapdoors(rng):
