@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (Device, ObservableSet, OUTCOME_PAIRS, marginal_observables,
+from .device import (MARGINALS, OUTCOME_PAIRS, Device, marginal_observables,
                      sigma, sigma_partial, validate)
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
-                     factored_trace_distance, matrix_to_json, projector_of,
-                     signed_factor, state_dep_norm_sq, tensor)
+                     factored_trace_distance, matrix_to_json, outcome_vec,
+                     projector_of, signed_factor, state_dep_norm_sq, tensor)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -39,7 +39,7 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
-def _pass_probs(device: Device, obs: ObservableSet, kind: Flag) -> dict[str, float]:
+def _pass_probs(device: Device, obs: dict[str, np.ndarray], kind: Flag) -> dict[str, float]:
     """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
 
     A row's observable is its named marginal, or the product of the two
@@ -48,12 +48,11 @@ def _pass_probs(device: Device, obs: ObservableSet, kind: Flag) -> dict[str, flo
     reproduces the label bit of the row's slot on the matching
     subnormalized state.
     """
-    named = obs.named()
     out = {}
     for row in CHECKS:
         if row.fail_flag is not kind:
             continue
-        factors = [named[name] for name in row.bucket.split("_")]
+        factors = [obs[name] for name in row.bucket.split("_")]
         o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
         total = 0.0
         for label in OUTCOME_PAIRS:
@@ -63,12 +62,12 @@ def _pass_probs(device: Device, obs: ObservableSet, kind: Flag) -> dict[str, flo
     return out
 
 
-def test_tuple(device: Device, obs: ObservableSet) -> dict[str, float]:
+def test_tuple(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
     """Pass probabilities of the single-answer checks in the two mixed bases."""
     return _pass_probs(device, obs, Flag.FAIL_TEST)
 
 
-def bell_tuple(device: Device, obs: ObservableSet) -> dict[str, float]:
+def bell_tuple(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
     """Pass probabilities of the two cross-parity checks in basis (1,1)."""
     return _pass_probs(device, obs, Flag.FAIL_BELL)
 
@@ -78,21 +77,18 @@ def bell_tuple(device: Device, obs: ObservableSet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def anticomm_residual(device: Device, leg: int, theta1: int, theta2: int,
-                      obs: ObservableSet) -> float:
-    """||{Z_leg, X_leg}||^2 on the full state of one basis pair."""
-    z, x = (obs.z1, obs.x1) if leg == 0 else (obs.z2, obs.x2)
+                      obs: dict[str, np.ndarray]) -> float:
+    """||{Z_leg, X_leg}||^2 on the full state of one basis pair (leg 0 or 1)."""
+    z, x = obs[f"z{leg + 1}"], obs[f"x{leg + 1}"]
     return state_dep_norm_sq(z @ x + x @ z, sigma(device, theta1, theta2))
 
 
 def comm_residual(device: Device, pair: str, theta1: int, theta2: int,
-                  obs: ObservableSet) -> float:
+                  obs: dict[str, np.ndarray]) -> float:
     """||[A, B]||^2 for the cross-leg pairs 'z1_x2' and 'z2_x1'."""
-    if pair == "z1_x2":
-        a, b = obs.z1, obs.x2
-    elif pair == "z2_x1":
-        a, b = obs.z2, obs.x1
-    else:
+    if pair not in ("z1_x2", "z2_x1"):
         raise ValidationError(f"unknown observable pair {pair!r}")
+    a, b = (obs[name] for name in pair.split("_"))
     return state_dep_norm_sq(a @ b - b @ a, sigma(device, theta1, theta2))
 
 
@@ -100,41 +96,41 @@ def comm_residual(device: Device, pair: str, theta1: int, theta2: int,
 # swap isometry and rounding
 # ---------------------------------------------------------------------------
 
-def swap_isometry(obs: ObservableSet) -> np.ndarray:
+def swap_isometry(obs: dict[str, np.ndarray]) -> np.ndarray:
     """The (4d x d) swap isometry built from the four plain marginals.
 
     Block (a, b) of the output ancilla is
     ``X2^b (1 + (-1)^b Z2) X1^a (1 + (-1)^a Z1) / 4``; for binary
     observables the column map is always an exact isometry.
     """
-    d = obs.z1.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(obs["z1"].shape[0])
     blocks = []
     for a in (0, 1):
-        pa = (eye + (-1.0) ** a * obs.z1) / 2.0
-        xa = np.linalg.matrix_power(obs.x1, a)
+        pa = (eye + (-1.0) ** a * obs["z1"]) / 2.0
+        xa = np.linalg.matrix_power(obs["x1"], a)
         for b in (0, 1):
-            pb = (eye + (-1.0) ** b * obs.z2) / 2.0
-            xb = np.linalg.matrix_power(obs.x2, b)
+            pb = (eye + (-1.0) ** b * obs["z2"]) / 2.0
+            xb = np.linalg.matrix_power(obs["x2"], b)
             blocks.append(xb @ pb @ xa @ pa)
     return np.vstack(blocks)
 
 
-_SINGLE_TARGETS = {
-    "z1": tensor(SIGMA_Z, ID2), "x1": tensor(SIGMA_X, ID2),
-    "z2": tensor(ID2, SIGMA_Z), "x2": tensor(ID2, SIGMA_X),
-    "zt1": tensor(SIGMA_Z, ID2), "xt1": tensor(SIGMA_X, ID2),
-    "zt2": tensor(ID2, SIGMA_Z), "xt2": tensor(ID2, SIGMA_X),
-}
-_PRODUCT_TARGETS = {
-    "z1*z2": ("z1", "z2", tensor(SIGMA_Z, SIGMA_Z)),
-    "x1*x2": ("x1", "x2", tensor(SIGMA_X, SIGMA_X)),
-    "zt1*xt2": ("zt1", "xt2", tensor(SIGMA_Z, SIGMA_X)),
-    "xt1*zt2": ("xt1", "zt2", tensor(SIGMA_X, SIGMA_Z)),
-}
+def _target(name: str) -> np.ndarray:
+    """The two-qubit Pauli a marginal rounds to: Z or X, as the leg's
+    question bit asks, on the leg's qubit."""
+    q, leg = MARGINALS[name]
+    ops = [ID2, ID2]
+    ops[leg] = SIGMA_X if q[leg] else SIGMA_Z
+    return tensor(*ops)
 
 
-def pauli_rounding_report(device: Device, obs: ObservableSet) -> dict[str, float]:
+_TARGETS = {name: _target(name) for name in MARGINALS}
+# the marginal pairs whose products are rounded; a product's target is the
+# product of its factors' targets, exact since their entries are 0 and +/-1
+_PRODUCTS = (("z1", "z2"), ("x1", "x2"), ("zt1", "xt2"), ("xt1", "zt2"))
+
+
+def pauli_rounding_report(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
     """Residuals of the swap-rounded observables against two-qubit Paulis.
 
     Single-observable entries measure ``||V^dag (P x 1) V - O||^2`` on the
@@ -146,28 +142,20 @@ def pauli_rounding_report(device: Device, obs: ObservableSet) -> dict[str, float
     eyed = np.eye(d)
     state = sigma(device, 1, 1)
     pushed = v @ state @ v.conj().T
-    named = obs.named()
     out: dict[str, float] = {}
-    for name, pauli in _SINGLE_TARGETS.items():
+    for name, pauli in _TARGETS.items():
         rounded = v.conj().T @ tensor(pauli, eyed) @ v
-        out[name] = state_dep_norm_sq(rounded - named[name], state)
-    for label, (n1, n2, pauli) in _PRODUCT_TARGETS.items():
-        conj = v @ (named[n1] @ named[n2]) @ v.conj().T
-        out[label] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
+        out[name] = state_dep_norm_sq(rounded - obs[name], state)
+    for n1, n2 in _PRODUCTS:
+        conj = v @ (obs[n1] @ obs[n2]) @ v.conj().T
+        pauli = _TARGETS[n1] @ _TARGETS[n2]
+        out[f"{n1}*{n2}"] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
     return out
 
 
 # ---------------------------------------------------------------------------
 # certification report
 # ---------------------------------------------------------------------------
-
-def _ancilla_outcome_vec(q: int, a: int) -> np.ndarray:
-    vec = np.zeros(2, dtype=complex)
-    vec[a] = 1.0
-    if q == 1:
-        vec = np.array([1.0, -1.0 if a else 1.0], dtype=complex) / np.sqrt(2.0)
-    return vec
-
 
 @dataclass
 class BellCaseReport:
@@ -185,7 +173,7 @@ class BellCaseReport:
                 "xi": matrix_to_json(self.xi), "degenerate": self.degenerate}
 
 
-def bell_report(device: Device, obs: ObservableSet) -> list[BellCaseReport]:
+def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
     comparison after every question/outcome measurement update.
@@ -213,7 +201,7 @@ def bell_report(device: Device, obs: ObservableSet) -> list[BellCaseReport]:
     for (q1, q2), meas in device.measurements.items():
         for (a, b), proj in meas.items():
             updates.append((f"q{q1}{q2}_v{a}{b}", v @ proj,
-                            np.kron(_ancilla_outcome_vec(q1, a), _ancilla_outcome_vec(q2, b))))
+                            np.kron(outcome_vec(q1, a), outcome_vec(q2, b))))
 
     reports = []
     for s1, s2 in OUTCOME_PAIRS:

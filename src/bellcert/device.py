@@ -16,12 +16,20 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, as_operator,
                      bell_state, matrix_from_json, matrix_to_json,
-                     projector_of, tensor)
+                     outcome_vec, projector_of, tensor)
 from .protocol import is_pair
 
 BASIS_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 QUESTION_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 OUTCOME_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+# The one home of the marginal observables: name -> (question pair, leg).
+# Plain marginals come from the matched question pairs, tilde ("t") ones from
+# the mixed pairs; the letter is the Pauli that the leg's question bit asks for.
+MARGINALS = {
+    "z1": ((0, 0), 0), "x1": ((1, 1), 0), "z2": ((0, 0), 1), "x2": ((1, 1), 1),
+    "zt1": ((0, 1), 0), "xt1": ((1, 0), 0), "zt2": ((1, 0), 1), "xt2": ((0, 1), 1),
+}
 
 
 @dataclass
@@ -36,24 +44,6 @@ class Device:
     dim: int
     branches: dict[tuple[int, int], list[Branch]]
     measurements: dict[tuple[int, int], dict[tuple[int, int], np.ndarray]]
-
-
-@dataclass
-class ObservableSet:
-    """Marginal binary observables; the tilde variants come from the mixed
-    question pairs (0,1) and (1,0)."""
-    z1: np.ndarray
-    x1: np.ndarray
-    z2: np.ndarray
-    x2: np.ndarray
-    zt1: np.ndarray
-    xt1: np.ndarray
-    zt2: np.ndarray
-    xt2: np.ndarray
-
-    def named(self) -> dict[str, np.ndarray]:
-        return {"z1": self.z1, "x1": self.x1, "z2": self.z2, "x2": self.x2,
-                "zt1": self.zt1, "xt1": self.xt1, "zt2": self.zt2, "xt2": self.xt2}
 
 
 @dataclass
@@ -76,7 +66,9 @@ def validate(device: Device) -> list[Violation]:
             total += br.weight
             if tuple(br.label) not in OUTCOME_PAIRS:
                 out.append(Violation(f"branch {basis}/{br.label} label", float("inf")))
-            if br.weight < -VALIDATION_TOL:
+            if not np.isfinite(br.weight):
+                out.append(Violation(f"branch {basis}/{br.label} weight", float("inf")))
+            elif br.weight < -VALIDATION_TOL:
                 out.append(Violation(f"branch {basis}/{br.label} weight", -br.weight))
             st = as_operator(br.state)
             if st.shape != (device.dim, device.dim):
@@ -138,21 +130,19 @@ def sigma_partial(device: Device, theta1: int, v1: int, theta2: int,
     return out
 
 
-def marginal_observables(device: Device) -> ObservableSet:
-    def marg(q: tuple[int, int], leg: int) -> np.ndarray:
-        out = np.zeros((device.dim, device.dim), dtype=complex)
-        for (i, j), proj in device.measurements[q].items():
-            out += (-1.0) ** (i if leg == 0 else j) * proj
-        return out
-
-    return ObservableSet(
-        z1=marg((0, 0), 0), z2=marg((0, 0), 1),
-        x1=marg((1, 1), 0), x2=marg((1, 1), 1),
-        zt1=marg((0, 1), 0), xt2=marg((0, 1), 1),
-        xt1=marg((1, 0), 0), zt2=marg((1, 0), 1))
+def marginal_observables(device: Device) -> dict[str, np.ndarray]:
+    """Each marginal of :data:`MARGINALS`: the +/-1 observable of its leg's
+    answer bit under its question pair's measurement."""
+    out = {}
+    for name, (q, leg) in MARGINALS.items():
+        obs = np.zeros((device.dim, device.dim), dtype=complex)
+        for outcome, proj in device.measurements[q].items():
+            obs += (-1.0) ** outcome[leg] * proj
+        out[name] = obs
+    return out
 
 
-def from_honest(p: float = 0.0) -> Device:
+def from_honest(p: float) -> Device:
     """The two-qubit device an honest prover implements, with each branch
     state pushed through a two-qubit depolarizing channel of strength p."""
     if not 0.0 <= p <= 1.0:
@@ -162,21 +152,11 @@ def from_honest(p: float = 0.0) -> Device:
         rho = np.outer(vec, vec.conj())
         return (1.0 - p) * rho + p * np.eye(4) / 4.0
 
-    def comp(b: int) -> np.ndarray:
-        v = np.zeros(2, dtype=complex)
-        v[b] = 1.0
-        return v
-
-    def had(b: int) -> np.ndarray:
-        return np.array([1.0, -1.0 if b else 1.0], dtype=complex) / np.sqrt(2.0)
-
-    branches: dict[tuple[int, int], list[Branch]] = {}
-    branches[(0, 0)] = [Branch((a, b), 0.25, depol(np.kron(comp(a), comp(b))))
-                        for a, b in OUTCOME_PAIRS]
-    branches[(0, 1)] = [Branch((a, b), 0.25, depol(np.kron(comp(a), had(b))))
-                        for a, b in OUTCOME_PAIRS]
-    branches[(1, 0)] = [Branch((a, b), 0.25, depol(np.kron(had(a), comp(b))))
-                        for a, b in OUTCOME_PAIRS]
+    branches = {
+        basis: [Branch((a, b), 0.25,
+                       depol(np.kron(outcome_vec(basis[0], a), outcome_vec(basis[1], b))))
+                for a, b in OUTCOME_PAIRS]
+        for basis in BASIS_PAIRS if basis != (1, 1)}
     branches[(1, 1)] = [Branch((s1, s2), 0.25, depol(bell_state(s1, s2)))
                         for s1, s2 in OUTCOME_PAIRS]
 
@@ -219,14 +199,22 @@ def device_to_json(device: Device) -> dict:
     }
 
 
+def _weight_from_json(w) -> float:
+    if type(w) not in (int, float):
+        raise ValidationError(f"branch weight {w!r} is not a number")
+    return float(w)
+
+
 def device_from_json(d: dict) -> Device:
     try:
-        dim = int(d["dim"])
+        dim = d["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValidationError(f"dim {dim!r} is not a positive integer")
         branches = {}
         for key, brs in d["branches"].items():
             branches[_pair_from_key(key)] = [
                 Branch(label=tuple(br["label"]),
-                       weight=float(br["weight"]),
+                       weight=_weight_from_json(br["weight"]),
                        state=matrix_from_json(br["state"]))
                 for br in brs]
         measurements = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import array
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -114,7 +114,7 @@ class EntcfParams:
 class PublicKey:
     """A key as the prover sees it: no family, bar an ideal F key's ``delta``."""
     params: EntcfParams
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
     def to_json(self) -> dict:
         return {"payload": _payload_to_json(self.payload)}
@@ -134,7 +134,7 @@ class PublicKey:
 class Trapdoor:
     family: str
     params: EntcfParams
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
 
 def _payload_to_json(payload: dict) -> dict:

@@ -238,14 +238,19 @@ def estimate_gammas(stats: RunStats) -> GammaEstimates:
 # ---------------------------------------------------------------------------
 
 def sweep(noise_grid: Iterable[float], config: RunConfig) -> list[dict]:
-    """White-box deficits and empirical estimates across a noise grid."""
+    """White-box deficits and empirical estimates across a noise grid.
+
+    Every grid point is checked, as its run's configuration, before any
+    point is analysed or run; an empty grid is refused."""
+    points = [(p, RunConfig(params=config.params, sessions=config.sessions,
+                            strategy=f"honest_depolarized:{p}" if p else "honest",
+                            seed=config.seed))
+              for p in noise_grid]
+    if not points:
+        raise ConfigurationError("empty noise grid")
     rows = []
-    for p in noise_grid:
-        dev = devmod.from_honest(p)
-        report = analysis.analyze(dev)
-        cfg = RunConfig(params=config.params, sessions=config.sessions,
-                        strategy=f"honest_depolarized:{p}" if p else "honest",
-                        seed=config.seed)
+    for p, cfg in points:
+        report = analysis.analyze(devmod.from_honest(p))
         est = estimate_gammas(run_sessions(cfg))
         rows.append({
             "p": p,

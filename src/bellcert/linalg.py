@@ -66,6 +66,13 @@ def projector_of(obs: np.ndarray, outcome: int) -> np.ndarray:
     return (np.eye(obs.shape[0]) + sign * obs) / 2.0
 
 
+def outcome_vec(q: int, a: int) -> np.ndarray:
+    """The eigenvector of Z (q = 0) or X (q = 1) with eigenvalue (-1)^a."""
+    if q:
+        return np.array([1.0, -1.0 if a else 1.0], dtype=complex) / np.sqrt(2.0)
+    return np.eye(2, dtype=complex)[a]
+
+
 def bell_state(s1: int, s2: int) -> np.ndarray:
     """The four shifted Bell-type states as column vectors.
 

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from bellcert import analysis
-from bellcert.device import (OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, ObservableSet,
-                             marginal_observables)
+from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, marginal_observables
 from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import VALIDATION_TOL, as_operator
 
@@ -104,20 +103,10 @@ def random_measurement(dim: int, rng: np.random.Generator) -> dict:
     return meas
 
 
-def random_observable_set(dim: int, rng: np.random.Generator) -> ObservableSet:
+def random_observable_set(dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Marginal observables of four independent random measurements."""
     meas = {q: random_measurement(dim, rng) for q in QUESTION_PAIRS}
-
-    def marg(q, leg):
-        out = np.zeros((dim, dim), dtype=complex)
-        for (i, j), proj in meas[q].items():
-            out += (-1.0) ** (i if leg == 0 else j) * proj
-        return out
-
-    return ObservableSet(z1=marg((0, 0), 0), z2=marg((0, 0), 1),
-                         x1=marg((1, 1), 0), x2=marg((1, 1), 1),
-                         zt1=marg((0, 1), 0), xt2=marg((0, 1), 1),
-                         xt1=marg((1, 0), 0), zt2=marg((1, 0), 1))
+    return marginal_observables(Device(dim=dim, branches={}, measurements=meas))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -103,18 +103,19 @@ def test_acceptance_04_operator_identities():
         dim = (2, 4, 8)[trial % 3]
         obs = random_observable_set(dim, rng)
         eye = np.eye(dim)
-        for o in obs.named().values():
+        for o in obs.values():
             worst = max(worst, float(np.max(np.abs(o @ o - eye))))
             worst = max(worst, float(np.max(np.abs(o - o.conj().T))))
         v = analysis.swap_isometry(obs)
         worst = max(worst, float(np.max(np.abs(v.conj().T @ v - eye))))
-        pz = [(eye + s * obs.z1) / 2 for s in (1.0, -1.0)]
-        x2_off = (obs.x2 - obs.z2 @ obs.x2 @ obs.z2) / 2
+        z1, x1, z2, x2 = obs["z1"], obs["x1"], obs["z2"], obs["x2"]
+        pz = [(eye + s * z1) / 2 for s in (1.0, -1.0)]
+        x2_off = (x2 - z2 @ x2 @ z2) / 2
         expected = {
-            "z1": obs.z1,
-            "x1": (obs.x1 - obs.z1 @ obs.x1 @ obs.z1) / 2,
-            "z2": pz[0] @ obs.z2 @ pz[0] + pz[1] @ obs.x1 @ obs.z2 @ obs.x1 @ pz[1],
-            "x2": pz[0] @ x2_off @ pz[0] + pz[1] @ obs.x1 @ x2_off @ obs.x1 @ pz[1],
+            "z1": z1,
+            "x1": (x1 - z1 @ x1 @ z1) / 2,
+            "z2": pz[0] @ z2 @ pz[0] + pz[1] @ x1 @ z2 @ x1 @ pz[1],
+            "x2": pz[0] @ x2_off @ pz[0] + pz[1] @ x1 @ x2_off @ x1 @ pz[1],
         }
         for name, pauli in paulis.items():
             lhs = v.conj().T @ tensor(pauli, eye) @ v

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
-from bellcert.device import (OUTCOME_PAIRS, from_honest, marginal_observables, sigma,
+from bellcert.device import (MARGINALS, OUTCOME_PAIRS, from_honest, marginal_observables, sigma,
                              sigma_partial, validate)
-from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, signed_factor, tensor,
-                             trace_distance)
+from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, signed_factor,
+                             tensor, trace_distance)
 from conftest import (commutation_norms, embed_device, gamma_b, gamma_t,
                       interferometric_norm_estimate, interferometric_pass_prob, random_density,
                       random_observable_set, random_unitary)
@@ -41,6 +41,16 @@ def test_pass_tuple_keys_follow_check_table():
     assert list(analysis.test_tuple(dev, obs)) + list(analysis.bell_tuple(dev, obs)) == names
     report = analysis.analyze(dev)
     assert list(report.test_entries) + list(report.bell_entries) == names
+
+
+def test_check_buckets_name_their_marginals():
+    """Each part of a row's bucket names, in ``MARGINALS``, the row's own
+    question pair on the row's legs in leg order, so the marginal the
+    analysis reads for a row is the answer the verdict checks."""
+    for row in protocol.CHECKS:
+        parts = row.bucket.split("_")
+        assert [MARGINALS[name] for name in parts] == \
+            [(row.questions, leg) for leg in row.legs], row.bucket
 
 
 def test_residuals_vanish_for_honest():
@@ -79,16 +89,15 @@ def _conjugated_singles(obs):
     against each ancilla Pauli collapses (using only O^2 = 1) to the
     expressions below.
     """
-    d = obs.z1.shape[0]
-    eye = np.eye(d)
-    pz = [(eye + s * obs.z1) / 2 for s in (1.0, -1.0)]
-    qz = [(eye + s * obs.z2) / 2 for s in (1.0, -1.0)]
-    x2_off = (obs.x2 - obs.z2 @ obs.x2 @ obs.z2) / 2
+    z1, x1, z2, x2 = obs["z1"], obs["x1"], obs["z2"], obs["x2"]
+    eye = np.eye(z1.shape[0])
+    pz = [(eye + s * z1) / 2 for s in (1.0, -1.0)]
+    x2_off = (x2 - z2 @ x2 @ z2) / 2
     return {
-        "z1": obs.z1,
-        "x1": (obs.x1 - obs.z1 @ obs.x1 @ obs.z1) / 2,
-        "z2": pz[0] @ obs.z2 @ pz[0] + pz[1] @ obs.x1 @ obs.z2 @ obs.x1 @ pz[1],
-        "x2": pz[0] @ x2_off @ pz[0] + pz[1] @ obs.x1 @ x2_off @ obs.x1 @ pz[1],
+        "z1": z1,
+        "x1": (x1 - z1 @ x1 @ z1) / 2,
+        "z2": pz[0] @ z2 @ pz[0] + pz[1] @ x1 @ z2 @ x1 @ pz[1],
+        "x2": pz[0] @ x2_off @ pz[0] + pz[1] @ x1 @ x2_off @ x1 @ pz[1],
     }
 
 
@@ -168,8 +177,7 @@ def _dense_bell_distances(device):
         for (q1, q2), meas in device.measurements.items():
             for (a, b), proj in meas.items():
                 lhs = v @ (proj @ part @ proj.conj().T) @ v.conj().T
-                va = analysis._ancilla_outcome_vec(q1, a)
-                vb = analysis._ancilla_outcome_vec(q2, b)
+                va, vb = outcome_vec(q1, a), outcome_vec(q2, b)
                 pi = tensor(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
                 rhs = 0.25 * tensor(pi @ np.outer(phi, phi.conj()) @ pi, xi)
                 meas_dist[f"q{q1}{q2}_v{a}{b}"] = trace_distance(lhs, rhs)

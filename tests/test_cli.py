@@ -83,6 +83,17 @@ def test_sweep_bad_grid():
     assert cli.main(["sweep", "--grid", "0,zebra"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["0,1.5", ","])
+def test_sweep_refuses_grid_before_running(monkeypatch, grid):
+    """A grid point out of range, or an empty grid, is refused before any
+    point is analysed or any session runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep ran before refusing its grid")
+    monkeypatch.setattr(harness, "run_sessions", fail)
+    monkeypatch.setattr(harness.analysis, "analyze", fail)
+    assert cli.main(["sweep", "--grid", grid, "--sessions", "4000"]) == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

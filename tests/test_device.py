@@ -41,21 +41,20 @@ def test_sigma_partials_sum_to_sigma():
 
 def test_honest_marginals_are_paulis():
     obs = devmod.marginal_observables(devmod.from_honest(0.2))
-    assert np.allclose(obs.z1, tensor(SIGMA_Z, ID2), atol=1e-12)
-    assert np.allclose(obs.zt1, tensor(SIGMA_Z, ID2), atol=1e-12)
-    assert np.allclose(obs.x1, tensor(SIGMA_X, ID2), atol=1e-12)
-    assert np.allclose(obs.xt1, tensor(SIGMA_X, ID2), atol=1e-12)
-    assert np.allclose(obs.z2, tensor(ID2, SIGMA_Z), atol=1e-12)
-    assert np.allclose(obs.zt2, tensor(ID2, SIGMA_Z), atol=1e-12)
-    assert np.allclose(obs.x2, tensor(ID2, SIGMA_X), atol=1e-12)
-    assert np.allclose(obs.xt2, tensor(ID2, SIGMA_X), atol=1e-12)
+    expected = {"z1": tensor(SIGMA_Z, ID2), "zt1": tensor(SIGMA_Z, ID2),
+                "x1": tensor(SIGMA_X, ID2), "xt1": tensor(SIGMA_X, ID2),
+                "z2": tensor(ID2, SIGMA_Z), "zt2": tensor(ID2, SIGMA_Z),
+                "x2": tensor(ID2, SIGMA_X), "xt2": tensor(ID2, SIGMA_X)}
+    assert list(obs) == list(devmod.MARGINALS)
+    for name, pauli in expected.items():
+        assert np.allclose(obs[name], pauli, atol=1e-12), name
 
 
 def test_marginals_are_binary_observables(rng):
     from conftest import random_observable_set
     for dim in (2, 4, 8):
         obs = random_observable_set(dim, rng)
-        for name, o in obs.named().items():
+        for o in obs.values():
             check_binary_observable(o)
 
 
@@ -118,6 +117,12 @@ def test_validate_catches_broken_devices():
     assert any("projector" in n for n in names)
     assert any("completeness" in n for n in names)
 
+    # every comparison with NaN is false, so only an explicit check sees it
+    dev = devmod.from_honest(0.0)
+    dev.branches[(1, 0)][2].weight = float("nan")
+    names = [v.name for v in devmod.validate(dev)]
+    assert names == ["branch (1, 0)/(1, 0) weight"]
+
 
 @pytest.mark.parametrize("label", [[0], [0, 7], ["1", "0"], [True, 0]])
 def test_device_json_refuses_bad_branch_label(label):
@@ -125,6 +130,24 @@ def test_device_json_refuses_bad_branch_label(label):
     branch's weight would silently drop out of the analysis."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["branches"]["11"][0]["label"] = label
+    with pytest.raises(ValidationError):
+        devmod.device_from_json(d)
+
+
+@pytest.mark.parametrize("dim", [4.7, 4.0, "4", True, 0])
+def test_device_json_refuses_bad_dim(dim):
+    """``dim`` is a plain positive int; 4.7 would otherwise load as 4."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["dim"] = dim
+    with pytest.raises(ValidationError):
+        devmod.device_from_json(d)
+
+
+@pytest.mark.parametrize("weight", ["0.25", True, None, [0.25]])
+def test_device_json_refuses_bad_weight(weight):
+    """A weight is a plain JSON number; "0.25" would otherwise load as 0.25."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["branches"]["01"][0]["weight"] = weight
     with pytest.raises(ValidationError):
         devmod.device_from_json(d)
 
