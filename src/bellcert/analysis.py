@@ -13,9 +13,11 @@ Given a :class:`~bellcert.device.Device` this module computes:
 All quantities are exact up to floating point: traces of small matrices,
 and trace distances taken from low-rank factors of their operands through
 one small eigensolve each (see :func:`bell_report`).  The factors keep only
-the eigen-components that ``eigh`` can tell from 0, so each distance moves
-by at most ``(1/2) d^2 eps (||VP||^2 max|lambda_part| + (1/4) max|lambda_xi|)``
-(below 1e-13 for a valid device at d = 24).
+the singular values of the projectors and the eigen-components of the junk
+state that ``svd`` and ``eigh`` can tell from 0, so each distance moves by
+at most ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps
+max|lambda_xi|``, of order ``d^2 eps`` (below 1e-13 for a valid device at
+d = 24).
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from .device import (MARGINALS, OUTCOME_PAIRS, Device, marginal_observables,
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
                      factored_trace_distance, matrix_to_json, outcome_vec,
-                     projector_of, signed_factor, state_dep_norm_sq, tensor)
+                     projector_of, rank_factor, signed_factor, state_dep_norm_sq,
+                     tensor)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -135,21 +138,26 @@ def pauli_rounding_report(device: Device, obs: dict[str, np.ndarray]) -> dict[st
 
     Single-observable entries measure ``||V^dag (P x 1) V - O||^2`` on the
     all-claw-free basis state; product entries measure the conjugated form
-    ``||V O V^dag - (P x 1)||^2`` on the pushed-forward state.
+    ``||V O V^dag - (P x 1)||^2`` on the pushed-forward state, taken as
+    ``||V O V^dag V - (P x 1) V||^2`` on the state itself, which is the same
+    number with no isometry assumed.  ``(P x 1) V`` is the 4x4 Pauli applied
+    to V's four ancilla blocks, so no 4d x 4d operand is formed.
     """
     v = swap_isometry(obs)
     d = device.dim
-    eyed = np.eye(d)
+    gram = v.conj().T @ v
     state = sigma(device, 1, 1)
-    pushed = v @ state @ v.conj().T
+
+    def on_v(pauli: np.ndarray) -> np.ndarray:
+        # V's rows are indexed (ancilla, system), so P x 1 acts on the blocks
+        return (pauli @ v.reshape(4, d * d)).reshape(4 * d, d)
+
     out: dict[str, float] = {}
     for name, pauli in _TARGETS.items():
-        rounded = v.conj().T @ tensor(pauli, eyed) @ v
-        out[name] = state_dep_norm_sq(rounded - obs[name], state)
+        out[name] = state_dep_norm_sq(v.conj().T @ on_v(pauli) - obs[name], state)
     for n1, n2 in _PRODUCTS:
-        conj = v @ (obs[n1] @ obs[n2]) @ v.conj().T
-        pauli = _TARGETS[n1] @ _TARGETS[n2]
-        out[f"{n1}*{n2}"] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
+        y = v @ (obs[n1] @ obs[n2] @ gram) - on_v(_TARGETS[n1] @ _TARGETS[n2])
+        out[f"{n1}*{n2}"] = state_dep_norm_sq(y, state)
     return out
 
 
@@ -180,28 +188,38 @@ def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseRepo
 
     Each distance is ``(1/2) ||V P part P^dag V^dag - (1/4) (pi phi)(pi phi)^dag
     (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance.  Both
-    operands are taken as factors: ``part`` and ``xi`` are factored once per
-    case by :func:`~bellcert.linalg.signed_factor`, the left factor is
-    ``V P W`` and the right one ``(1/2) (pi phi) (x) X``.
-    :func:`~bellcert.linalg.factored_trace_distance` then needs one
-    eigensolve whose side is the summed numerical ranks of ``part`` and
-    ``xi`` (at most 2d) rather than 4d.  The eigenvalue signs are carried,
-    so invalid devices with non-PSD branches are handled too.  The factors
-    drop the eigen-components with ``|lambda| <= d eps max|lambda|``, which
-    ``eigh`` cannot tell from 0; this moves each distance from the dense
-    one by at most
-    ``(1/2) d^2 eps (||VP||^2 max|lambda_part| + (1/4) max|lambda_xi|)``,
-    below 1e-13 for a valid device at d = 24 (``||VP|| <= 1``, both
+    operands are taken as factors with hermitian middles for
+    :func:`~bellcert.linalg.factored_trace_distance`.  The 16 projectors are
+    factored once, ``P = L R`` by :func:`~bellcert.linalg.rank_factor`, so an
+    update's left operand is ``(V L) (R part R^dag) (V L)^dag``; the state's is
+    ``V part V^dag``.  ``xi`` is factored once per case by
+    :func:`~bellcert.linalg.signed_factor` into ``X diag(sx) X^dag``, and the
+    right factor is ``(1/2) <u|phi> (u (x) X)`` for the outcome vector ``u``.
+    The 16 updates of a case run as one stacked call whose eigensolves have
+    side ``rank(P) + rank(xi)`` (12 at d = 24) rather than 4d.  Nothing is
+    assumed of the projectors or of the signs of ``part``, so invalid devices
+    (non-PSD branches, non-projector measurements) are measured exactly
+    too.  The factors drop the singular values ``<= d eps max(s)`` of each
+    projector and the eigen-components of ``xi`` with
+    ``|lambda| <= d eps max|lambda|``, which ``svd`` and ``eigh`` cannot tell
+    from 0; this moves each distance from the dense one by at most
+    ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps max|lambda_xi|``,
+    below 1e-13 for a valid device at d = 24 (``||V|| = ||P_o|| = 1``, both
     operands of unit trace at most).
     """
     v = swap_isometry(obs)
     d = device.dim
     full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
-    updates = []  # (name, V P, ancilla outcome vector) per measurement update
+    names, anc, projs = [], [], []  # per measurement update
     for (q1, q2), meas in device.measurements.items():
         for (a, b), proj in meas.items():
-            updates.append((f"q{q1}{q2}_v{a}{b}", v @ proj,
-                            np.kron(outcome_vec(q1, a), outcome_vec(q2, b))))
+            names.append(f"q{q1}{q2}_v{a}{b}")
+            anc.append(np.kron(outcome_vec(q1, a), outcome_vec(q2, b)))
+            projs.append(proj)
+    anc = np.array(anc)
+    left, right = rank_factor(np.array(projs, dtype=complex))
+    v_left = v @ left
+    right_h = right.conj().swapaxes(-1, -2)
 
     reports = []
     for s1, s2 in OUTCOME_PAIRS:
@@ -213,20 +231,19 @@ def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseRepo
         degenerate = tr < _DEGENERATE_TRACE
         xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
 
-        w, sw = signed_factor(sigma_partial(device, 1, s1, 1, s2))
+        part = sigma_partial(device, 1, s1, 1, s2)
         x, sx = signed_factor(xi)
+        mx = np.diag(sx)
+        # (1/2) <u|phi> (u (x) X) has rows indexed (ancilla, junk), like V
+        coef = 0.5 * anc * (anc.conj() @ phi)[:, None]
+        g = (coef[:, :, None, None] * x).reshape(len(names), 4 * d, x.shape[1])
+        g_state = (0.5 * phi[:, None, None] * x).reshape(4 * d, x.shape[1])
 
-        def distance(vp: np.ndarray, anc: np.ndarray) -> float:
-            # (1/2) (anc (x) X) has rows indexed (ancilla, junk), like V
-            g = 0.5 * (anc[:, None, None] * x).reshape(4 * d, x.shape[1])
-            return factored_trace_distance(vp @ w, sw, g, sx)
-
-        state_distance = distance(v, phi)
-        meas_dist = {name: distance(vp, u * np.vdot(u, phi))
-                     for name, vp, u in updates}
+        state_distance = float(factored_trace_distance(v, part, g_state, mx))
+        dists = factored_trace_distance(v_left, right @ part @ right_h, g, mx)
         reports.append(BellCaseReport(label=(s1, s2), branch_trace=tr,
                                       state_distance=state_distance,
-                                      measurement_distances=meas_dist,
+                                      measurement_distances=dict(zip(names, dists.tolist())),
                                       xi=xi, degenerate=degenerate))
     return reports
 
@@ -282,7 +299,25 @@ class AnalysisReport:
 
 
 def analyze(device: Device) -> AnalysisReport:
+    """The full white-box report.  A device with violations of infinite
+    magnitude (missing branches or outcomes, a bad dimension or label, a
+    non-finite weight) has nothing to measure, so it is refused with a
+    ``ValidationError`` naming all of them; finite violations are listed in
+    the report.  A device whose numbers overflow float64 on the way is
+    refused with a ``ValidationError`` too, rather than reported as inf or
+    NaN."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _analyze(device)
+        except FloatingPointError as exc:
+            raise ValidationError(f"device overflows the analysis arithmetic: {exc}") from exc
+
+
+def _analyze(device: Device) -> AnalysisReport:
     violations = validate(device)
+    fatal = [v.name for v in violations if v.magnitude == float("inf")]
+    if fatal:
+        raise ValidationError("device cannot be analyzed: " + "; ".join(fatal))
     obs = marginal_observables(device)
     anticomm = {}
     comm = {}

@@ -210,6 +210,9 @@ def device_from_json(d: dict) -> Device:
         dim = d["dim"]
         if type(dim) is not int or dim < 1:
             raise ValidationError(f"dim {dim!r} is not a positive integer")
+        for name in ("branches", "measurements"):
+            if type(d[name]) is not dict:
+                raise ValidationError(f"{name} is not an object keyed by pair")
         branches = {}
         for key, brs in d["branches"].items():
             branches[_pair_from_key(key)] = [

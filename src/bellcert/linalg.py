@@ -5,14 +5,16 @@ Everything here works on plain complex numpy arrays.  Structural checks
 :func:`bellcert.device.validate`) use an absolute tolerance of
 ``VALIDATION_TOL``; quantities reported by the analysis layer are never
 rounded before serialization.  Trace distances between operators given as
-low-rank factors (:func:`signed_factor`) are taken through a QR of the
-stacked factors (:func:`factored_trace_distance`), which never forms the
-full-size operands.  The factors keep only the eigen-components that
-``eigh`` resolves from 0 (:func:`signed_factor`), so their width is the
-operand's numerical rank; what is dropped lies within ``eigh``'s own error,
-and moves a trace distance by at most ``(1/2) n^2 eps`` times the largest
-eigenvalue magnitudes involved (``n`` the operand side, ``eps`` the float64
-machine epsilon).
+low-rank factors with hermitian middles, ``F Mf F^dag - G Mg G^dag``, are
+taken through a QR of the stacked factors (:func:`factored_trace_distance`),
+which never forms the full-size operands and runs over stacks of them in one
+call.  The factors of :func:`signed_factor` (eigen-components) and
+:func:`rank_factor` (singular triplets) keep only what ``eigh`` or ``svd``
+resolves from 0 (the ``numpy.linalg.matrix_rank`` rule), so their width is
+the operand's numerical rank; what is dropped lies within the solver's own
+error, and moves a trace distance by at most order ``n^2 eps`` times the
+largest eigenvalue or squared singular value involved (``n`` the operand
+side, ``eps`` the float64 machine epsilon).
 """
 from __future__ import annotations
 
@@ -27,13 +29,21 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
+def _as_matrix(a) -> np.ndarray:
+    """Coerce to a complex matrix, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains non-finite entries")
+    return m
+
+
+def as_operator(a) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting non-finite entries."""
+    m = _as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -48,12 +58,14 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
 def state_dep_norm_sq(a: np.ndarray, psi: np.ndarray) -> float:
     """Squared state-dependent norm Tr[A^dag A psi] of an operator.
 
+    ``A`` may map into a larger space (any row count, one column per
+    dimension of ``psi``), as an operator composed with an isometry does.
     ``psi`` may be subnormalized; only hermiticity/PSD of psi matter for
     the usual inequalities, and we do not re-validate it here.
     """
-    a = as_operator(a)
+    a = _as_matrix(a)
     psi = as_operator(psi)
-    if a.shape != psi.shape:
+    if a.shape[1] != psi.shape[0]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {psi.shape}")
     val = float(np.real(np.trace(a.conj().T @ a @ psi)))
     return max(val, 0.0)
@@ -120,20 +132,60 @@ def signed_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, keep] * np.sqrt(mag[keep]), np.sign(lam[keep])
 
 
-def factored_trace_distance(f: np.ndarray, sf: np.ndarray,
-                            g: np.ndarray, sg: np.ndarray) -> float:
-    """(1/2) ||F diag(sf) F^dag - G diag(sg) G^dag||_1 without forming either operand.
+def rank_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor each matrix of a stack ``a`` (shape ``(..., n, n)``) as ``L R``.
 
-    With ``[F G] = QR`` the difference is ``Q (R D R^dag) Q^dag`` for
-    ``D = diag(sf, -sg)``.  Q has orthonormal columns, so the nonzero
-    eigenvalues of the difference are those of the small hermitian
-    ``R D R^dag``, whose side is at most the summed widths of F and G.
+    From the SVD ``a = U diag(s) Vh``, ``L = U diag(s)`` and ``R = Vh``, with
+    the singular values ``s <= n eps max(s)`` of each matrix set to 0 (the
+    ``numpy.linalg.matrix_rank`` rule) and every factor cut to the widest
+    rank kept in the stack: ``L`` is ``(..., n, k)`` and ``R`` ``(..., k, n)``.
+    The kept values are a prefix of the sorted ``s``, so a narrower matrix
+    only gets zero columns in ``L``.  Nothing is assumed of the matrices
+    (no hermiticity, no projector law); what is dropped moves ``a`` by at
+    most ``n eps max(s)`` in operator norm.
     """
-    if f.shape[0] != g.shape[0]:
+    u, s, vh = np.linalg.svd(a)
+    s = np.where(s > a.shape[-1] * np.finfo(float).eps * s[..., :1], s, 0.0)
+    k = int(np.count_nonzero(s, axis=-1).max(initial=0))
+    return u[..., :k] * s[..., None, :k], vh[..., :k, :]
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    # relative to the entries' scale (at least 1), so that the rounding of a
+    # computed middle such as R rho R^dag is never taken for a violation
+    mh = m.conj().swapaxes(-1, -2)
+    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
+    if np.max(np.abs(m - mh), initial=0.0) > VALIDATION_TOL * scale:
+        raise ValidationError("factored trace distance requires hermitian middle matrices")
+    return (m + mh) / 2
+
+
+def factored_trace_distance(f: np.ndarray, mf: np.ndarray,
+                            g: np.ndarray, mg: np.ndarray) -> np.ndarray | np.floating:
+    """(1/2) ||F Mf F^dag - G Mg G^dag||_1 without forming either operand.
+
+    ``Mf`` and ``Mg`` are hermitian (indefinite is fine; an asymmetry beyond
+    ``VALIDATION_TOL`` times their largest entry, or 1, is refused).  All four arguments
+    may be stacks with shared leading axes (the middles may also be single
+    matrices, broadcast over the stack); the result has the stack's shape,
+    a float for single operands.  With ``[F G] = QR`` the difference is
+    ``Q (R D R^dag) Q^dag`` for ``D = blockdiag(Mf, -Mg)``.  Q has orthonormal
+    columns, so the nonzero eigenvalues of the difference are those of the
+    small hermitian ``R D R^dag``, whose side is at most the summed widths
+    of F and G.
+    """
+    a, b = f.shape[-1], g.shape[-1]
+    if f.shape[:-1] != g.shape[:-1]:
         raise DimensionMismatchError("factors have different row counts")
-    r = np.linalg.qr(np.hstack([f, g]), mode="r")
-    m = (r * np.concatenate([sf, -sg])) @ r.conj().T
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    if mf.shape[-2:] != (a, a) or mg.shape[-2:] != (b, b):
+        raise DimensionMismatchError("middle matrices do not match their factors' widths")
+    d = np.zeros(np.broadcast_shapes(f.shape[:-2], mf.shape[:-2], mg.shape[:-2])
+                 + (a + b, a + b), dtype=complex)
+    d[..., :a, :a] = _hermitian_part(mf)
+    d[..., a:, a:] = -_hermitian_part(mg)
+    r = np.linalg.qr(np.concatenate([f, g], axis=-1), mode="r")
+    lam = np.linalg.eigvalsh(r @ d @ r.conj().swapaxes(-1, -2))
+    return 0.5 * np.sum(np.abs(lam), axis=-1)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -147,12 +199,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
+    """Parse the literal of :func:`matrix_to_json`.
+
+    ``rows`` and ``cols`` must be plain ints of at least 1 and each entry a
+    list of exactly two plain ints or floats; bools, strings and anything
+    else are refused with ``ValidationError``, never coerced.
+    """
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
-        entries = d["entries"]
+        rows, cols, entries = d["rows"], d["cols"], d["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad matrix literal: {exc}") from exc
-    if len(entries) != rows * cols:
-        raise ValidationError(f"matrix literal has {len(entries)} entries, expected {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(rows, cols)
+    for name, n in (("rows", rows), ("cols", cols)):
+        if type(n) is not int or n < 1:
+            raise ValidationError(f"matrix {name} {n!r} is not a positive integer")
+    if type(entries) is not list or len(entries) != rows * cols:
+        raise ValidationError(f"matrix literal needs a list of {rows * cols} entries")
+    for e in entries:
+        if type(e) is not list or len(e) != 2 or any(type(x) not in (int, float) for x in e):
+            raise ValidationError(f"matrix entry {e!r} is not a pair of numbers")
+    try:
+        flat = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise ValidationError(f"matrix entry out of range: {exc}") from exc
+    return flat.view(complex).reshape(rows, cols)

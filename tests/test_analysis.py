@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
-from bellcert.device import (MARGINALS, OUTCOME_PAIRS, from_honest, marginal_observables, sigma,
-                             sigma_partial, validate)
-from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, signed_factor,
-                             tensor, trace_distance)
+from bellcert.device import (MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, from_honest,
+                             marginal_observables, sigma, sigma_partial, validate)
+from bellcert.errors import ValidationError
+from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, rank_factor,
+                             signed_factor, state_dep_norm_sq, tensor, trace_distance)
 from conftest import (commutation_norms, embed_device, gamma_b, gamma_t,
                       interferometric_norm_estimate, interferometric_pass_prob, random_density,
-                      random_observable_set, random_unitary)
+                      random_measurement, random_observable_set, random_unitary)
 
 
 def test_gammas_zero_for_noiseless_honest():
@@ -66,7 +67,6 @@ def test_residuals_vanish_for_honest():
 
 
 def test_comm_residual_rejects_unknown_pair():
-    from bellcert.errors import ValidationError
     with pytest.raises(ValidationError):
         dev = from_honest(0.0)
         analysis.comm_residual(dev, "z1_z2", 0, 0, marginal_observables(dev))
@@ -122,6 +122,24 @@ def test_pauli_rounding_zero_for_honest():
                            "z1*z2", "x1*x2", "zt1*xt2", "xt1*zt2"}
     for name, value in report.items():
         assert value == pytest.approx(0.0, abs=1e-10), name
+
+
+def _kronecker_pauli_rounding(device, obs):
+    """``analysis.pauli_rounding_report`` from the full (4d x 4d) operands
+    ``P x 1`` and ``V O V^dag``: the form the report took before it applied
+    the Paulis to V's blocks."""
+    v = analysis.swap_isometry(obs)
+    eyed = np.eye(device.dim)
+    state = sigma(device, 1, 1)
+    pushed = v @ state @ v.conj().T
+    out = {}
+    for name, pauli in analysis._TARGETS.items():
+        out[name] = state_dep_norm_sq(v.conj().T @ tensor(pauli, eyed) @ v - obs[name], state)
+    for n1, n2 in analysis._PRODUCTS:
+        conj = v @ (obs[n1] @ obs[n2]) @ v.conj().T
+        pauli = analysis._TARGETS[n1] @ analysis._TARGETS[n2]
+        out[f"{n1}*{n2}"] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
+    return out
 
 
 def test_bell_report_honest():
@@ -195,12 +213,34 @@ def _negative_weight_device():
     return dev
 
 
+def _random_measurement_device(rng):
+    """An embedded honest device whose measurements are random four-outcome
+    projective ones: the outcome ranks differ, and some may be empty."""
+    dev = embed_device(from_honest(0.2), 3, rng)
+    for q in QUESTION_PAIRS:
+        dev.measurements[q] = random_measurement(dev.dim, rng)
+    return dev
+
+
+def _non_hermitian_projector_device(rng):
+    """An embedded honest device one of whose "projectors" is perturbed by a
+    non-hermitian matrix of full rank; ``validate`` reports it."""
+    dev = embed_device(from_honest(0.1), 2, rng)
+    g = rng.standard_normal((dev.dim, dev.dim)) + 1j * rng.standard_normal((dev.dim, dev.dim))
+    dev.measurements[(0, 1)][(1, 0)] = dev.measurements[(0, 1)][(1, 0)] + 0.05 * g
+    return dev
+
+
 def _dense_reference_devices():
     rng = np.random.default_rng(7007)
     devices = [pytest.param(from_honest(p), id=f"honest-{p}") for p in (0.0, 0.1, 0.2, 0.3)]
     devices += [pytest.param(embed_device(from_honest(p), k, rng), id=f"embedded-{p}-{k}")
                 for p, k in ((0.2, 2), (0.05, 3), (0.3, 4))]
-    return devices + [pytest.param(_negative_weight_device(), id="negative_weight")]
+    devices += [pytest.param(_negative_weight_device(), id="negative_weight"),
+                pytest.param(_random_measurement_device(rng), id="random_measurement"),
+                pytest.param(_non_hermitian_projector_device(rng), id="non_hermitian_projector"),
+                pytest.param(embed_device(from_honest(0.2), 6, rng), id="embedded-0.2-6")]
+    return devices
 
 
 @pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])
@@ -212,6 +252,22 @@ def test_embedded_junk_factor_width(rng, p, junk_dim):
         assert signed_factor(case.xi)[0].shape == (dev.dim, junk_dim)
 
 
+@pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])
+def test_embedded_projector_factor_width(rng, p, junk_dim):
+    """Each honest projector is rank one on the device's 4 dimensions, so
+    an embedded device's projectors factor ``junk_dim`` wide, not ``dim``."""
+    dev = embed_device(from_honest(p), junk_dim, rng)
+    projs = np.array([proj for meas in dev.measurements.values() for proj in meas.values()])
+    left, right = rank_factor(projs)
+    assert left.shape == (16, dev.dim, junk_dim)
+    assert right.shape == (16, junk_dim, dev.dim)
+
+
+def test_non_hermitian_projector_device_is_reported_invalid(rng):
+    dev = _non_hermitian_projector_device(rng)
+    assert [v.name for v in validate(dev)][0] == "measurements[(0, 1)][(1, 0)] projector"
+
+
 @pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_bell_report_matches_dense_reference(dev):
     reports = analysis.bell_report(dev, marginal_observables(dev))
@@ -220,6 +276,16 @@ def test_bell_report_matches_dense_reference(dev):
         assert list(case.measurement_distances) == list(meas_dist)
         for key, value in meas_dist.items():
             assert case.measurement_distances[key] == pytest.approx(value, abs=1e-12), key
+
+
+@pytest.mark.parametrize("dev", _dense_reference_devices())
+def test_pauli_rounding_matches_kronecker_reference(dev):
+    obs = marginal_observables(dev)
+    got = analysis.pauli_rounding_report(dev, obs)
+    want = _kronecker_pauli_rounding(dev, obs)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, abs=1e-12), key
 
 
 def test_negative_weight_device_is_reported_invalid():
@@ -284,6 +350,34 @@ def test_interferometric_estimate_within_range(seed, shots):
     est, err = interferometric_norm_estimate(u1, u2, psi, shots, r)
     assert 0.0 <= est <= 4.0
     assert err > 0.0
+
+
+def test_analyze_refuses_infinite_violations():
+    """A non-finite weight and a missing basis leave nothing to measure:
+    ``analyze`` names both instead of failing later in the arithmetic."""
+    dev = from_honest(0.1)
+    dev.branches[(1, 1)][2].weight = float("nan")
+    del dev.branches[(0, 1)]
+    with pytest.raises(ValidationError) as info:
+        analysis.analyze(dev)
+    assert "branch (1, 1)/(1, 0) weight" in str(info.value)
+    assert "branches[(0, 1)] missing" in str(info.value)
+
+
+def test_analyze_refuses_overflowing_device():
+    """Finite entries of 1e100 in a projector overflow the products of the
+    report; ``analyze`` refuses the device instead of reporting inf."""
+    dev = from_honest(0.1)
+    dev.measurements[(0, 0)][(0, 0)] = dev.measurements[(0, 0)][(0, 0)] + 1e100 * np.eye(4)
+    assert all(np.isfinite(v.magnitude) for v in validate(dev))
+    with pytest.raises(ValidationError, match="overflow"):
+        analysis.analyze(dev)
+
+
+def test_analyze_reports_finite_violations():
+    report = analysis.analyze(_negative_weight_device())
+    assert "branch (1, 1)/(0, 1) weight" in [v.name for v in report.violations]
+    assert all(np.isfinite(v.magnitude) for v in report.violations)
 
 
 def test_analysis_report_serialization(tmp_path):

@@ -69,6 +69,19 @@ def test_analyze_corrupt_file_is_config_error(tmp_path):
     assert cli.main(["analyze", str(bad)]) == 2
 
 
+def test_analyze_names_non_finite_weight(tmp_path, capsys):
+    """A NaN weight is refused as a usage error that names the branch."""
+    dev = tmp_path / "dev.json"
+    assert cli.main(["gen-device", "--noise", "0.1", "--out", str(dev)]) == 0
+    blob = json.loads(dev.read_text())
+    blob["branches"]["11"][1]["weight"] = float("nan")
+    dev.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert cli.main(["analyze", str(dev)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "branch (1, 1)/(0, 1) weight" in err
+
+
 def test_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--grid", "0,0.2", "--sessions", "400",

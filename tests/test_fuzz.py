@@ -1,7 +1,8 @@
 """Hostile input: whatever a peer sends, only a BellcertError may escape.
 
 ``LineChannel.recv`` only frames and parses JSON, so ``protocol.respond``
-alone must refuse every message that is not the current phase's.
+alone must refuse every message that is not the current phase's.  A device
+file is hostile input too: loading and analysing it may only refuse it.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import socket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellcert import entcf, net, protocol, provers
+from bellcert import analysis, device, entcf, net, protocol, provers
 from bellcert.errors import BellcertError, MalformedMessageError
 from bellcert.harness import role_rng
 from bellcert.protocol import Flag
@@ -109,4 +110,19 @@ def test_decode_keys_raises_only_malformed(params, data):
     try:
         provers._decode_keys(payload)
     except MalformedMessageError:
+        pass
+
+
+HONEST_DEVICE = device.device_to_json(device.from_honest(0.1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_device_file_raises_only_bellcert_errors(data):
+    """Whatever a device file holds, ``device_from_json`` and ``analyze``
+    either report on it or raise a BellcertError."""
+    blob = data.draw(st.fixed_dictionaries({k: _near_value(v) for k, v in HONEST_DEVICE.items()}))
+    try:
+        analysis.analyze(device.device_from_json(json.loads(json.dumps(blob))))
+    except BellcertError:
         pass

@@ -80,7 +80,28 @@ def test_factored_trace_distance_matches_dense(rng, rows, wf, wg, kf, kg):
         f, g = _ginibre(rows, wf, rng), _ginibre(rows, wg, rng)
         sf, sg = _signs(wf, kf, rng), _signs(wg, kg, rng)
         dense = linalg.trace_distance((f * sf) @ f.conj().T, (g * sg) @ g.conj().T)
-        assert linalg.factored_trace_distance(f, sf, g, sg) == pytest.approx(dense, abs=1e-12)
+        assert linalg.factored_trace_distance(f, np.diag(sf), g, np.diag(sg)) == \
+            pytest.approx(dense, abs=1e-12)
+
+
+def _hermitian(width: int, rng: np.random.Generator) -> np.ndarray:
+    h = _ginibre(width, width, rng)
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("rows,wf,wg", [(12, 3, 2), (12, 6, 6), (6, 6, 6), (6, 0, 4), (6, 4, 0)])
+def test_factored_trace_distance_stacked_hermitian_middles(rng, rows, wf, wg):
+    """Full hermitian middles, stacked operands and a middle broadcast over
+    the stack give each entry's dense trace distance."""
+    f = np.stack([_ginibre(rows, wf, rng) for _ in range(5)])
+    g = np.stack([_ginibre(rows, wg, rng) for _ in range(5)])
+    mf = np.stack([_hermitian(wf, rng) for _ in range(5)])
+    mg = _hermitian(wg, rng)
+    got = linalg.factored_trace_distance(f, mf, g, mg)
+    assert got.shape == (5,)
+    for i in range(5):
+        dense = linalg.trace_distance(f[i] @ mf[i] @ f[i].conj().T, g[i] @ mg @ g[i].conj().T)
+        assert got[i] == pytest.approx(dense, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim,rank_a,rank_b", [(8, 8, 8), (8, 3, 5), (8, 0, 2)])
@@ -95,7 +116,7 @@ def test_signed_factor_reproduces_hermitian_operand(rng, dim, rank_a, rank_b):
         (wa, sa), (wb, sb) = linalg.signed_factor(a), linalg.signed_factor(b)
         assert np.max(np.abs((wa * sa) @ wa.conj().T - a)) < 1e-12
         assert np.max(np.abs((wb * sb) @ wb.conj().T - b)) < 1e-12
-        assert linalg.factored_trace_distance(wa, sa, wb, sb) == \
+        assert linalg.factored_trace_distance(wa, np.diag(sa), wb, np.diag(sb)) == \
             pytest.approx(linalg.trace_distance(a, b), abs=1e-12)
 
 
@@ -121,7 +142,37 @@ def test_signed_factor_rejects_non_hermitian():
 
 def test_factored_trace_distance_rejects_row_mismatch():
     with pytest.raises(DimensionMismatchError):
-        linalg.factored_trace_distance(np.eye(3), np.ones(3), np.eye(2), np.ones(2))
+        linalg.factored_trace_distance(np.eye(3), np.eye(3), np.eye(2), np.eye(2))
+
+
+def test_factored_trace_distance_rejects_bad_middles():
+    with pytest.raises(DimensionMismatchError):
+        linalg.factored_trace_distance(np.eye(3), np.eye(2), np.eye(3), np.eye(3))
+    with pytest.raises(ValidationError):
+        linalg.factored_trace_distance(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                       np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("ranks", [(3, 3, 3), (0, 2, 5), (0, 0, 0), (8, 1, 4)])
+@pytest.mark.parametrize("kind", ["projector", "general"])
+def test_rank_factor_width_is_widest_rank(rng, ranks, kind):
+    """Each matrix of a stack is rebuilt from its factors, which are as wide
+    as the stack's largest rank; a narrower matrix, a zero one included,
+    gets only zero columns in ``L``."""
+    mats = []
+    for rank in ranks:
+        c = _ginibre(8, rank, rng)
+        if kind == "projector":
+            q = np.linalg.qr(c)[0] if rank else c
+            mats.append(q @ q.conj().T)
+        else:
+            mats.append(c @ _ginibre(rank, 8, rng))
+    a = np.array(mats)
+    left, right = linalg.rank_factor(a)
+    assert left.shape == (3, 8, max(ranks)) and right.shape == (3, max(ranks), 8)
+    for i, rank in enumerate(ranks):
+        assert np.max(np.abs(left[i] @ right[i] - a[i]), initial=0.0) < 1e-12
+        assert not np.any(left[i][:, rank:])
 
 
 def test_matrix_json_roundtrip(rng):
@@ -146,6 +197,38 @@ def test_matrix_json_matches_entry_loop(m):
 def test_matrix_json_rejects_bad_entry_count():
     with pytest.raises(ValidationError):
         linalg.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+
+_GOOD_ENTRIES = [[1, 0.0], [0.0, 0], [0.5, -2.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("literal", [
+    {"rows": 4.9, "cols": 1, "entries": _GOOD_ENTRIES},
+    {"rows": 2, "cols": "2", "entries": _GOOD_ENTRIES},
+    {"rows": True, "cols": 4, "entries": _GOOD_ENTRIES},
+    {"rows": 0, "cols": 0, "entries": []},
+    {"rows": -2, "cols": -2, "entries": _GOOD_ENTRIES},
+    {"rows": 2, "cols": 2, "entries": [[True, 0]] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [["1", 0]] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [[1.0]] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [[1.0, 0.0, 0.0]] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [None] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [{"re": 1, "im": 0}] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": [[10 ** 400, 0]] + _GOOD_ENTRIES[1:]},
+    {"rows": 2, "cols": 2, "entries": "abcd"},
+    {"rows": 2, "cols": 2},
+    [2, 2, _GOOD_ENTRIES],
+], ids=["float_rows", "string_cols", "bool_rows", "zero_size", "negative_size",
+        "bool_entry", "string_entry", "short_entry", "long_entry", "null_entry",
+        "dict_entry", "huge_int_entry", "string_entries", "no_entries", "not_a_dict"])
+def test_matrix_json_refuses_non_canonical_literals(literal):
+    with pytest.raises(ValidationError):
+        linalg.matrix_from_json(literal)
+
+
+def test_matrix_json_takes_plain_ints():
+    m = linalg.matrix_from_json({"rows": 2, "cols": 2, "entries": _GOOD_ENTRIES})
+    assert np.array_equal(m, np.array([[1, 0], [0.5 - 2j, 1]]))
 
 
 @settings(max_examples=50, deadline=None)
