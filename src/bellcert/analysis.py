@@ -10,6 +10,15 @@ Given a :class:`~bellcert.device.Device` this module computes:
   against ideal two-qubit Paulis, and the closeness of the conjugated
   cross-basis branches to shifted Bell states (the certification report).
 
+:func:`analyze` builds each input once: the marginals, the stack of the four
+full states ``sigma(theta)``, each basis's four partial states (in the
+pass tuples and the Bell report) and the swap isometry, which the Pauli and
+Bell reports share with ``sigma(1, 1)``.  Outside :func:`bell_report` every
+quantity is one stacked numpy pass: each (anti)commutator is formed once
+and traced against all four full states in one contraction, a pass-tuple
+row's four traces are one contraction, and the twelve Pauli residuals are
+two stacked :func:`~bellcert.linalg.state_dep_norm_sq` calls.
+
 All quantities are exact up to floating point: traces of small matrices,
 and trace distances taken from low-rank factors of their operands through
 one small eigensolve each (see :func:`bell_report`).  The factors keep only
@@ -22,17 +31,18 @@ d = 24).
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (MARGINALS, OUTCOME_PAIRS, Device, marginal_observables,
-                     sigma, sigma_partial, validate)
+from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, Device,
+                     marginal_observables, sigma, sigma_partial, validate)
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
                      factored_trace_distance, matrix_to_json, outcome_vec,
-                     projector_of, rank_factor, signed_factor, state_dep_norm_sq,
-                     tensor)
+                     rank_factor, signed_factor, state_dep_norm_sq, tensor,
+                     trace_prod)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -42,6 +52,11 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
+# (-1)^v for the bit v in slot 0 (row 0) and slot 1 (row 1) of each label
+# of OUTCOME_PAIRS
+_LABEL_SIGNS = np.array([[(-1.0) ** label[slot] for label in OUTCOME_PAIRS] for slot in (0, 1)])
+
+
 def _pass_probs(device: Device, obs: dict[str, np.ndarray], kind: Flag) -> dict[str, float]:
     """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
 
@@ -49,19 +64,21 @@ def _pass_probs(device: Device, obs: dict[str, np.ndarray], kind: Flag) -> dict[
     named marginals of a cross-parity row; each entry sums, over the four
     branch labels of the row's basis, the probability that the observable
     reproduces the label bit of the row's slot on the matching
-    subnormalized state.
+    subnormalized state.  Each basis's four partial states are built once,
+    and a row's four traces are one contraction of the stacked projectors
+    ``(1 +/- O)/2`` against them.
     """
+    rows = [row for row in CHECKS if row.fail_flag is kind]
+    parts = {basis: np.array([sigma_partial(device, basis[0], v1, basis[1], v2)
+                              for v1, v2 in OUTCOME_PAIRS])
+             for basis in dict.fromkeys(row.basis for row in rows)}
+    eye = np.eye(device.dim)
     out = {}
-    for row in CHECKS:
-        if row.fail_flag is not kind:
-            continue
+    for row in rows:
         factors = [obs[name] for name in row.bucket.split("_")]
         o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
-        total = 0.0
-        for label in OUTCOME_PAIRS:
-            part = sigma_partial(device, row.basis[0], label[0], row.basis[1], label[1])
-            total += float(np.real(np.trace(projector_of(o, label[row.slot]) @ part)))
-        out[row.bucket] = total
+        projs = (eye + _LABEL_SIGNS[row.slot][:, None, None] * o) / 2.0
+        out[row.bucket] = float(trace_prod(projs, parts[row.basis]).real.sum())
     return out
 
 
@@ -79,20 +96,34 @@ def bell_tuple(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
 # commutation residuals
 # ---------------------------------------------------------------------------
 
-def anticomm_residual(device: Device, leg: int, theta1: int, theta2: int,
-                      obs: dict[str, np.ndarray]) -> float:
-    """||{Z_leg, X_leg}||^2 on the full state of one basis pair (leg 0 or 1)."""
+COMM_PAIRS = ("z1_x2", "z2_x1")
+
+
+def _on_bases(a: np.ndarray, states: np.ndarray) -> dict[tuple[int, int], float]:
+    """Tr[A^dag A sigma] on each basis pair's full state, as one contraction
+    against the stack ``states`` (in ``BASIS_PAIRS`` order); clamped at 0
+    like :func:`~bellcert.linalg.state_dep_norm_sq`."""
+    vals = np.maximum(trace_prod(a.conj().T @ a, states).real, 0.0)
+    return dict(zip(BASIS_PAIRS, vals.tolist()))
+
+
+def anticomm_residual(states: np.ndarray, leg: int,
+                      obs: dict[str, np.ndarray]) -> dict[tuple[int, int], float]:
+    """||{Z_leg, X_leg}||^2 (leg 0 or 1) on the full state of each basis
+    pair, keyed by the pair; ``states`` stacks ``sigma`` in ``BASIS_PAIRS``
+    order."""
     z, x = obs[f"z{leg + 1}"], obs[f"x{leg + 1}"]
-    return state_dep_norm_sq(z @ x + x @ z, sigma(device, theta1, theta2))
+    return _on_bases(z @ x + x @ z, states)
 
 
-def comm_residual(device: Device, pair: str, theta1: int, theta2: int,
-                  obs: dict[str, np.ndarray]) -> float:
-    """||[A, B]||^2 for the cross-leg pairs 'z1_x2' and 'z2_x1'."""
-    if pair not in ("z1_x2", "z2_x1"):
+def comm_residual(states: np.ndarray, pair: str,
+                  obs: dict[str, np.ndarray]) -> dict[tuple[int, int], float]:
+    """||[A, B]||^2 for a cross-leg pair of :data:`COMM_PAIRS` on the full
+    state of each basis pair, as :func:`anticomm_residual`."""
+    if pair not in COMM_PAIRS:
         raise ValidationError(f"unknown observable pair {pair!r}")
     a, b = (obs[name] for name in pair.split("_"))
-    return state_dep_norm_sq(a @ b - b @ a, sigma(device, theta1, theta2))
+    return _on_bases(a @ b - b @ a, states)
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +164,53 @@ _TARGETS = {name: _target(name) for name in MARGINALS}
 _PRODUCTS = (("z1", "z2"), ("x1", "x2"), ("zt1", "xt2"), ("xt1", "zt2"))
 
 
-def pauli_rounding_report(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
+def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
+                          state: np.ndarray) -> dict[str, float]:
     """Residuals of the swap-rounded observables against two-qubit Paulis.
 
-    Single-observable entries measure ``||V^dag (P x 1) V - O||^2`` on the
-    all-claw-free basis state; product entries measure the conjugated form
-    ``||V O V^dag - (P x 1)||^2`` on the pushed-forward state, taken as
-    ``||V O V^dag V - (P x 1) V||^2`` on the state itself, which is the same
-    number with no isometry assumed.  ``(P x 1) V`` is the 4x4 Pauli applied
-    to V's four ancilla blocks, so no 4d x 4d operand is formed.
+    ``v`` is :func:`swap_isometry` of ``obs`` and ``state`` the all-claw-free
+    basis state ``sigma(1, 1)``.  Single-observable entries measure
+    ``||V^dag (P x 1) V - O||^2`` on that state; product entries measure the
+    conjugated form ``||V O V^dag - (P x 1)||^2`` on the pushed-forward
+    state, taken as ``||V O V^dag V - (P x 1) V||^2`` on the state itself,
+    which is the same number with no isometry assumed.  ``(P x 1) V`` is the
+    4x4 Pauli applied to V's four ancilla blocks, so no 4d x 4d operand is
+    formed.  The eight single and four product residuals are two stacked
+    calls of :func:`~bellcert.linalg.state_dep_norm_sq`.
     """
-    v = swap_isometry(obs)
-    d = device.dim
-    gram = v.conj().T @ v
-    state = sigma(device, 1, 1)
+    d = v.shape[1]
 
-    def on_v(pauli: np.ndarray) -> np.ndarray:
+    def on_v(paulis: np.ndarray) -> np.ndarray:
         # V's rows are indexed (ancilla, system), so P x 1 acts on the blocks
-        return (pauli @ v.reshape(4, d * d)).reshape(4 * d, d)
+        return (paulis @ v.reshape(4, d * d)).reshape(len(paulis), 4 * d, d)
 
-    out: dict[str, float] = {}
-    for name, pauli in _TARGETS.items():
-        out[name] = state_dep_norm_sq(v.conj().T @ on_v(pauli) - obs[name], state)
-    for n1, n2 in _PRODUCTS:
-        y = v @ (obs[n1] @ obs[n2] @ gram) - on_v(_TARGETS[n1] @ _TARGETS[n2])
-        out[f"{n1}*{n2}"] = state_dep_norm_sq(y, state)
-    return out
+    singles = (v.conj().T @ on_v(np.array(list(_TARGETS.values())))
+               - np.array([obs[n] for n in _TARGETS]))
+    products = np.array([obs[n1] @ obs[n2] for n1, n2 in _PRODUCTS])
+    y = (v @ (products @ (v.conj().T @ v))
+         - on_v(np.array([_TARGETS[n1] @ _TARGETS[n2] for n1, n2 in _PRODUCTS])))
+    names = list(_TARGETS) + [f"{n1}*{n2}" for n1, n2 in _PRODUCTS]
+    vals = np.concatenate([state_dep_norm_sq(singles, state), state_dep_norm_sq(y, state)])
+    return dict(zip(names, vals.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # certification report
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _bell_vectors() -> tuple[dict, dict]:
+    """The ancilla vector u (x) u' of each question pair (q1, q2) and
+    outcome (a, b), and the shifted Bell state of each cross-parity label.
+    Built on the first Bell report rather than at import, and read-only,
+    since every report shares them."""
+    anc = {(q1, q2, a, b): np.kron(outcome_vec(q1, a), outcome_vec(q2, b))
+           for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS}
+    phis = {label: bell_state(*label) for label in OUTCOME_PAIRS}
+    for vec in (*anc.values(), *phis.values()):
+        vec.flags.writeable = False
+    return anc, phis
+
 
 @dataclass
 class BellCaseReport:
@@ -181,10 +228,12 @@ class BellCaseReport:
                 "xi": matrix_to_json(self.xi), "degenerate": self.degenerate}
 
 
-def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseReport]:
+def bell_report(device: Device, v: np.ndarray, state: np.ndarray) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
-    comparison after every question/outcome measurement update.
+    comparison after every question/outcome measurement update.  ``v`` is
+    the :func:`swap_isometry` of the device's marginals and ``state`` its
+    full state ``sigma(1, 1)``.
 
     Each distance is ``(1/2) ||V P part P^dag V^dag - (1/4) (pi phi)(pi phi)^dag
     (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance.  Both
@@ -207,14 +256,14 @@ def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseRepo
     below 1e-13 for a valid device at d = 24 (``||V|| = ||P_o|| = 1``, both
     operands of unit trace at most).
     """
-    v = swap_isometry(obs)
     d = device.dim
-    full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
+    full = v @ state @ v.conj().T  # on C4 (x) C^d
+    anc_of, phi_of = _bell_vectors()
     names, anc, projs = [], [], []  # per measurement update
     for (q1, q2), meas in device.measurements.items():
         for (a, b), proj in meas.items():
             names.append(f"q{q1}{q2}_v{a}{b}")
-            anc.append(np.kron(outcome_vec(q1, a), outcome_vec(q2, b)))
+            anc.append(anc_of[q1, q2, a, b])
             projs.append(proj)
     anc = np.array(anc)
     left, right = rank_factor(np.array(projs, dtype=complex))
@@ -223,7 +272,7 @@ def bell_report(device: Device, obs: dict[str, np.ndarray]) -> list[BellCaseRepo
 
     reports = []
     for s1, s2 in OUTCOME_PAIRS:
-        phi = bell_state(s1, s2)
+        phi = phi_of[s1, s2]
         # contract the ancilla against phi to extract the junk state
         t = full.reshape(4, d, 4, d)
         m = np.einsum("i,ijkl,k->jl", phi.conj(), t, phi)
@@ -319,13 +368,11 @@ def _analyze(device: Device) -> AnalysisReport:
     if fatal:
         raise ValidationError("device cannot be analyzed: " + "; ".join(fatal))
     obs = marginal_observables(device)
-    anticomm = {}
-    comm = {}
-    for t1, t2 in OUTCOME_PAIRS:
-        anticomm[f"leg1@{t1}{t2}"] = anticomm_residual(device, 0, t1, t2, obs)
-        anticomm[f"leg2@{t1}{t2}"] = anticomm_residual(device, 1, t1, t2, obs)
-        comm[f"z1_x2@{t1}{t2}"] = comm_residual(device, "z1_x2", t1, t2, obs)
-        comm[f"z2_x1@{t1}{t2}"] = comm_residual(device, "z2_x1", t1, t2, obs)
+    states = np.array([sigma(device, *basis) for basis in BASIS_PAIRS])
+    legs = [anticomm_residual(states, leg, obs) for leg in (0, 1)]
+    pairs = {pair: comm_residual(states, pair, obs) for pair in COMM_PAIRS}
+    v = swap_isometry(obs)
+    state = states[BASIS_PAIRS.index((1, 1))]
     test_entries = test_tuple(device, obs)
     bell_entries = bell_tuple(device, obs)
     return AnalysisReport(
@@ -333,7 +380,10 @@ def _analyze(device: Device) -> AnalysisReport:
         gamma_b=1.0 - min(bell_entries.values()),
         test_entries=test_entries,
         bell_entries=bell_entries,
-        anticomm=anticomm, comm=comm,
-        pauli_rounding=pauli_rounding_report(device, obs),
-        bell_cases=bell_report(device, obs),
+        anticomm={f"leg{leg + 1}@{t1}{t2}": legs[leg][t1, t2]
+                  for t1, t2 in BASIS_PAIRS for leg in (0, 1)},
+        comm={f"{pair}@{t1}{t2}": res[t1, t2]
+              for t1, t2 in BASIS_PAIRS for pair, res in pairs.items()},
+        pauli_rounding=pauli_rounding_report(obs, v, state),
+        bell_cases=bell_report(device, v, state),
         violations=violations)

@@ -4,7 +4,10 @@ A device specifies, for each basis pair, an ensemble of labelled states
 (the post-commitment branches, labelled by the answers a sound prover
 would give), plus one four-outcome projective measurement per question
 pair.  The analysis layer turns these into marginal binary observables
-and the various closeness diagnostics.
+and the various closeness diagnostics.  :func:`validate` checks a device's
+structure before any of that: each matrix's shape and finiteness first,
+one at a time, then the remaining laws as stacked passes over all branch
+states and all projectors.
 """
 from __future__ import annotations
 
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, as_operator,
-                     bell_state, matrix_from_json, matrix_to_json,
-                     outcome_vec, projector_of, tensor)
+from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, bell_state, matrix_from_json,
+                     matrix_to_json, outcome_vec, projector_of, tensor)
 from .protocol import is_pair
 
 BASIS_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -30,6 +32,10 @@ MARGINALS = {
     "z1": ((0, 0), 0), "x1": ((1, 1), 0), "z2": ((0, 0), 1), "x2": ((1, 1), 1),
     "zt1": ((0, 1), 0), "xt1": ((1, 0), 0), "zt2": ((1, 0), 1), "xt2": ((0, 1), 1),
 }
+
+# indices into OUTCOME_PAIRS of the outcome pairs (a, b), a before b, whose
+# projectors must be orthogonal
+_ORTHO_A, _ORTHO_B = np.triu_indices(len(OUTCOME_PAIRS), 1)
 
 
 @dataclass
@@ -52,63 +58,111 @@ class Violation:
     magnitude: float
 
 
+def _matrix_fault(m: np.ndarray, dim: int) -> str | None:
+    """Why ``m`` cannot enter the arithmetic (a wrong shape, or a NaN or
+    infinite entry), or None; checked before any operation on it."""
+    if m.shape != (dim, dim):
+        return "dim"
+    if not np.isfinite(m).all():
+        return "finiteness"
+    return None
+
+
 def validate(device: Device) -> list[Violation]:
-    """Collect every structural violation beyond ``VALIDATION_TOL`` (empty = valid)."""
+    """Collect every structural violation beyond ``VALIDATION_TOL`` (empty = valid).
+
+    A state or projector of the wrong shape or with a non-finite entry is
+    an infinite ``dim`` or ``finiteness`` violation, found before any
+    arithmetic on it, and enters no further check.  The others are checked
+    as stacks: the branch states of all bases in one pass (hermiticity, one
+    ``eigvalsh`` for the lowest eigenvalues, trace), and the projectors of
+    all question pairs in one stacked ``P P`` and one batched product
+    ``P_a P_b`` for the orthogonality pairs.  Names and order are those of
+    a loop over one matrix at a time, and magnitudes equal up to rounding.
+    """
     out: list[Violation] = []
-    eye = np.eye(device.dim)
+    dim = device.dim
+    inf = float("inf")
+
+    # branch states: shape and finiteness first, then the stacked checks
+    states = [np.asarray(br.state, dtype=complex)
+              for basis in BASIS_PAIRS for br in device.branches.get(basis) or ()]
+    faults = [_matrix_fault(st, dim) for st in states]
+    good = np.array([st for st, f in zip(states, faults) if f is None]).reshape(-1, dim, dim)
+    herm = np.max(np.abs(good - good.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    low = np.linalg.eigvalsh(good).min(axis=-1, initial=inf)
+    tr_err = np.abs(np.trace(good, axis1=-2, axis2=-1).real - 1.0)
+    checked = iter(zip(herm.tolist(), low.tolist(), tr_err.tolist()))
+    fault_of = iter(faults)
     for basis in BASIS_PAIRS:
         branches = device.branches.get(basis)
         if not branches:
-            out.append(Violation(f"branches[{basis}] missing", float("inf")))
+            out.append(Violation(f"branches[{basis}] missing", inf))
             continue
         total = 0.0
         for br in branches:
             total += br.weight
+            name = f"branch {basis}/{br.label}"
             if tuple(br.label) not in OUTCOME_PAIRS:
-                out.append(Violation(f"branch {basis}/{br.label} label", float("inf")))
+                out.append(Violation(f"{name} label", inf))
             if not np.isfinite(br.weight):
-                out.append(Violation(f"branch {basis}/{br.label} weight", float("inf")))
+                out.append(Violation(f"{name} weight", inf))
             elif br.weight < -VALIDATION_TOL:
-                out.append(Violation(f"branch {basis}/{br.label} weight", -br.weight))
-            st = as_operator(br.state)
-            if st.shape != (device.dim, device.dim):
-                out.append(Violation(f"branch {basis}/{br.label} dim", float("inf")))
+                out.append(Violation(f"{name} weight", -br.weight))
+            fault = next(fault_of)
+            if fault is not None:
+                out.append(Violation(f"{name} {fault}", inf))
                 continue
-            herm = float(np.max(np.abs(st - st.conj().T)))
-            if herm > VALIDATION_TOL:
-                out.append(Violation(f"branch {basis}/{br.label} hermiticity", herm))
-            else:
-                low = float(np.linalg.eigvalsh(st).min())
-                if low < -VALIDATION_TOL:
-                    out.append(Violation(f"branch {basis}/{br.label} positivity", -low))
-            tr_err = abs(float(np.real(np.trace(st))) - 1.0)
-            if tr_err > VALIDATION_TOL:
-                out.append(Violation(f"branch {basis}/{br.label} trace", tr_err))
+            h, lo, t = next(checked)
+            if h > VALIDATION_TOL:
+                out.append(Violation(f"{name} hermiticity", h))
+            elif lo < -VALIDATION_TOL:
+                out.append(Violation(f"{name} positivity", -lo))
+            if t > VALIDATION_TOL:
+                out.append(Violation(f"{name} trace", t))
         if abs(total - 1.0) > VALIDATION_TOL:
             out.append(Violation(f"branches[{basis}] weight sum", abs(total - 1.0)))
+
+    # measurements: a question pair with a missing outcome, or with a
+    # projector of the wrong shape or with a non-finite entry, enters no
+    # stacked check
+    fatal, projs = {}, []
     for q in QUESTION_PAIRS:
         meas = device.measurements.get(q)
         if not meas or set(meas) != set(OUTCOME_PAIRS):
-            out.append(Violation(f"measurements[{q}] outcomes", float("inf")))
+            fatal[q] = [Violation(f"measurements[{q}] outcomes", inf)]
             continue
-        acc = np.zeros((device.dim, device.dim), dtype=complex)
-        for outcome, proj in meas.items():
-            proj = as_operator(proj)
-            idem = float(np.max(np.abs(proj @ proj - proj)))
-            herm = float(np.max(np.abs(proj - proj.conj().T)))
-            if max(idem, herm) > VALIDATION_TOL:
-                out.append(Violation(f"measurements[{q}][{outcome}] projector",
-                                     max(idem, herm)))
-            acc = acc + proj
-        comp = float(np.max(np.abs(acc - eye)))
-        if comp > VALIDATION_TOL:
-            out.append(Violation(f"measurements[{q}] completeness", comp))
-        for i, oa in enumerate(OUTCOME_PAIRS):
-            for ob in OUTCOME_PAIRS[i + 1:]:
-                ortho = float(np.max(np.abs(meas[oa] @ meas[ob])))
-                if ortho > VALIDATION_TOL:
-                    out.append(Violation(f"measurements[{q}] orthogonality "
-                                         f"{oa}/{ob}", ortho))
+        mats = [np.asarray(meas[o], dtype=complex) for o in OUTCOME_PAIRS]
+        fatal[q] = [Violation(f"measurements[{q}][{o}] {fault}", inf)
+                    for o, m in zip(OUTCOME_PAIRS, mats)
+                    if (fault := _matrix_fault(m, dim)) is not None]
+        if not fatal[q]:
+            projs.append(mats)
+    p = np.array(projs).reshape(-1, len(OUTCOME_PAIRS), dim, dim)
+    idem = np.max(np.abs(p @ p - p), axis=(-2, -1))
+    herm = np.max(np.abs(p - p.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    comp = np.max(np.abs(p.sum(axis=1) - np.eye(dim)), axis=(-2, -1))
+    ortho = np.max(np.abs(p[:, _ORTHO_A] @ p[:, _ORTHO_B]), axis=(-2, -1))
+    checked = iter(zip(np.maximum(idem, herm).tolist(), comp.tolist(), ortho.tolist()))
+    for q in QUESTION_PAIRS:
+        if fatal[q]:
+            out += fatal[q]
+            continue
+        proj_err, comp_err, ortho_err = next(checked)
+        for o in device.measurements[q]:
+            err = proj_err[OUTCOME_PAIRS.index(o)]
+            if err > VALIDATION_TOL:
+                out.append(Violation(f"measurements[{q}][{o}] projector", err))
+        if comp_err > VALIDATION_TOL:
+            out.append(Violation(f"measurements[{q}] completeness", comp_err))
+        for a, b, err in zip(_ORTHO_A, _ORTHO_B, ortho_err):
+            if err > VALIDATION_TOL:
+                out.append(Violation(f"measurements[{q}] orthogonality "
+                                     f"{OUTCOME_PAIRS[a]}/{OUTCOME_PAIRS[b]}", err))
+    # the Bell report updates on every measurement, and one keyed outside
+    # the question pairs has no outcome vectors to update with
+    out += [Violation(f"measurements[{q}] question", inf)
+            for q in device.measurements if q not in QUESTION_PAIRS]
     return out
 
 

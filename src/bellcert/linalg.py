@@ -1,6 +1,8 @@
 """Dense linear algebra for small quantum operators.
 
-Everything here works on plain complex numpy arrays.  Structural checks
+Everything here works on plain complex numpy arrays, and the trace and
+norm helpers (:func:`trace_prod`, :func:`state_dep_norm_sq`) take stacks of
+them with broadcast leading axes.  Structural checks
 (hermiticity, trace, projector/observable laws, here and in
 :func:`bellcert.device.validate`) use an absolute tolerance of
 ``VALIDATION_TOL``; quantities reported by the analysis layer are never
@@ -55,20 +57,35 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def state_dep_norm_sq(a: np.ndarray, psi: np.ndarray) -> float:
+def trace_prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr[A B] for each pair of a stack, broadcast over the leading axes.
+
+    Taken as the sum of the entrywise product of ``A`` and ``B^T``, so it
+    costs one pass over the entries and, unlike ``einsum``, raises under
+    ``np.errstate`` when the products overflow.
+    """
+    return np.sum(a * b.swapaxes(-1, -2), axis=(-2, -1))
+
+
+def state_dep_norm_sq(a: np.ndarray, psi: np.ndarray) -> np.ndarray | np.floating:
     """Squared state-dependent norm Tr[A^dag A psi] of an operator.
 
     ``A`` may map into a larger space (any row count, one column per
     dimension of ``psi``), as an operator composed with an isometry does.
-    ``psi`` may be subnormalized; only hermiticity/PSD of psi matter for
-    the usual inequalities, and we do not re-validate it here.
+    Both arguments may be stacks with leading axes that broadcast against
+    each other; the result has their broadcast shape, a float for single
+    operands.  ``psi`` may be subnormalized; only hermiticity/PSD of psi
+    matter for the usual inequalities, and we do not re-validate it here.
     """
-    a = _as_matrix(a)
-    psi = as_operator(psi)
-    if a.shape[1] != psi.shape[0]:
+    a = np.asarray(a, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if a.ndim < 2 or psi.ndim < 2 or psi.shape[-2] != psi.shape[-1] \
+            or a.shape[-1] != psi.shape[-2]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {psi.shape}")
-    val = float(np.real(np.trace(a.conj().T @ a @ psi)))
-    return max(val, 0.0)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(psi))):
+        raise ValidationError("matrix contains non-finite entries")
+    val = trace_prod(a.conj().swapaxes(-1, -2) @ a, psi).real
+    return np.maximum(val, 0.0)
 
 
 def projector_of(obs: np.ndarray, outcome: int) -> np.ndarray:

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from bellcert import analysis
-from bellcert.device import OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device, marginal_observables
+from bellcert.device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device,
+                             Violation, marginal_observables, sigma, sigma_partial)
 from bellcert.errors import DimensionMismatchError, ValidationError
-from bellcert.linalg import VALIDATION_TOL, as_operator
+from bellcert.linalg import (VALIDATION_TOL, as_operator, projector_of, state_dep_norm_sq,
+                             tensor)
+from bellcert.protocol import CHECKS
 
 # hypothesis imports this module to report a failing example; its import
 # raises a DeprecationWarning from a dependency, which the per-test "error"
@@ -131,6 +134,120 @@ def embed_device(dev: Device, junk_dim: int, rng: np.random.Generator) -> Device
     measurements = {q: {o: conj(np.kron(proj, np.eye(junk_dim))) for o, proj in meas.items()}
                     for q, meas in dev.measurements.items()}
     return Device(dim=dev.dim * junk_dim, branches=branches, measurements=measurements)
+
+
+# ---------------------------------------------------------------------------
+# dense references: the per-entry loops that the white-box code takes as stacks
+# ---------------------------------------------------------------------------
+
+def dense_validate(device: Device) -> list[Violation]:
+    """``device.validate`` as one loop over branches and projectors, one
+    matrix at a time.  For devices whose matrices all have the device's
+    shape and finite entries (``as_operator`` refuses the others)."""
+    out: list[Violation] = []
+    eye = np.eye(device.dim)
+    for basis in BASIS_PAIRS:
+        branches = device.branches.get(basis)
+        if not branches:
+            out.append(Violation(f"branches[{basis}] missing", float("inf")))
+            continue
+        total = 0.0
+        for br in branches:
+            total += br.weight
+            if tuple(br.label) not in OUTCOME_PAIRS:
+                out.append(Violation(f"branch {basis}/{br.label} label", float("inf")))
+            if not np.isfinite(br.weight):
+                out.append(Violation(f"branch {basis}/{br.label} weight", float("inf")))
+            elif br.weight < -VALIDATION_TOL:
+                out.append(Violation(f"branch {basis}/{br.label} weight", -br.weight))
+            st = as_operator(br.state)
+            if st.shape != (device.dim, device.dim):
+                out.append(Violation(f"branch {basis}/{br.label} dim", float("inf")))
+                continue
+            herm = float(np.max(np.abs(st - st.conj().T)))
+            if herm > VALIDATION_TOL:
+                out.append(Violation(f"branch {basis}/{br.label} hermiticity", herm))
+            else:
+                low = float(np.linalg.eigvalsh(st).min())
+                if low < -VALIDATION_TOL:
+                    out.append(Violation(f"branch {basis}/{br.label} positivity", -low))
+            tr_err = abs(float(np.real(np.trace(st))) - 1.0)
+            if tr_err > VALIDATION_TOL:
+                out.append(Violation(f"branch {basis}/{br.label} trace", tr_err))
+        if abs(total - 1.0) > VALIDATION_TOL:
+            out.append(Violation(f"branches[{basis}] weight sum", abs(total - 1.0)))
+    for q in QUESTION_PAIRS:
+        meas = device.measurements.get(q)
+        if not meas or set(meas) != set(OUTCOME_PAIRS):
+            out.append(Violation(f"measurements[{q}] outcomes", float("inf")))
+            continue
+        acc = np.zeros((device.dim, device.dim), dtype=complex)
+        for outcome, proj in meas.items():
+            proj = as_operator(proj)
+            idem = float(np.max(np.abs(proj @ proj - proj)))
+            herm = float(np.max(np.abs(proj - proj.conj().T)))
+            if max(idem, herm) > VALIDATION_TOL:
+                out.append(Violation(f"measurements[{q}][{outcome}] projector",
+                                     max(idem, herm)))
+            acc = acc + proj
+        comp = float(np.max(np.abs(acc - eye)))
+        if comp > VALIDATION_TOL:
+            out.append(Violation(f"measurements[{q}] completeness", comp))
+        for i, oa in enumerate(OUTCOME_PAIRS):
+            for ob in OUTCOME_PAIRS[i + 1:]:
+                ortho = float(np.max(np.abs(meas[oa] @ meas[ob])))
+                if ortho > VALIDATION_TOL:
+                    out.append(Violation(f"measurements[{q}] orthogonality "
+                                         f"{oa}/{ob}", ortho))
+    return out
+
+
+def dense_residuals(device: Device, obs: dict[str, np.ndarray]) -> tuple[dict, dict]:
+    """The anticommutator and commutator residuals of ``analysis.analyze``,
+    keyed as in its report, one ``sigma`` and one ``state_dep_norm_sq`` per
+    entry."""
+    anticomm, comm = {}, {}
+    for t1, t2 in BASIS_PAIRS:
+        for leg in (0, 1):
+            z, x = obs[f"z{leg + 1}"], obs[f"x{leg + 1}"]
+            anticomm[f"leg{leg + 1}@{t1}{t2}"] = state_dep_norm_sq(z @ x + x @ z,
+                                                                  sigma(device, t1, t2))
+        for pair in analysis.COMM_PAIRS:
+            a, b = (obs[name] for name in pair.split("_"))
+            comm[f"{pair}@{t1}{t2}"] = state_dep_norm_sq(a @ b - b @ a, sigma(device, t1, t2))
+    return anticomm, comm
+
+
+def dense_pass_probs(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
+    """Every pass-tuple entry of ``protocol.CHECKS``, one ``sigma_partial``,
+    ``projector_of`` and trace per row and branch label."""
+    out = {}
+    for row in CHECKS:
+        factors = [obs[name] for name in row.bucket.split("_")]
+        o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+        total = 0.0
+        for label in OUTCOME_PAIRS:
+            part = sigma_partial(device, row.basis[0], label[0], row.basis[1], label[1])
+            total += float(np.real(np.trace(projector_of(o, label[row.slot]) @ part)))
+        out[row.bucket] = total
+    return out
+
+
+def dense_pauli_rounding(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
+    """``analysis.pauli_rounding_report`` one entry at a time, from the full
+    (4d x 4d) operands ``P x 1`` and ``V O V^dag``."""
+    v = analysis.swap_isometry(obs)
+    eyed = np.eye(device.dim)
+    state = sigma(device, 1, 1)
+    pushed = v @ state @ v.conj().T
+    out = {}
+    for name, pauli in analysis._TARGETS.items():
+        out[name] = state_dep_norm_sq(v.conj().T @ tensor(pauli, eyed) @ v - obs[name], state)
+    for n1, n2 in analysis._PRODUCTS:
+        conj = v @ (obs[n1] @ obs[n2]) @ v.conj().T
+        pauli = analysis._TARGETS[n1] @ analysis._TARGETS[n2]
+        out[f"{n1}*{n2}"] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
+    return out
 
 
 def pytest_collection_modifyitems(config, items):

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
-from bellcert.device import (MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, from_honest,
-                             marginal_observables, sigma, sigma_partial, validate)
+from bellcert.device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS,
+                             from_honest, marginal_observables, sigma, sigma_partial,
+                             validate)
 from bellcert.errors import ValidationError
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, rank_factor,
-                             signed_factor, state_dep_norm_sq, tensor, trace_distance)
-from conftest import (commutation_norms, embed_device, gamma_b, gamma_t,
+                             signed_factor, tensor, trace_distance)
+from conftest import (commutation_norms, dense_pass_probs, dense_pauli_rounding,
+                      dense_residuals, dense_validate, embed_device, gamma_b, gamma_t,
                       interferometric_norm_estimate, interferometric_pass_prob, random_density,
                       random_measurement, random_observable_set, random_unitary)
 
@@ -54,22 +56,28 @@ def test_check_buckets_name_their_marginals():
             [(row.questions, leg) for leg in row.legs], row.bucket
 
 
+def _full_states(dev):
+    return np.array([sigma(dev, *basis) for basis in BASIS_PAIRS])
+
+
 def test_residuals_vanish_for_honest():
     dev = from_honest(0.4)
     obs = marginal_observables(dev)
-    for basis in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for leg in (0, 1):
-            assert analysis.anticomm_residual(dev, leg, *basis, obs) == \
-                pytest.approx(0.0, abs=1e-12)
-        for pair in ("z1_x2", "z2_x1"):
-            assert analysis.comm_residual(dev, pair, *basis, obs) == \
-                pytest.approx(0.0, abs=1e-12)
+    states = _full_states(dev)
+    for leg in (0, 1):
+        res = analysis.anticomm_residual(states, leg, obs)
+        assert list(res) == BASIS_PAIRS
+        assert max(res.values()) == pytest.approx(0.0, abs=1e-12)
+    for pair in ("z1_x2", "z2_x1"):
+        res = analysis.comm_residual(states, pair, obs)
+        assert list(res) == BASIS_PAIRS
+        assert max(res.values()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_comm_residual_rejects_unknown_pair():
+    dev = from_honest(0.0)
     with pytest.raises(ValidationError):
-        dev = from_honest(0.0)
-        analysis.comm_residual(dev, "z1_z2", 0, 0, marginal_observables(dev))
+        analysis.comm_residual(_full_states(dev), "z1_z2", marginal_observables(dev))
 
 
 def test_swap_isometry_is_isometry_for_random_observables(rng):
@@ -115,36 +123,28 @@ def test_swap_conjugation_identities_random_observables(rng):
                 assert np.max(np.abs(lhs - expected[name])) < 1e-10, name
 
 
+def _pauli_rounding(dev):
+    obs = marginal_observables(dev)
+    return analysis.pauli_rounding_report(obs, analysis.swap_isometry(obs), sigma(dev, 1, 1))
+
+
+def _bell_report(dev):
+    return analysis.bell_report(dev, analysis.swap_isometry(marginal_observables(dev)),
+                                sigma(dev, 1, 1))
+
+
 def test_pauli_rounding_zero_for_honest():
     dev = from_honest(0.0)
-    report = analysis.pauli_rounding_report(dev, marginal_observables(dev))
+    report = _pauli_rounding(dev)
     assert set(report) == {"z1", "x1", "z2", "x2", "zt1", "xt1", "zt2", "xt2",
                            "z1*z2", "x1*x2", "zt1*xt2", "xt1*zt2"}
     for name, value in report.items():
         assert value == pytest.approx(0.0, abs=1e-10), name
 
 
-def _kronecker_pauli_rounding(device, obs):
-    """``analysis.pauli_rounding_report`` from the full (4d x 4d) operands
-    ``P x 1`` and ``V O V^dag``: the form the report took before it applied
-    the Paulis to V's blocks."""
-    v = analysis.swap_isometry(obs)
-    eyed = np.eye(device.dim)
-    state = sigma(device, 1, 1)
-    pushed = v @ state @ v.conj().T
-    out = {}
-    for name, pauli in analysis._TARGETS.items():
-        out[name] = state_dep_norm_sq(v.conj().T @ tensor(pauli, eyed) @ v - obs[name], state)
-    for n1, n2 in analysis._PRODUCTS:
-        conj = v @ (obs[n1] @ obs[n2]) @ v.conj().T
-        pauli = analysis._TARGETS[n1] @ analysis._TARGETS[n2]
-        out[f"{n1}*{n2}"] = state_dep_norm_sq(conj - tensor(pauli, eyed), pushed)
-    return out
-
-
 def test_bell_report_honest():
     dev = from_honest(0.0)
-    reports = analysis.bell_report(dev, marginal_observables(dev))
+    reports = _bell_report(dev)
     assert len(reports) == 4
     for case in reports:
         assert not case.degenerate
@@ -161,7 +161,7 @@ def test_bell_report_flags_missing_branch():
     # move all weight in the (1,1) basis onto a single label
     for br in dev.branches[(1, 1)]:
         br.weight = 1.0 if br.label == (0, 0) else 0.0
-    reports = {tuple(c.label): c for c in analysis.bell_report(dev, marginal_observables(dev))}
+    reports = {tuple(c.label): c for c in _bell_report(dev)}
     assert reports[(0, 0)].branch_trace == pytest.approx(1.0)
     assert reports[(0, 1)].degenerate
     assert reports[(0, 1)].branch_trace == pytest.approx(0.0, abs=1e-12)
@@ -233,7 +233,8 @@ def _non_hermitian_projector_device(rng):
 
 def _dense_reference_devices():
     rng = np.random.default_rng(7007)
-    devices = [pytest.param(from_honest(p), id=f"honest-{p}") for p in (0.0, 0.1, 0.2, 0.3)]
+    devices = [pytest.param(from_honest(p), id=f"honest-{p}")
+               for p in (0.0, 0.1, 0.2, 0.3, 0.35)]
     devices += [pytest.param(embed_device(from_honest(p), k, rng), id=f"embedded-{p}-{k}")
                 for p, k in ((0.2, 2), (0.05, 3), (0.3, 4))]
     devices += [pytest.param(_negative_weight_device(), id="negative_weight"),
@@ -248,7 +249,7 @@ def test_embedded_junk_factor_width(rng, p, junk_dim):
     """The honest device's junk state is pure, so an embedded device's xi
     has rank ``junk_dim`` and its factor is that narrow, not ``dim`` wide."""
     dev = embed_device(from_honest(p), junk_dim, rng)
-    for case in analysis.bell_report(dev, marginal_observables(dev)):
+    for case in _bell_report(dev):
         assert signed_factor(case.xi)[0].shape == (dev.dim, junk_dim)
 
 
@@ -270,7 +271,7 @@ def test_non_hermitian_projector_device_is_reported_invalid(rng):
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_bell_report_matches_dense_reference(dev):
-    reports = analysis.bell_report(dev, marginal_observables(dev))
+    reports = _bell_report(dev)
     for case, (state_distance, meas_dist) in zip(reports, _dense_bell_distances(dev)):
         assert case.state_distance == pytest.approx(state_distance, abs=1e-12)
         assert list(case.measurement_distances) == list(meas_dist)
@@ -279,10 +280,31 @@ def test_bell_report_matches_dense_reference(dev):
 
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())
+def test_stacked_checks_match_dense_references(dev):
+    """``validate``, the residuals and the pass tuples, which ``analyze``
+    takes as stacked contractions, equal the one-entry-at-a-time loops of
+    ``conftest``: violation names and order exactly, every number within
+    1e-12 (the Pauli residuals are pinned by the next test)."""
+    obs = marginal_observables(dev)
+    report = analysis.analyze(dev)
+    want = dense_validate(dev)
+    assert [v.name for v in report.violations] == [v.name for v in want]
+    for got, ref in zip(report.violations, want):
+        assert got.magnitude == pytest.approx(ref.magnitude, abs=1e-12), got.name
+    anticomm, comm = dense_residuals(dev, obs)
+    for got, ref in ((report.anticomm, anticomm), (report.comm, comm),
+                     ({**report.test_entries, **report.bell_entries},
+                      dense_pass_probs(dev, obs))):
+        assert list(got) == list(ref)
+        for key, value in ref.items():
+            assert got[key] == pytest.approx(value, abs=1e-12), key
+
+
+@pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_pauli_rounding_matches_kronecker_reference(dev):
     obs = marginal_observables(dev)
-    got = analysis.pauli_rounding_report(dev, obs)
-    want = _kronecker_pauli_rounding(dev, obs)
+    got = _pauli_rounding(dev)
+    want = dense_pauli_rounding(dev, obs)
     assert list(got) == list(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
@@ -313,13 +335,13 @@ def _assert_bell_closed_form(reports, p, tol):
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.3, 1.0])
 def test_bell_report_closed_form_honest(p):
     dev = from_honest(p)
-    _assert_bell_closed_form(analysis.bell_report(dev, marginal_observables(dev)), p, 1e-12)
+    _assert_bell_closed_form(_bell_report(dev), p, 1e-12)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3])
 def test_bell_report_closed_form_embedded(p, rng):
     dev = embed_device(from_honest(p), 3, rng)
-    _assert_bell_closed_form(analysis.bell_report(dev, marginal_observables(dev)), p, 1e-10)
+    _assert_bell_closed_form(_bell_report(dev), p, 1e-10)
 
 
 def test_interferometric_pass_prob_interpolates():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from bellcert import cli
+from bellcert import analysis, cli
 from bellcert import device as devmod
 from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, matrix_to_json, tensor
@@ -157,3 +158,50 @@ def test_validate_catches_bad_branch_label():
     dev.branches[(1, 1)][0].label = (0, 7)
     names = [v.name for v in devmod.validate(dev)]
     assert names == ["branch (1, 1)/(0, 7) label"]
+
+
+@pytest.mark.parametrize("group,key,index,entry,name", [
+    ("branches", "11", 0, [float("nan"), 0.0], "branch (1, 1)/(0, 0) finiteness"),
+    ("measurements", "01", 2, [float("inf"), 0.0], "measurements[(0, 1)][(1, 0)] finiteness"),
+], ids=["state-nan", "projector-inf"])
+def test_analyze_names_non_finite_matrix(tmp_path, capsys, group, key, index, entry, name):
+    """A NaN or infinite entry in a branch state or projector loads (JSON
+    has NaN and Infinity), and ``analyze`` refuses the device naming the
+    branch or measurement rather than failing in the arithmetic."""
+    d = devmod.device_to_json(devmod.from_honest(0.1))
+    item = d[group][key][index]
+    (item["state"] if group == "branches" else item)["entries"][5] = entry
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: device cannot be analyzed: {name}\n"
+
+
+@pytest.mark.parametrize("where,name", [
+    ("projector", "measurements[(0, 0)][(0, 1)] dim"),
+    ("state", "branch (1, 0)/(0, 0) dim"),
+], ids=["projector", "state"])
+def test_validate_reports_wrong_shape_matrix(where, name):
+    """A 3x3 projector or a 4x3 branch state in a device of dimension 4,
+    built in Python (``device_from_json`` refuses both), is an infinite
+    ``dim`` violation that ``analyze`` refuses by name."""
+    dev = devmod.from_honest(0.1)
+    if where == "projector":
+        dev.measurements[(0, 0)][(0, 1)] = np.eye(3, dtype=complex)
+    else:
+        dev.branches[(1, 0)][0].state = np.ones((4, 3), dtype=complex) / 3
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        analysis.analyze(dev)
+
+
+def test_validate_reports_unknown_question_pair():
+    """A measurement keyed outside the four question pairs, which only a
+    device built in Python can have, has no outcome vectors for the Bell
+    report's updates; ``analyze`` refuses it by name."""
+    dev = devmod.from_honest(0.1)
+    dev.measurements[(0, 2)] = dev.measurements[(0, 1)]
+    name = "measurements[(0, 2)] question"
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        analysis.analyze(dev)

@@ -256,6 +256,25 @@ def test_state_norm_dominated_by_operator_norm(seed, dim, scale):
     assert linalg.state_dep_norm_sq(a, psi) <= opnorm_sq + 1e-9
 
 
+def test_state_norm_takes_stacks(rng):
+    """Stacks of operators (here 3 of them, mapping C^4 into C^8) and of
+    states broadcast like matrix products; each entry is the single-operand
+    value, and huge entries raise under ``np.errstate`` rather than
+    returning inf."""
+    a = rng.standard_normal((3, 1, 8, 4)) + 1j * rng.standard_normal((3, 1, 8, 4))
+    psi = np.array([random_density(4, rng) for _ in range(2)])
+    got = linalg.state_dep_norm_sq(a, psi)
+    assert got.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert got[i, j] == pytest.approx(linalg.state_dep_norm_sq(a[i, 0], psi[j]),
+                                              abs=1e-12)
+    with pytest.raises(DimensionMismatchError):
+        linalg.state_dep_norm_sq(a, np.eye(3))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        linalg.state_dep_norm_sq(1e200 * a, psi)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_unitary_is_unitary(seed):
