@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, bell_state, matrix_from_json,
                      matrix_to_json, outcome_vec, projector_of, tensor)
 from .protocol import is_pair
@@ -224,6 +224,17 @@ def from_honest(p: float) -> Device:
     return Device(dim=4, branches=branches, measurements=measurements)
 
 
+def no_entangler() -> Device:
+    """The honest device without its entangling gate: ``from_honest(0)`` with
+    each branch state conjugated by CZ, under the same labels."""
+    dev = from_honest(0.0)
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    for brs in dev.branches.values():
+        for br in brs:
+            br.state = cz @ br.state @ cz
+    return dev
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -289,15 +300,17 @@ def device_from_json(d: dict) -> Device:
     for q in QUESTION_PAIRS:
         if q not in dev.measurements:
             raise ValidationError(f"missing measurement for questions {q}")
-    for br_list in dev.branches.values():
+    # shapes are checked before ``validate`` builds (dim, dim) arrays
+    for basis, br_list in dev.branches.items():
         for br in br_list:
             if not is_pair(br.label):
                 raise ValidationError(f"branch label {list(br.label)} is not a pair of bits")
             if br.state.shape != (dim, dim):
-                raise DimensionMismatchError("branch state has wrong dimension")
-    for projs in dev.measurements.values():
-        if any(m.shape != (dim, dim) for m in projs.values()):
-            raise DimensionMismatchError("measurement projector has wrong dimension")
+                raise ValidationError(f"branch {basis}/{br.label} state has shape {br.state.shape}")
+    for q, projs in dev.measurements.items():
+        for o, m in projs.items():
+            if m.shape != (dim, dim):
+                raise ValidationError(f"measurements[{q}][{o}] has shape {m.shape}")
     return dev
 
 

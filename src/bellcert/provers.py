@@ -1,15 +1,14 @@
 """Simulated prover strategies.
 
-The honest prover tracks the two committed qubits explicitly: each leg's
-post-measurement qubit is a computational state (injective legs) or a
-phase state determined by its equation mask and claw (claw-free legs).
-An entangling CZ is applied across the legs before answering questions,
-and answers are drawn from a closed-form Born table (:func:`born_table`)
-of the real product amplitudes, optionally through a two-qubit
-depolarizing channel.
+Each strategy plays a white-box device (:mod:`bellcert.device`): the
+honest prover tracks its two committed legs, works out the label that the
+verifier will decode from them (a G leg's bit ``b``, an F leg's equation
+parity over its claw), and samples the answers from that label's row of
+the device's :func:`answer_table`.  :data:`STRATEGIES` maps each name to
+a class and the device it plays.
 
 The claw-free legs need the partner preimage of the committed image to
-know their phase.  A real device would hold that in superposition; the
+know their parity.  A real device would hold that in superposition; the
 simulation instead queries a :class:`ClawOracle`, which is the only place
 trapdoor material crosses into prover code and exists purely for state
 tracking.  (On the ideal backend the public key already determines the
@@ -17,35 +16,38 @@ claw, so the oracle can be built without trapdoors there.)
 """
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from . import entcf
+from .device import (BASIS_PAIRS, OUTCOME_PAIRS, Device, from_honest, no_entangler,
+                     sigma_partial)
 from .errors import (AbortSessionError, BellcertError, ConfigurationError,
                      MalformedMessageError)
-from .protocol import FLAG_VALUES, ROUND_TYPES, is_pair, message, validate_message
+from .linalg import VALIDATION_TOL, trace_prod
+from .protocol import (FLAG_VALUES, ROUND_TYPES, accepted_pair, is_pair, message,
+                       validate_message)
 
-_SQRT_HALF = math.sqrt(0.5)
 
-
-def born_table(amp1: tuple[float, float], amp2: tuple[float, float],
-               questions: tuple[int, int], entangle: bool,
-               depolarize: float) -> list[float]:
-    """Answer probabilities, indexed ``2*v1 + v2``, of two legs with real
-    amplitudes ``amp1``/``amp2``: CZ if ``entangle``, a Hadamard on each leg
-    asked question 1, then ``(1-p)*a**2 + p/4`` for depolarizing ``p``."""
-    a = [x * y for x in amp1 for y in amp2]
-    if entangle:
-        a[3] = -a[3]
-    s = _SQRT_HALF
-    if questions[0]:
-        a = [(a[0] + a[2]) * s, (a[1] + a[3]) * s, (a[0] - a[2]) * s, (a[1] - a[3]) * s]
-    if questions[1]:
-        a = [(a[0] + a[1]) * s, (a[0] - a[1]) * s, (a[2] + a[3]) * s, (a[2] - a[3]) * s]
-    probs = [(1.0 - depolarize) * x * x + depolarize / 4.0 for x in a]
-    total = sum(probs)
-    return [x / total for x in probs]
+def answer_table(dev: Device) -> dict[tuple, list[float]]:
+    """(basis, label, questions) -> answer probabilities, indexed ``2*v1 + v2``:
+    Tr[P_o sigma_partial(basis, label)] for the projectors P_o of the
+    questions' measurement, clipped at 0 and normalised by their sum.  The
+    honest commitment makes the four labels of a basis equally likely, so a
+    device whose label weighs otherwise is refused with ConfigurationError."""
+    table = {}
+    for basis in BASIS_PAIRS:
+        for label in OUTCOME_PAIRS:
+            part = sigma_partial(dev, basis[0], label[0], basis[1], label[1])
+            weight = float(np.trace(part).real)
+            if abs(weight - 0.25) > VALIDATION_TOL:
+                raise ConfigurationError(f"branches {basis}/{label} weigh {weight}, not 1/4")
+            for q, meas in dev.measurements.items():
+                probs = np.maximum(trace_prod(np.array([meas[o] for o in OUTCOME_PAIRS]),
+                                              part).real, 0.0)
+                table[basis, label, q] = (probs / probs.sum()).tolist()
+    return table
 
 
 class ClawOracle:
@@ -91,16 +93,14 @@ def _decode_keys(payload: dict) -> tuple[entcf.EntcfParams, tuple[entcf.PublicKe
 
 
 class HonestProver:
-    """One session of the honest strategy: :meth:`play` runs the four step methods."""
+    """One session on the device whose :func:`answer_table` is ``table`` (the
+    noiseless honest device's by default): :meth:`play` runs the four steps."""
 
-    def __init__(self, rng: np.random.Generator, claw_oracle: ClawOracle | None = None, *,
-                 depolarize: float = 0.0, entangle: bool = True):
-        if not 0.0 <= depolarize <= 1.0:
-            raise ConfigurationError(f"depolarizing strength {depolarize} outside [0, 1]")
+    def __init__(self, rng: np.random.Generator, claw_oracle: ClawOracle | None = None,
+                 table: dict | None = None):
         self.rng = rng
         self.oracle = claw_oracle
-        self.depolarize = depolarize
-        self.entangle = entangle
+        self.table = table or parse_strategy("honest")[1]  # see answer_table
         self.session_id = 0
         self.keys: tuple[entcf.PublicKey, ...] | None = None
         self.legs: list[dict] = []
@@ -175,13 +175,6 @@ class HonestProver:
         })
 
     @staticmethod
-    def _amplitudes(leg: dict) -> tuple[float, float]:
-        if "claw_xor" not in leg:
-            return (0.0, 1.0) if leg["b"] else (1.0, 0.0)
-        phase = (leg["d"] & leg["claw_xor"]).bit_count() & 1
-        return (_SQRT_HALF, -_SQRT_HALF if phase else _SQRT_HALF)
-
-    @staticmethod
     def _questions(questions_msg: dict) -> tuple[int, int]:
         payload = validate_message(questions_msg, "questions")["payload"]
         q = (payload.get("q1"), payload.get("q2"))
@@ -190,8 +183,15 @@ class HonestProver:
         return q
 
     def answers(self, questions_msg: dict) -> dict:
-        probs = born_table(self._amplitudes(self.legs[0]), self._amplitudes(self.legs[1]),
-                           self._questions(questions_msg), self.entangle, self.depolarize)
+        q = self._questions(questions_msg)
+        basis = tuple(int("claw_xor" in leg) for leg in self.legs)  # 1 on an F leg
+        targets = {}
+        for i, leg in enumerate(self.legs, 1):
+            if "claw_xor" in leg:
+                targets[f"u{i}"] = (leg["d"] & leg["claw_xor"]).bit_count() & 1
+            else:
+                targets[f"b{i}"] = leg["b"]
+        probs = self.table[basis, accepted_pair(basis, targets), q]
         outcome = int(self.rng.choice(4, p=probs))
         return message("answers", self.session_id,
                        {"v1": outcome >> 1, "v2": outcome & 1})
@@ -206,20 +206,21 @@ class ClassicalGuessProver(HonestProver):
                        {"v1": int(self.rng.integers(2)), "v2": int(self.rng.integers(2))})
 
 
-STRATEGIES = {  # name -> (class, entangle)
-    "honest": (HonestProver, True),
-    "no_entangler": (HonestProver, False),
-    "classical_guess": (ClassicalGuessProver, True),
+STRATEGIES = {  # name -> (class, a builder of the device it plays, or None)
+    "honest": (HonestProver, functools.partial(from_honest, 0.0)),
+    "no_entangler": (HonestProver, no_entangler),
+    "classical_guess": (ClassicalGuessProver, None),
 }
-_DEPOLARIZED = "honest_depolarized:"  # then a strength p in [0, 1]: honest through noise
+_DEPOLARIZED = "honest_depolarized:"  # then p in [0, 1]: plays from_honest(p)
 
 
-def parse_strategy(name: str) -> tuple[type[HonestProver], float, bool]:
-    """The class, depolarizing strength and ``entangle`` setting of a strategy:
-    a :data:`STRATEGIES` name or ``honest_depolarized:<p>``; else ConfigurationError."""
+@functools.lru_cache(maxsize=16)
+def parse_strategy(name: str) -> tuple[type[HonestProver], dict | None]:
+    """The class and :func:`answer_table` of a strategy (a :data:`STRATEGIES`
+    name or ``honest_depolarized:<p>``), built once per name; else ConfigurationError."""
     if name in STRATEGIES:
-        cls, entangle = STRATEGIES[name]
-        return cls, 0.0, entangle
+        cls, device = STRATEGIES[name]
+        return cls, device and answer_table(device())
     if not name.startswith(_DEPOLARIZED):
         raise ConfigurationError(f"unknown strategy {name!r}")
     try:
@@ -228,10 +229,10 @@ def parse_strategy(name: str) -> tuple[type[HonestProver], float, bool]:
         raise ConfigurationError(f"bad depolarizing strength in {name!r}") from exc
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"depolarizing strength {p} outside [0, 1]")
-    return HonestProver, p, True
+    return HonestProver, answer_table(from_honest(p))
 
 
 def make_prover(name: str, rng: np.random.Generator,
                 claw_oracle: ClawOracle | None = None) -> HonestProver:
-    cls, depolarize, entangle = parse_strategy(name)
-    return cls(rng, claw_oracle, depolarize=depolarize, entangle=entangle)
+    cls, table = parse_strategy(name)
+    return cls(rng, claw_oracle, table)

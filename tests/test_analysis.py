@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
 from bellcert.device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS,
-                             from_honest, marginal_observables, sigma, sigma_partial,
-                             validate)
+                             from_honest, marginal_observables, no_entangler, sigma,
+                             sigma_partial, validate)
 from bellcert.errors import ValidationError
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, rank_factor,
                              signed_factor, tensor, trace_distance)
@@ -35,6 +35,16 @@ def test_gammas_linear_in_depolarizing_noise(p):
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
     for entry in analysis.bell_tuple(dev, marginal_observables(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
+
+
+def test_no_entangler_deficits_are_one_half():
+    """Without the CZ, every X check on a leg opposite a Z one, and each
+    cross-parity check, passes at chance: the white-box side of the chance
+    Bell rate that acceptance test 08 measures."""
+    report = analysis.analyze(no_entangler())
+    assert report.violations == []
+    assert report.gamma_t == pytest.approx(0.5, abs=1e-12)
+    assert report.gamma_b == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pass_tuple_keys_follow_check_table():

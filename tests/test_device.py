@@ -8,7 +8,7 @@ import pytest
 
 from bellcert import analysis, cli
 from bellcert import device as devmod
-from bellcert.errors import DimensionMismatchError, ValidationError
+from bellcert.errors import ValidationError
 from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, matrix_to_json, tensor
 from conftest import check_binary_observable
 
@@ -88,16 +88,29 @@ def test_device_json_requires_all_bases():
 
 @pytest.mark.parametrize("size", [2, 5])
 def test_device_json_refuses_wrong_size_projector(tmp_path, capsys, size):
-    """A projector of the wrong size is refused on loading, and ``analyze``
-    reports it as a failure rather than crashing in ``validate``."""
+    """A projector of the wrong size is refused on loading, by question pair
+    and outcome, and ``analyze`` exits 2 as for any malformed device file."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["measurements"]["00"][0] = matrix_to_json(np.eye(size))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=re.escape("measurements[(0, 0)][(0, 0)]")):
         devmod.device_from_json(d)
     path = tmp_path / "dev.json"
     path.write_text(json.dumps(d))
-    assert cli.main(["analyze", str(path)]) == 1
-    assert "failure:" in capsys.readouterr().err
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_device_json_refuses_wrong_size_state(tmp_path, capsys):
+    """A branch state of the wrong size is refused on loading, by basis and
+    label, and ``analyze`` exits 2."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["branches"]["10"][2]["state"] = matrix_to_json(np.eye(3) / 3)
+    with pytest.raises(ValidationError, match=re.escape("branch (1, 0)/(1, 0)")):
+        devmod.device_from_json(d)
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "error: branch (1, 0)/(1, 0)" in capsys.readouterr().err
 
 
 def test_validate_catches_broken_devices():

@@ -2,35 +2,42 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bellcert import entcf, protocol, provers
+from bellcert import analysis, entcf, protocol, provers
+from bellcert import device as devmod
 from bellcert.errors import ConfigurationError, MalformedMessageError
-from bellcert.harness import role_rng
+from bellcert.harness import RunStats, role_rng
 from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
+from conftest import embed_device
 
 PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
 
 
 def test_parse_strategy():
-    """Each accepted name builds its class with its depolarize/entangle settings."""
+    """Each accepted name gives its class and the answer table of the device
+    it plays, built once per name; classical_guess plays no device."""
     expected = {
-        "honest": (provers.HonestProver, 0.0, True),
-        "honest_depolarized:0.25": (provers.HonestProver, 0.25, True),
-        "honest_depolarized:1": (provers.HonestProver, 1.0, True),
-        "no_entangler": (provers.HonestProver, 0.0, False),
-        "classical_guess": (provers.ClassicalGuessProver, 0.0, True),
+        "honest": (provers.HonestProver, devmod.from_honest(0.0)),
+        "honest_depolarized:0.25": (provers.HonestProver, devmod.from_honest(0.25)),
+        "honest_depolarized:1": (provers.HonestProver, devmod.from_honest(1.0)),
+        "no_entangler": (provers.HonestProver, devmod.no_entangler()),
+        "classical_guess": (provers.ClassicalGuessProver, None),
     }
     rng = np.random.default_rng(0)
-    for name, (cls, depolarize, entangle) in expected.items():
-        assert provers.parse_strategy(name) == (cls, depolarize, entangle)
+    for name, (cls, dev) in expected.items():
+        table = None if dev is None else provers.answer_table(dev)
+        assert provers.parse_strategy(name) == (cls, table)
+        assert provers.parse_strategy(name)[1] is provers.parse_strategy(name)[1]
         prover = provers.make_prover(name, rng)
         assert type(prover) is cls
-        assert (prover.depolarize, prover.entangle) == (depolarize, entangle)
+        if table is not None:
+            assert prover.table is provers.parse_strategy(name)[1]
     for bad in ("", "honest_depolarized:", "honest_depolarized:1.5",
                 "honest_depolarized:nan", "quantum", "perfected:", "perfected:perfected:honest",
                 "perfected:honest", "perfected:classical_guess", " honest"):
@@ -60,11 +67,6 @@ def test_honest_self_check_always_passes():
         prover.commit(keys)
         for leg in prover.legs:
             assert entcf.chk(leg["pk"], leg["y"], leg["b"], leg["x"])
-
-
-def test_depolarize_range_validated(rng):
-    with pytest.raises(ConfigurationError):
-        provers.HonestProver(rng, depolarize=1.5)
 
 
 def test_classical_guess_passes_preimage_rounds():
@@ -311,15 +313,74 @@ def _legs_of_every_kind():
         yield {"b": 0, "d": 0b11, "claw_xor": claw_xor}
 
 
-def test_born_table_matches_density_matrix_reference():
+def _basis_and_label(legs) -> tuple[tuple[int, int], tuple]:
+    """The basis of two reference legs (1 on an F leg) and the label that the
+    verifier decodes from them."""
+    basis = tuple(int("claw_xor" in leg) for leg in legs)
+    targets = {}
+    for i, leg in enumerate(legs):
+        if "claw_xor" in leg:
+            targets[f"u{i + 1}"] = (leg["d"] & leg["claw_xor"]).bit_count() & 1
+        else:
+            targets[f"b{i + 1}"] = leg["b"]
+    return basis, protocol.accepted_pair(basis, targets)
+
+
+def test_answer_table_matches_density_matrix_reference():
+    """The honest devices' answer tables are the Born probabilities of the
+    tracked product qubits, through CZ (not for no_entangler) and the
+    depolarizing channel."""
+    tables = [(provers.answer_table(devmod.from_honest(p)), True, p)
+              for p in (0.0, 0.2, 0.3, 1.0)]
+    tables.append((provers.answer_table(devmod.no_entangler()), False, 0.0))
     legs = list(_legs_of_every_kind())
     cases = 0
-    for leg1, leg2, q1, q2, entangle, p in itertools.product(
-            legs, legs, (0, 1), (0, 1), (True, False), (0.0, 0.2, 0.3, 1.0)):
-        table = provers.born_table(provers.HonestProver._amplitudes(leg1),
-                                   provers.HonestProver._amplitudes(leg2),
-                                   (q1, q2), entangle, p)
-        ref = _reference_table((leg1, leg2), (q1, q2), entangle, p)
-        np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
+    for (table, entangle, p), leg1, leg2, q in itertools.product(
+            tables, legs, legs, devmod.QUESTION_PAIRS):
+        basis, label = _basis_and_label((leg1, leg2))
+        ref = _reference_table((leg1, leg2), q, entangle, p)
+        np.testing.assert_allclose(table[basis, label, q], ref, rtol=0, atol=1e-12)
         cases += 1
-    assert cases == 4 * 4 * 4 * 2 * 4
+    assert cases == 5 * 4 * 4 * 4
+
+
+def test_answer_table_refuses_unequal_label_weights():
+    """The honest commitment makes each label weigh 1/4, so a device that
+    weighs them otherwise cannot be played."""
+    dev = devmod.from_honest(0.0)
+    for br, w in zip(dev.branches[(0, 1)], (0.4, 0.1, 0.25, 0.25)):
+        br.weight = w
+    with pytest.raises(ConfigurationError, match="not 1/4"):
+        provers.answer_table(dev)
+
+
+def test_answer_table_ignores_embedding(rng):
+    """Junk and a change of basis leave every answer distribution as it is."""
+    bare = provers.answer_table(devmod.from_honest(0.2))
+    embedded = provers.answer_table(embed_device(devmod.from_honest(0.2), 6, rng))
+    assert embedded.keys() == bare.keys()
+    for key, probs in bare.items():
+        np.testing.assert_allclose(embedded[key], probs, rtol=0, atol=1e-12)
+
+
+def test_devices_play_their_white_box_entries(rng):
+    """Sessions that play a device pass each test and Bell bucket at the
+    rate of the device's white-box pass-tuple entry, within 4.5 sigma."""
+    devices = {"honest-0.2": devmod.from_honest(0.2), "no_entangler": devmod.no_entangler(),
+               "embedded-0.2-6": embed_device(devmod.from_honest(0.2), 6, rng)}
+    for k, (name, dev) in enumerate(devices.items()):
+        table, stats = provers.answer_table(dev), RunStats()
+        for sid in range(2400):
+            vrng, prng = role_rng(k, sid, 0), role_rng(k, sid, 1)
+            state, keys = protocol.start_session(PARAMS, vrng, sid, round_type="hadamard")
+            prover = provers.HonestProver(prng, provers.ClawOracle(state.keys), table)
+            prover.play(keys, lambda msg: protocol.respond(state, msg, vrng))
+            stats.add_record(protocol.record_from_state(state))
+        report = analysis.analyze(dev)
+        entries = {**report.test_entries, **report.bell_entries}
+        counts = {**stats.test_counts, **stats.bell_counts}
+        assert counts.keys() == entries.keys()
+        for bucket, (ok, n) in counts.items():
+            p = entries[bucket]
+            sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n)
+            assert abs(ok / n - p) <= 4.5 * sigma + 1e-9, (name, bucket, ok, n, p)
