@@ -10,14 +10,14 @@ Given a :class:`~bellcert.device.Device` this module computes:
   against ideal two-qubit Paulis, and the closeness of the conjugated
   cross-basis branches to shifted Bell states (the certification report).
 
-:func:`analyze` builds each input once: the marginals, the stack of the four
-full states ``sigma(theta)``, each basis's four partial states (in the
-pass tuples and the Bell report) and the swap isometry, which the Pauli and
-Bell reports share with ``sigma(1, 1)``.  Outside :func:`bell_report` every
+:func:`analyze` reads a device only as its two stacks (``partial_states``
+and ``projectors`` of :mod:`bellcert.device`) and builds each input once:
+the marginals, the full states ``parts.sum(1)`` and the swap isometry, which
+the Pauli and Bell reports share.  Outside :func:`bell_report` every
 quantity is one stacked numpy pass: each (anti)commutator is formed once
 and traced against all four full states in one contraction, a pass-tuple
 row's four traces are one contraction, and the twelve Pauli residuals are
-two stacked :func:`~bellcert.linalg.state_dep_norm_sq` calls.
+two stacked ``state_dep_norm_sq`` calls.
 
 All quantities are exact up to floating point: traces of small matrices,
 and trace distances taken from low-rank factors of their operands through
@@ -31,13 +31,12 @@ d = 24).
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, Device,
-                     marginal_observables, sigma, sigma_partial, validate)
+from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, OUTCOME_SIGNS, QUESTION_PAIRS,
+                     Device, marginal_observables, partial_states, projectors, validate)
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
                      factored_trace_distance, matrix_to_json, outcome_vec,
@@ -52,44 +51,36 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
-# (-1)^v for the bit v in slot 0 (row 0) and slot 1 (row 1) of each label
-# of OUTCOME_PAIRS
-_LABEL_SIGNS = np.array([[(-1.0) ** label[slot] for label in OUTCOME_PAIRS] for slot in (0, 1)])
-
-
-def _pass_probs(device: Device, obs: dict[str, np.ndarray], kind: Flag) -> dict[str, float]:
+def _pass_probs(parts: np.ndarray, obs: dict[str, np.ndarray], kind: Flag) -> dict[str, float]:
     """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
 
     A row's observable is its named marginal, or the product of the two
     named marginals of a cross-parity row; each entry sums, over the four
     branch labels of the row's basis, the probability that the observable
     reproduces the label bit of the row's slot on the matching
-    subnormalized state.  Each basis's four partial states are built once,
-    and a row's four traces are one contraction of the stacked projectors
-    ``(1 +/- O)/2`` against them.
+    subnormalized state (a row of the :func:`~bellcert.device.partial_states`
+    stack ``parts``).  A row's four traces are one contraction of the
+    stacked projectors ``(1 +/- O)/2`` against its basis's partial states.
     """
     rows = [row for row in CHECKS if row.fail_flag is kind]
-    parts = {basis: np.array([sigma_partial(device, basis[0], v1, basis[1], v2)
-                              for v1, v2 in OUTCOME_PAIRS])
-             for basis in dict.fromkeys(row.basis for row in rows)}
-    eye = np.eye(device.dim)
+    eye = np.eye(parts.shape[-1])
     out = {}
     for row in rows:
         factors = [obs[name] for name in row.bucket.split("_")]
         o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
-        projs = (eye + _LABEL_SIGNS[row.slot][:, None, None] * o) / 2.0
-        out[row.bucket] = float(trace_prod(projs, parts[row.basis]).real.sum())
+        projs = (eye + OUTCOME_SIGNS[row.slot][:, None, None] * o) / 2.0
+        out[row.bucket] = float(trace_prod(projs, parts[BASIS_PAIRS.index(row.basis)]).real.sum())
     return out
 
 
-def test_tuple(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
+def test_tuple(parts: np.ndarray, obs: dict[str, np.ndarray]) -> dict[str, float]:
     """Pass probabilities of the single-answer checks in the two mixed bases."""
-    return _pass_probs(device, obs, Flag.FAIL_TEST)
+    return _pass_probs(parts, obs, Flag.FAIL_TEST)
 
 
-def bell_tuple(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
+def bell_tuple(parts: np.ndarray, obs: dict[str, np.ndarray]) -> dict[str, float]:
     """Pass probabilities of the two cross-parity checks in basis (1,1)."""
-    return _pass_probs(device, obs, Flag.FAIL_BELL)
+    return _pass_probs(parts, obs, Flag.FAIL_BELL)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +159,8 @@ def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
                           state: np.ndarray) -> dict[str, float]:
     """Residuals of the swap-rounded observables against two-qubit Paulis.
 
-    ``v`` is :func:`swap_isometry` of ``obs`` and ``state`` the all-claw-free
-    basis state ``sigma(1, 1)``.  Single-observable entries measure
+    ``v`` is :func:`swap_isometry` of ``obs`` and ``state`` the full state
+    of the all-claw-free basis (1, 1).  Single-observable entries measure
     ``||V^dag (P x 1) V - O||^2`` on that state; product entries measure the
     conjugated form ``||V O V^dag - (P x 1)||^2`` on the pushed-forward
     state, taken as ``||V O V^dag V - (P x 1) V||^2`` on the state itself,
@@ -198,18 +189,13 @@ def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
 # certification report
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _bell_vectors() -> tuple[dict, dict]:
-    """The ancilla vector u (x) u' of each question pair (q1, q2) and
-    outcome (a, b), and the shifted Bell state of each cross-parity label.
-    Built on the first Bell report rather than at import, and read-only,
-    since every report shares them."""
-    anc = {(q1, q2, a, b): np.kron(outcome_vec(q1, a), outcome_vec(q2, b))
-           for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS}
-    phis = {label: bell_state(*label) for label in OUTCOME_PAIRS}
-    for vec in (*anc.values(), *phis.values()):
-        vec.flags.writeable = False
-    return anc, phis
+# each measurement update's name and ancilla vector u (x) u', in the order of the
+# projectors stack, and the shifted Bell state of each cross-parity label
+_UPDATES = [f"q{q1}{q2}_v{a}{b}" for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS]
+_UPDATE_ANC = np.array([np.kron(outcome_vec(q1, a), outcome_vec(q2, b))
+                        for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS])
+_PHIS = np.array([bell_state(*label) for label in OUTCOME_PAIRS])
+_UPDATE_ANC.flags.writeable = _PHIS.flags.writeable = False
 
 
 @dataclass
@@ -228,12 +214,13 @@ class BellCaseReport:
                 "xi": matrix_to_json(self.xi), "degenerate": self.degenerate}
 
 
-def bell_report(device: Device, v: np.ndarray, state: np.ndarray) -> list[BellCaseReport]:
+def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
-    comparison after every question/outcome measurement update.  ``v`` is
-    the :func:`swap_isometry` of the device's marginals and ``state`` its
-    full state ``sigma(1, 1)``.
+    comparison after every question/outcome measurement update.  ``cases``
+    are basis (1, 1)'s four partial states, ``projs`` the projectors stack
+    (which names and orders the updates) and ``v`` the :func:`swap_isometry`
+    of the device's marginals.
 
     Each distance is ``(1/2) ||V P part P^dag V^dag - (1/4) (pi phi)(pi phi)^dag
     (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance.  Both
@@ -256,23 +243,14 @@ def bell_report(device: Device, v: np.ndarray, state: np.ndarray) -> list[BellCa
     below 1e-13 for a valid device at d = 24 (``||V|| = ||P_o|| = 1``, both
     operands of unit trace at most).
     """
-    d = device.dim
-    full = v @ state @ v.conj().T  # on C4 (x) C^d
-    anc_of, phi_of = _bell_vectors()
-    names, anc, projs = [], [], []  # per measurement update
-    for (q1, q2), meas in device.measurements.items():
-        for (a, b), proj in meas.items():
-            names.append(f"q{q1}{q2}_v{a}{b}")
-            anc.append(anc_of[q1, q2, a, b])
-            projs.append(proj)
-    anc = np.array(anc)
-    left, right = rank_factor(np.array(projs, dtype=complex))
+    d = v.shape[1]
+    full = v @ cases.sum(0) @ v.conj().T  # on C4 (x) C^d
+    left, right = rank_factor(projs.reshape(-1, d, d))
     v_left = v @ left
     right_h = right.conj().swapaxes(-1, -2)
 
     reports = []
-    for s1, s2 in OUTCOME_PAIRS:
-        phi = phi_of[s1, s2]
+    for label, phi, part in zip(OUTCOME_PAIRS, _PHIS, cases):
         # contract the ancilla against phi to extract the junk state
         t = full.reshape(4, d, 4, d)
         m = np.einsum("i,ijkl,k->jl", phi.conj(), t, phi)
@@ -280,19 +258,18 @@ def bell_report(device: Device, v: np.ndarray, state: np.ndarray) -> list[BellCa
         degenerate = tr < _DEGENERATE_TRACE
         xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
 
-        part = sigma_partial(device, 1, s1, 1, s2)
         x, sx = signed_factor(xi)
         mx = np.diag(sx)
         # (1/2) <u|phi> (u (x) X) has rows indexed (ancilla, junk), like V
-        coef = 0.5 * anc * (anc.conj() @ phi)[:, None]
-        g = (coef[:, :, None, None] * x).reshape(len(names), 4 * d, x.shape[1])
+        coef = 0.5 * _UPDATE_ANC * (_UPDATE_ANC.conj() @ phi)[:, None]
+        g = (coef[:, :, None, None] * x).reshape(len(_UPDATES), 4 * d, x.shape[1])
         g_state = (0.5 * phi[:, None, None] * x).reshape(4 * d, x.shape[1])
 
         state_distance = float(factored_trace_distance(v, part, g_state, mx))
         dists = factored_trace_distance(v_left, right @ part @ right_h, g, mx)
-        reports.append(BellCaseReport(label=(s1, s2), branch_trace=tr,
+        reports.append(BellCaseReport(label=label, branch_trace=tr,
                                       state_distance=state_distance,
-                                      measurement_distances=dict(zip(names, dists.tolist())),
+                                      measurement_distances=dict(zip(_UPDATES, dists.tolist())),
                                       xi=xi, degenerate=degenerate))
     return reports
 
@@ -350,11 +327,11 @@ class AnalysisReport:
 def analyze(device: Device) -> AnalysisReport:
     """The full white-box report.  A device with violations of infinite
     magnitude (missing branches or outcomes, a bad dimension or label, a
-    non-finite weight) has nothing to measure, so it is refused with a
-    ``ValidationError`` naming all of them; finite violations are listed in
-    the report.  A device whose numbers overflow float64 on the way is
-    refused with a ``ValidationError`` too, rather than reported as inf or
-    NaN."""
+    non-finite weight), or with a non-hermitian branch in basis (1, 1), has
+    nothing to measure, so it is refused with a ``ValidationError`` naming
+    all of them; other finite violations are listed in the report.  A device
+    whose numbers overflow float64 on the way is refused with a
+    ``ValidationError`` too, rather than reported as inf or NaN."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             return _analyze(device)
@@ -364,17 +341,19 @@ def analyze(device: Device) -> AnalysisReport:
 
 def _analyze(device: Device) -> AnalysisReport:
     violations = validate(device)
-    fatal = [v.name for v in violations if v.magnitude == float("inf")]
+    fatal = [v.name for v in violations if v.magnitude == float("inf")
+             or (v.name.startswith("branch (1, 1)/") and v.name.endswith(" hermiticity"))]
     if fatal:
         raise ValidationError("device cannot be analyzed: " + "; ".join(fatal))
-    obs = marginal_observables(device)
-    states = np.array([sigma(device, *basis) for basis in BASIS_PAIRS])
+    parts, projs = partial_states(device), projectors(device)
+    obs = marginal_observables(projs)
+    states = parts.sum(1)
     legs = [anticomm_residual(states, leg, obs) for leg in (0, 1)]
     pairs = {pair: comm_residual(states, pair, obs) for pair in COMM_PAIRS}
     v = swap_isometry(obs)
-    state = states[BASIS_PAIRS.index((1, 1))]
-    test_entries = test_tuple(device, obs)
-    bell_entries = bell_tuple(device, obs)
+    bell = BASIS_PAIRS.index((1, 1))
+    test_entries = test_tuple(parts, obs)
+    bell_entries = bell_tuple(parts, obs)
     return AnalysisReport(
         gamma_t=1.0 - min(test_entries.values()),
         gamma_b=1.0 - min(bell_entries.values()),
@@ -384,6 +363,6 @@ def _analyze(device: Device) -> AnalysisReport:
                   for t1, t2 in BASIS_PAIRS for leg in (0, 1)},
         comm={f"{pair}@{t1}{t2}": res[t1, t2]
               for t1, t2 in BASIS_PAIRS for pair, res in pairs.items()},
-        pauli_rounding=pauli_rounding_report(obs, v, state),
-        bell_cases=bell_report(device, v, state),
+        pauli_rounding=pauli_rounding_report(obs, v, states[bell]),
+        bell_cases=bell_report(parts[bell], projs, v),
         violations=violations)

@@ -174,7 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:  # a bad seed or port is refused before any session or connection
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigurationError(f"seed {args.seed} is negative")
+        if not 1 <= getattr(args, "port", 1) <= 65535:
+            raise ConfigurationError(f"port {args.port} outside 1-65535")
         return args.func(args)
     except (ConfigurationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,11 @@
 A device specifies, for each basis pair, an ensemble of labelled states
 (the post-commitment branches, labelled by the answers a sound prover
 would give), plus one four-outcome projective measurement per question
-pair.  The analysis layer turns these into marginal binary observables
-and the various closeness diagnostics.  :func:`validate` checks a device's
-structure before any of that: each matrix's shape and finiteness first,
-one at a time, then the remaining laws as stacked passes over all branch
-states and all projectors.
+pair.  :func:`validate` checks a device's structure: each matrix's shape
+and finiteness first, one at a time, then the remaining laws as stacked
+passes over all branch states and all projectors.  Past it, the analysis
+layer and the prover read a device only as two stacks, :func:`partial_states`
+and :func:`projectors`; only this module knows the branch-list layout.
 """
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ MARGINALS = {
     "z1": ((0, 0), 0), "x1": ((1, 1), 0), "z2": ((0, 0), 1), "x2": ((1, 1), 1),
     "zt1": ((0, 1), 0), "xt1": ((1, 0), 0), "zt2": ((1, 0), 1), "xt2": ((0, 1), 1),
 }
+
+# (-1)^v for the bit v in slot 0 (row 0) and slot 1 (row 1) of each label of
+# OUTCOME_PAIRS, read by the marginal observables and the pass tuples
+OUTCOME_SIGNS = np.array([[(-1.0) ** label[slot] for label in OUTCOME_PAIRS] for slot in (0, 1)])
+# each marginal's row of QUESTION_PAIRS and its leg
+_MARGINAL_ROWS = [QUESTION_PAIRS.index(q) for q, _ in MARGINALS.values()]
+_MARGINAL_LEGS = [leg for _, leg in MARGINALS.values()]
 
 # indices into OUTCOME_PAIRS of the outcome pairs (a, b), a before b, whose
 # projectors must be orthogonal
@@ -166,34 +173,41 @@ def validate(device: Device) -> list[Violation]:
     return out
 
 
+def partial_states(device: Device) -> np.ndarray:
+    """The (4, 4, d, d) stack of subnormalized partial states: entry ``[basis,
+    label]`` (``BASIS_PAIRS`` x ``OUTCOME_PAIRS`` order) sums ``weight * state``
+    over that basis's branches with that label, in branch order."""
+    out = np.zeros((4, 4, device.dim, device.dim), dtype=complex)
+    for i, basis in enumerate(BASIS_PAIRS):
+        for br in device.branches[basis]:
+            out[i, OUTCOME_PAIRS.index(tuple(br.label))] += br.weight * br.state
+    return out
+
+
+def projectors(device: Device) -> np.ndarray:
+    """The (4, 4, d, d) stack of projectors: entry ``[questions, outcome]``
+    (``QUESTION_PAIRS`` x ``OUTCOME_PAIRS`` order)."""
+    return np.array([[device.measurements[q][o] for o in OUTCOME_PAIRS]
+                     for q in QUESTION_PAIRS], dtype=complex)
+
+
 def sigma(device: Device, theta1: int, theta2: int) -> np.ndarray:
     """Full post-commitment state for one basis pair."""
-    out = np.zeros((device.dim, device.dim), dtype=complex)
-    for br in device.branches[(theta1, theta2)]:
-        out += br.weight * br.state
-    return out
+    return partial_states(device)[BASIS_PAIRS.index((theta1, theta2))].sum(0)
 
 
-def sigma_partial(device: Device, theta1: int, v1: int, theta2: int,
-                  v2: int) -> np.ndarray:
+def sigma_partial(device: Device, theta1: int, v1: int, theta2: int, v2: int) -> np.ndarray:
     """Subnormalized state of the branches carrying label (v1, v2)."""
-    out = np.zeros((device.dim, device.dim), dtype=complex)
-    for br in device.branches[(theta1, theta2)]:
-        if tuple(br.label) == (v1, v2):
-            out += br.weight * br.state
-    return out
+    return partial_states(device)[BASIS_PAIRS.index((theta1, theta2)),
+                                  OUTCOME_PAIRS.index((v1, v2))]
 
 
-def marginal_observables(device: Device) -> dict[str, np.ndarray]:
+def marginal_observables(projs: np.ndarray) -> dict[str, np.ndarray]:
     """Each marginal of :data:`MARGINALS`: the +/-1 observable of its leg's
-    answer bit under its question pair's measurement."""
-    out = {}
-    for name, (q, leg) in MARGINALS.items():
-        obs = np.zeros((device.dim, device.dim), dtype=complex)
-        for outcome, proj in device.measurements[q].items():
-            obs += (-1.0) ** outcome[leg] * proj
-        out[name] = obs
-    return out
+    answer bit under its question pair's measurement, from the
+    :func:`projectors` stack ``projs`` as one signed sum over the outcomes."""
+    obs = (OUTCOME_SIGNS[:, :, None, None] * projs[:, None]).sum(2)  # [questions, leg]
+    return dict(zip(MARGINALS, obs[_MARGINAL_ROWS, _MARGINAL_LEGS]))
 
 
 def from_honest(p: float) -> Device:

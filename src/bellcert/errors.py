@@ -35,4 +35,5 @@ class MalformedMessageError(BellcertError, ValueError):
 
 
 class AbortSessionError(BellcertError, RuntimeError):
-    """A prover gave up on a session (e.g. retry budget exhausted)."""
+    """A session was given up: the claw oracle failed to invert a fresh image,
+    the peer closed the connection mid-session, or the session deadline passed."""

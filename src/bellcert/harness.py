@@ -46,6 +46,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sessions < 1:
             raise ConfigurationError("need at least one session")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed!r} is not a non-negative integer")
         if self.force_round not in (None, *protocol.ROUND_TYPES):
             raise ConfigurationError(f"bad forced round {self.force_round!r}")
         if self.force_basis is not None and not protocol.is_pair(self.force_basis):

@@ -21,8 +21,8 @@ import functools
 import numpy as np
 
 from . import entcf
-from .device import (BASIS_PAIRS, OUTCOME_PAIRS, Device, from_honest, no_entangler,
-                     sigma_partial)
+from .device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Device, from_honest,
+                     no_entangler, partial_states, projectors)
 from .errors import (AbortSessionError, BellcertError, ConfigurationError,
                      MalformedMessageError)
 from .linalg import VALIDATION_TOL, trace_prod
@@ -32,22 +32,20 @@ from .protocol import (FLAG_VALUES, ROUND_TYPES, accepted_pair, is_pair, message
 
 def answer_table(dev: Device) -> dict[tuple, list[float]]:
     """(basis, label, questions) -> answer probabilities, indexed ``2*v1 + v2``:
-    Tr[P_o sigma_partial(basis, label)] for the projectors P_o of the
-    questions' measurement, clipped at 0 and normalised by their sum.  The
-    honest commitment makes the four labels of a basis equally likely, so a
-    device whose label weighs otherwise is refused with ConfigurationError."""
-    table = {}
-    for basis in BASIS_PAIRS:
-        for label in OUTCOME_PAIRS:
-            part = sigma_partial(dev, basis[0], label[0], basis[1], label[1])
-            weight = float(np.trace(part).real)
-            if abs(weight - 0.25) > VALIDATION_TOL:
-                raise ConfigurationError(f"branches {basis}/{label} weigh {weight}, not 1/4")
-            for q, meas in dev.measurements.items():
-                probs = np.maximum(trace_prod(np.array([meas[o] for o in OUTCOME_PAIRS]),
-                                              part).real, 0.0)
-                table[basis, label, q] = (probs / probs.sum()).tolist()
-    return table
+    Tr[P_o part] for the basis and label's partial state and the questions'
+    projectors, one contraction of the two stacks of :mod:`bellcert.device`,
+    clipped at 0 and normalised by their sum.  The honest commitment makes
+    the four labels of a basis equally likely, so a device whose label
+    weighs otherwise is refused with ConfigurationError."""
+    parts = partial_states(dev)
+    for (i, j), weight in np.ndenumerate(np.trace(parts, axis1=-2, axis2=-1).real):
+        if abs(weight - 0.25) > VALIDATION_TOL:
+            raise ConfigurationError(f"branches {BASIS_PAIRS[i]}/{OUTCOME_PAIRS[j]} "
+                                     f"weigh {weight}, not 1/4")
+    probs = np.maximum(trace_prod(projectors(dev), parts[:, :, None, None]).real, 0.0)
+    probs /= probs.sum(-1, keepdims=True)
+    return {(BASIS_PAIRS[i], OUTCOME_PAIRS[j], QUESTION_PAIRS[k]): probs[i, j, k].tolist()
+            for i, j, k in np.ndindex(probs.shape[:3])}
 
 
 class ClawOracle:

@@ -8,7 +8,7 @@ import pytest
 
 from bellcert import analysis
 from bellcert.device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device,
-                             Violation, marginal_observables, sigma, sigma_partial)
+                             Violation, marginal_observables, partial_states, projectors)
 from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import (VALIDATION_TOL, as_operator, projector_of, state_dep_norm_sq,
                              tensor)
@@ -47,12 +47,17 @@ def check_binary_observable(obs: np.ndarray, *, tol: float = VALIDATION_TOL) -> 
     return obs
 
 
+def observables(device: Device) -> dict[str, np.ndarray]:
+    """The device's marginal observables, from its projectors stack."""
+    return marginal_observables(projectors(device))
+
+
 def gamma_t(device: Device) -> float:
-    return 1.0 - min(analysis.test_tuple(device, marginal_observables(device)).values())
+    return 1.0 - min(analysis.test_tuple(partial_states(device), observables(device)).values())
 
 
 def gamma_b(device: Device) -> float:
-    return 1.0 - min(analysis.bell_tuple(device, marginal_observables(device)).values())
+    return 1.0 - min(analysis.bell_tuple(partial_states(device), observables(device)).values())
 
 
 def interferometric_pass_prob(u1: np.ndarray, u2: np.ndarray,
@@ -109,7 +114,7 @@ def random_measurement(dim: int, rng: np.random.Generator) -> dict:
 def random_observable_set(dim: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Marginal observables of four independent random measurements."""
     meas = {q: random_measurement(dim, rng) for q in QUESTION_PAIRS}
-    return marginal_observables(Device(dim=dim, branches={}, measurements=meas))
+    return observables(Device(dim=dim, branches={}, measurements=meas))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,6 +144,26 @@ def embed_device(dev: Device, junk_dim: int, rng: np.random.Generator) -> Device
 # ---------------------------------------------------------------------------
 # dense references: the per-entry loops that the white-box code takes as stacks
 # ---------------------------------------------------------------------------
+
+def dense_sigma(device: Device, theta1: int, theta2: int) -> np.ndarray:
+    """Full post-commitment state of one basis pair, one branch at a time:
+    the loop that ``device.partial_states`` summed over labels replaces."""
+    out = np.zeros((device.dim, device.dim), dtype=complex)
+    for br in device.branches[(theta1, theta2)]:
+        out += br.weight * br.state
+    return out
+
+
+def dense_sigma_partial(device: Device, theta1: int, v1: int, theta2: int,
+                        v2: int) -> np.ndarray:
+    """Subnormalized state of the branches carrying label (v1, v2), one
+    branch at a time: the loop that ``device.partial_states`` replaces."""
+    out = np.zeros((device.dim, device.dim), dtype=complex)
+    for br in device.branches[(theta1, theta2)]:
+        if tuple(br.label) == (v1, v2):
+            out += br.weight * br.state
+    return out
+
 
 def dense_validate(device: Device) -> list[Violation]:
     """``device.validate`` as one loop over branches and projectors, one
@@ -204,30 +229,32 @@ def dense_validate(device: Device) -> list[Violation]:
 
 def dense_residuals(device: Device, obs: dict[str, np.ndarray]) -> tuple[dict, dict]:
     """The anticommutator and commutator residuals of ``analysis.analyze``,
-    keyed as in its report, one ``sigma`` and one ``state_dep_norm_sq`` per
-    entry."""
+    keyed as in its report, one ``dense_sigma`` and one ``state_dep_norm_sq``
+    per entry."""
     anticomm, comm = {}, {}
     for t1, t2 in BASIS_PAIRS:
         for leg in (0, 1):
             z, x = obs[f"z{leg + 1}"], obs[f"x{leg + 1}"]
             anticomm[f"leg{leg + 1}@{t1}{t2}"] = state_dep_norm_sq(z @ x + x @ z,
-                                                                  sigma(device, t1, t2))
+                                                                  dense_sigma(device, t1, t2))
         for pair in analysis.COMM_PAIRS:
             a, b = (obs[name] for name in pair.split("_"))
-            comm[f"{pair}@{t1}{t2}"] = state_dep_norm_sq(a @ b - b @ a, sigma(device, t1, t2))
+            comm[f"{pair}@{t1}{t2}"] = state_dep_norm_sq(a @ b - b @ a,
+                                                         dense_sigma(device, t1, t2))
     return anticomm, comm
 
 
 def dense_pass_probs(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
-    """Every pass-tuple entry of ``protocol.CHECKS``, one ``sigma_partial``,
-    ``projector_of`` and trace per row and branch label."""
+    """Every pass-tuple entry of ``protocol.CHECKS``, one
+    ``dense_sigma_partial``, ``projector_of`` and trace per row and branch
+    label."""
     out = {}
     for row in CHECKS:
         factors = [obs[name] for name in row.bucket.split("_")]
         o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
         total = 0.0
         for label in OUTCOME_PAIRS:
-            part = sigma_partial(device, row.basis[0], label[0], row.basis[1], label[1])
+            part = dense_sigma_partial(device, row.basis[0], label[0], row.basis[1], label[1])
             total += float(np.real(np.trace(projector_of(o, label[row.slot]) @ part)))
         out[row.bucket] = total
     return out
@@ -238,7 +265,7 @@ def dense_pauli_rounding(device: Device, obs: dict[str, np.ndarray]) -> dict[str
     (4d x 4d) operands ``P x 1`` and ``V O V^dag``."""
     v = analysis.swap_isometry(obs)
     eyed = np.eye(device.dim)
-    state = sigma(device, 1, 1)
+    state = dense_sigma(device, 1, 1)
     pushed = v @ state @ v.conj().T
     out = {}
     for name, pauli in analysis._TARGETS.items():

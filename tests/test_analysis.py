@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,15 @@ from hypothesis import strategies as st
 
 from bellcert import analysis, protocol
 from bellcert.device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS,
-                             from_honest, marginal_observables, no_entangler, sigma,
-                             sigma_partial, validate)
+                             device_to_json, from_honest, load_device, no_entangler,
+                             partial_states, projectors, sigma, sigma_partial, validate)
 from bellcert.errors import ValidationError
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, rank_factor,
                              signed_factor, tensor, trace_distance)
 from conftest import (commutation_norms, dense_pass_probs, dense_pauli_rounding,
-                      dense_residuals, dense_validate, embed_device, gamma_b, gamma_t,
-                      interferometric_norm_estimate, interferometric_pass_prob, random_density,
+                      dense_residuals, dense_sigma, dense_sigma_partial, dense_validate,
+                      embed_device, gamma_b, gamma_t, interferometric_norm_estimate,
+                      interferometric_pass_prob, observables, random_density,
                       random_measurement, random_observable_set, random_unitary)
 
 
@@ -31,9 +34,9 @@ def test_gammas_linear_in_depolarizing_noise(p):
     dev = from_honest(p)
     assert gamma_t(dev) == pytest.approx(p / 2, abs=1e-12)
     assert gamma_b(dev) == pytest.approx(p / 2, abs=1e-12)
-    for entry in analysis.test_tuple(dev, marginal_observables(dev)).values():
+    for entry in analysis.test_tuple(partial_states(dev), observables(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
-    for entry in analysis.bell_tuple(dev, marginal_observables(dev)).values():
+    for entry in analysis.bell_tuple(partial_states(dev), observables(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
 
 
@@ -50,8 +53,8 @@ def test_no_entangler_deficits_are_one_half():
 def test_pass_tuple_keys_follow_check_table():
     dev = from_honest(0.1)
     names = [c.bucket for c in protocol.CHECKS]
-    obs = marginal_observables(dev)
-    assert list(analysis.test_tuple(dev, obs)) + list(analysis.bell_tuple(dev, obs)) == names
+    parts, obs = partial_states(dev), observables(dev)
+    assert list(analysis.test_tuple(parts, obs)) + list(analysis.bell_tuple(parts, obs)) == names
     report = analysis.analyze(dev)
     assert list(report.test_entries) + list(report.bell_entries) == names
 
@@ -72,7 +75,7 @@ def _full_states(dev):
 
 def test_residuals_vanish_for_honest():
     dev = from_honest(0.4)
-    obs = marginal_observables(dev)
+    obs = observables(dev)
     states = _full_states(dev)
     for leg in (0, 1):
         res = analysis.anticomm_residual(states, leg, obs)
@@ -87,7 +90,7 @@ def test_residuals_vanish_for_honest():
 def test_comm_residual_rejects_unknown_pair():
     dev = from_honest(0.0)
     with pytest.raises(ValidationError):
-        analysis.comm_residual(_full_states(dev), "z1_z2", marginal_observables(dev))
+        analysis.comm_residual(_full_states(dev), "z1_z2", observables(dev))
 
 
 def test_swap_isometry_is_isometry_for_random_observables(rng):
@@ -134,13 +137,13 @@ def test_swap_conjugation_identities_random_observables(rng):
 
 
 def _pauli_rounding(dev):
-    obs = marginal_observables(dev)
+    obs = observables(dev)
     return analysis.pauli_rounding_report(obs, analysis.swap_isometry(obs), sigma(dev, 1, 1))
 
 
 def _bell_report(dev):
-    return analysis.bell_report(dev, analysis.swap_isometry(marginal_observables(dev)),
-                                sigma(dev, 1, 1))
+    return analysis.bell_report(partial_states(dev)[BASIS_PAIRS.index((1, 1))], projectors(dev),
+                                analysis.swap_isometry(observables(dev)))
 
 
 def test_pauli_rounding_zero_for_honest():
@@ -181,10 +184,10 @@ def _dense_bell_distances(device):
     """The distances of ``analysis.bell_report`` from the full (4d x 4d)
     operands, one dense trace distance each: the loop the report ran
     before it took its operands as factors."""
-    obs = marginal_observables(device)
+    obs = observables(device)
     v = analysis.swap_isometry(obs)
     d = device.dim
-    full = v @ sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
+    full = v @ dense_sigma(device, 1, 1) @ v.conj().T  # on C4 (x) C^d
 
     reports = []
     for s1, s2 in OUTCOME_PAIRS:
@@ -196,7 +199,7 @@ def _dense_bell_distances(device):
         degenerate = tr < analysis._DEGENERATE_TRACE
         xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
 
-        part = sigma_partial(device, 1, s1, 1, s2)
+        part = dense_sigma_partial(device, 1, s1, 1, s2)
         pushed = v @ part @ v.conj().T
         ideal = 0.25 * tensor(np.outer(phi, phi.conj()), xi)
         state_distance = trace_distance(pushed, ideal)
@@ -279,6 +282,39 @@ def test_non_hermitian_projector_device_is_reported_invalid(rng):
     assert [v.name for v in validate(dev)][0] == "measurements[(0, 1)][(1, 0)] projector"
 
 
+@pytest.mark.parametrize("dev", [*_dense_reference_devices(),
+                                 pytest.param(no_entangler(), id="no_entangler")])
+def test_stacks_equal_branch_loops(dev):
+    """``partial_states`` and ``projectors``, and ``sigma``/``sigma_partial``
+    read from them, equal the branch loops of ``conftest`` exactly."""
+    parts, projs = partial_states(dev), projectors(dev)
+    assert parts.shape == projs.shape == (4, 4, dev.dim, dev.dim)
+    for i, (t1, t2) in enumerate(BASIS_PAIRS):
+        for j, (v1, v2) in enumerate(OUTCOME_PAIRS):
+            assert np.array_equal(parts[i, j], dense_sigma_partial(dev, t1, v1, t2, v2))
+            assert np.array_equal(sigma_partial(dev, t1, v1, t2, v2), parts[i, j])
+        assert np.array_equal(sigma(dev, t1, t2), dense_sigma(dev, t1, t2))
+    for k, q in enumerate(QUESTION_PAIRS):
+        for j, o in enumerate(OUTCOME_PAIRS):
+            assert np.array_equal(projs[k, j], dev.measurements[q][o])
+
+
+def test_measurement_distances_follow_question_order(tmp_path):
+    """A device file whose measurements are written out of order reports
+    its update distances in ``QUESTION_PAIRS`` x ``OUTCOME_PAIRS`` order,
+    with the canonical file's values."""
+    doc = device_to_json(from_honest(0.2))
+    canonical, shuffled = tmp_path / "canonical.json", tmp_path / "shuffled.json"
+    canonical.write_text(json.dumps(doc))
+    doc["measurements"] = {key: doc["measurements"][key] for key in ("11", "01", "00", "10")}
+    shuffled.write_text(json.dumps(doc))
+    names = [f"q{q1}{q2}_v{a}{b}" for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS]
+    want = analysis.analyze(load_device(str(canonical))).bell_cases
+    for got, ref in zip(analysis.analyze(load_device(str(shuffled))).bell_cases, want):
+        assert list(got.measurement_distances) == names
+        assert got.measurement_distances == ref.measurement_distances
+
+
 @pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_bell_report_matches_dense_reference(dev):
     reports = _bell_report(dev)
@@ -295,7 +331,7 @@ def test_stacked_checks_match_dense_references(dev):
     takes as stacked contractions, equal the one-entry-at-a-time loops of
     ``conftest``: violation names and order exactly, every number within
     1e-12 (the Pauli residuals are pinned by the next test)."""
-    obs = marginal_observables(dev)
+    obs = observables(dev)
     report = analysis.analyze(dev)
     want = dense_validate(dev)
     assert [v.name for v in report.violations] == [v.name for v in want]
@@ -312,7 +348,7 @@ def test_stacked_checks_match_dense_references(dev):
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())
 def test_pauli_rounding_matches_kronecker_reference(dev):
-    obs = marginal_observables(dev)
+    obs = observables(dev)
     got = _pauli_rounding(dev)
     want = dense_pauli_rounding(dev, obs)
     assert list(got) == list(want)

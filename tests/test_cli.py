@@ -40,6 +40,33 @@ def test_prove_refuses_bad_strategy_before_connecting(strategy, capsys):
     assert (result[0].sessions, result[0].aborted) == (0, 0)
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["run", "--sessions", "5", "--seed", "-1"], "seed -1"),
+    (["sweep", "--grid", "0", "--sessions", "5", "--seed", "-1"], "seed -1"),
+    (["serve", "--seed", "-1"], "seed -1"),
+    (["prove", "--seed", "-1"], "seed -1"),
+    (["serve", "--port", "99999"], "port 99999"),
+    (["serve", "--port", "-1"], "port -1"),
+    (["prove", "--port", "99999"], "port 99999"),
+    (["prove", "--port", "0"], "port 0"),
+], ids=["run-seed", "sweep-seed", "serve-seed", "prove-seed", "serve-port-high",
+        "serve-port-negative", "prove-port-high", "prove-port-zero"])
+def test_bad_seed_or_port_is_refused_first(monkeypatch, capsys, argv, what):
+    """A negative seed, or a port outside 1-65535, is a usage error raised
+    before any session runs or any socket opens: numpy would refuse the
+    seed mid-run, bind() would refuse the port with an OverflowError, and
+    the resolver would wrap it (99999 dials 34463)."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a session ran or a connection opened before the refusal")
+    for name in ("run_sessions", "sweep"):
+        monkeypatch.setattr(harness, name, fail)
+    for name in ("serve", "run_prover"):
+        monkeypatch.setattr(net, name, fail)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and what in err
+
+
 @pytest.mark.parametrize("sessions", ["0", "-1"])
 def test_prove_refuses_no_sessions(sessions):
     assert cli.main(["prove", "--sessions", sessions]) == 2

@@ -41,7 +41,7 @@ def test_sigma_partials_sum_to_sigma():
 
 
 def test_honest_marginals_are_paulis():
-    obs = devmod.marginal_observables(devmod.from_honest(0.2))
+    obs = devmod.marginal_observables(devmod.projectors(devmod.from_honest(0.2)))
     expected = {"z1": tensor(SIGMA_Z, ID2), "zt1": tensor(SIGMA_Z, ID2),
                 "x1": tensor(SIGMA_X, ID2), "xt1": tensor(SIGMA_X, ID2),
                 "z2": tensor(ID2, SIGMA_Z), "zt2": tensor(ID2, SIGMA_Z),
@@ -188,6 +188,29 @@ def test_analyze_names_non_finite_matrix(tmp_path, capsys, group, key, index, en
     path.write_text(json.dumps(d))
     assert cli.main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == f"error: device cannot be analyzed: {name}\n"
+
+
+def test_analyze_names_non_hermitian_bell_branch(tmp_path, capsys):
+    """The Bell report's distances are hermitian eigensolves of the basis
+    (1, 1) branches, so a non-hermitian one (a finite violation) is refused
+    by name before any arithmetic, like an infinite one."""
+    dev = devmod.from_honest(0.2)
+    dev.branches[(1, 1)][0].state[0, 1] += 1e-6
+    path = tmp_path / "dev.json"
+    devmod.save_device(dev, str(path))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: device cannot be analyzed: branch (1, 1)/(0, 0) hermiticity\n"
+
+
+def test_analyze_reports_non_hermitian_branch_of_other_basis():
+    """The same defect outside basis (1, 1) enters no eigensolve, so the
+    report is made and lists it."""
+    dev = devmod.from_honest(0.2)
+    dev.branches[(0, 1)][0].state[0, 1] += 1e-6
+    report = analysis.analyze(dev)
+    assert [v.name for v in report.violations] == ["branch (0, 1)/(0, 0) hermiticity"]
+    assert report.gamma_t == pytest.approx(0.1, abs=1e-6)
 
 
 @pytest.mark.parametrize("where,name", [

@@ -28,6 +28,14 @@ def test_run_config_validation():
             RunConfig(force_basis=basis)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_run_config_refuses_bad_seed(seed):
+    """A seed is a non-negative int; numpy would refuse a negative one only
+    when the first session draws its streams."""
+    with pytest.raises(ConfigurationError, match="seed"):
+        RunConfig(seed=seed)
+
+
 def test_same_seed_reproduces_transcripts(tmp_path):
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for path in paths:
