@@ -27,6 +27,11 @@ state that ``svd`` and ``eigh`` can tell from 0, so each distance moves by
 at most ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps
 max|lambda_xi|``, of order ``d^2 eps`` (below 1e-13 for a valid device at
 d = 24).
+
+The JSON form of a report (:meth:`AnalysisReport.to_json`) writes each Bell
+case's junk state by its spectrum, the eigenvalues that its factor keeps:
+the certified state is fixed only up to a change of basis on the junk
+register.  The d x d matrix stays on the in-memory :class:`BellCaseReport`.
 """
 from __future__ import annotations
 
@@ -38,10 +43,9 @@ import numpy as np
 from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, OUTCOME_SIGNS, QUESTION_PAIRS,
                      Device, marginal_observables, partial_states, projectors, validate)
 from .errors import ValidationError
-from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state,
-                     factored_trace_distance, matrix_to_json, outcome_vec,
-                     rank_factor, signed_factor, state_dep_norm_sq, tensor,
-                     trace_prod)
+from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, factored_trace_distance,
+                     outcome_vec, rank_factor, signed_factor, state_dep_norm_sq,
+                     tensor, trace_prod)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -200,18 +204,30 @@ _UPDATE_ANC.flags.writeable = _PHIS.flags.writeable = False
 
 @dataclass
 class BellCaseReport:
+    """One cross-parity case of :func:`bell_report`.
+
+    ``xi`` is the extracted junk state as a d x d matrix (zero for a
+    degenerate case, whose branch trace is below ``1e-12``).  The paper
+    certifies the Bell state only up to a change of basis on the junk
+    register, so the JSON form writes ``xi`` by its spectrum alone:
+    ``xi_eigenvalues``, the eigenvalues that ``signed_factor`` keeps (at
+    the numerical rank, in descending order; ``[]`` when degenerate).  The
+    matrix itself can be recomputed from the device file with
+    :func:`analyze`.
+    """
     label: tuple[int, int]
     branch_trace: float
     state_distance: float
     measurement_distances: dict[str, float]
     xi: np.ndarray
+    xi_eigenvalues: list[float]
     degenerate: bool
 
     def to_json(self) -> dict:
         return {"label": list(self.label), "branch_trace": self.branch_trace,
                 "state_distance": self.state_distance,
                 "measurement_distances": dict(self.measurement_distances),
-                "xi": matrix_to_json(self.xi), "degenerate": self.degenerate}
+                "xi_eigenvalues": list(self.xi_eigenvalues), "degenerate": self.degenerate}
 
 
 def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[BellCaseReport]:
@@ -230,7 +246,9 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
     update's left operand is ``(V L) (R part R^dag) (V L)^dag``; the state's is
     ``V part V^dag``.  ``xi`` is factored once per case by
     :func:`~bellcert.linalg.signed_factor` into ``X diag(sx) X^dag``, and the
-    right factor is ``(1/2) <u|phi> (u (x) X)`` for the outcome vector ``u``.
+    right factor is ``(1/2) <u|phi> (u (x) X)`` for the outcome vector ``u``;
+    the case's ``xi_eigenvalues`` are ``sx |X_j|^2`` over X's columns ``X_j``,
+    read off the factor with no second eigensolve.
     The 16 updates of a case run as one stacked call whose eigensolves have
     side ``rank(P) + rank(xi)`` (12 at d = 24) rather than 4d.  Nothing is
     assumed of the projectors or of the signs of ``part``, so invalid devices
@@ -260,6 +278,7 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
 
         x, sx = signed_factor(xi)
         mx = np.diag(sx)
+        spectrum = np.sort(sx * np.sum(np.abs(x) ** 2, axis=0))[::-1]
         # (1/2) <u|phi> (u (x) X) has rows indexed (ancilla, junk), like V
         coef = 0.5 * _UPDATE_ANC * (_UPDATE_ANC.conj() @ phi)[:, None]
         g = (coef[:, :, None, None] * x).reshape(len(_UPDATES), 4 * d, x.shape[1])
@@ -270,7 +289,8 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
         reports.append(BellCaseReport(label=label, branch_trace=tr,
                                       state_distance=state_distance,
                                       measurement_distances=dict(zip(_UPDATES, dists.tolist())),
-                                      xi=xi, degenerate=degenerate))
+                                      xi=xi, xi_eigenvalues=spectrum.tolist(),
+                                      degenerate=degenerate))
     return reports
 
 
@@ -312,7 +332,9 @@ class AnalysisReport:
         rows += [(f"pauli.{k}", v) for k, v in self.pauli_rounding.items()]
         for case in self.bell_cases:
             tag = f"bell_case.{case.label[0]}{case.label[1]}"
-            rows.append((f"{tag}.state_distance", case.state_distance))
+            rows += [(f"{tag}.branch_trace", case.branch_trace),
+                     (f"{tag}.degenerate", int(case.degenerate)),
+                     (f"{tag}.state_distance", case.state_distance)]
             rows += [(f"{tag}.{k}", v)
                      for k, v in case.measurement_distances.items()]
         return rows

@@ -44,8 +44,8 @@ class RunConfig:
     transcript_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.sessions < 1:
-            raise ConfigurationError("need at least one session")
+        if type(self.sessions) is not int or self.sessions < 1:
+            raise ConfigurationError(f"sessions {self.sessions!r} is not a positive integer")
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigurationError(f"seed {self.seed!r} is not a non-negative integer")
         if self.force_round not in (None, *protocol.ROUND_TYPES):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -169,15 +170,30 @@ def test_bell_report_honest():
                            atol=1e-10)
 
 
-def test_bell_report_flags_missing_branch():
+def _missing_branch_device():
+    """The noiseless honest device with all weight in the (1,1) basis on
+    the single label (0, 0)."""
     dev = from_honest(0.0)
-    # move all weight in the (1,1) basis onto a single label
     for br in dev.branches[(1, 1)]:
         br.weight = 1.0 if br.label == (0, 0) else 0.0
-    reports = {tuple(c.label): c for c in _bell_report(dev)}
+    return dev
+
+
+def test_bell_report_flags_missing_branch():
+    reports = {tuple(c.label): c for c in _bell_report(_missing_branch_device())}
     assert reports[(0, 0)].branch_trace == pytest.approx(1.0)
     assert reports[(0, 1)].degenerate
     assert reports[(0, 1)].branch_trace == pytest.approx(0.0, abs=1e-12)
+    # a degenerate case has no junk state, so its spectrum is empty
+    assert reports[(0, 1)].to_json()["xi_eigenvalues"] == []
+
+
+def test_honest_junk_spectrum_is_pure():
+    """The noiseless honest device's junk state is |00><00|, so every case
+    writes the spectrum [1.0]."""
+    for case in analysis.analyze(from_honest(0.0)).to_json()["bell_cases"]:
+        assert len(case["xi_eigenvalues"]) == 1
+        assert case["xi_eigenvalues"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def _dense_bell_distances(device):
@@ -264,6 +280,20 @@ def test_embedded_junk_factor_width(rng, p, junk_dim):
     dev = embed_device(from_honest(p), junk_dim, rng)
     for case in _bell_report(dev):
         assert signed_factor(case.xi)[0].shape == (dev.dim, junk_dim)
+
+
+@pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])
+def test_embedded_junk_spectrum(rng, p, junk_dim):
+    """An embedded device's junk state is the embedding's junk state up to a
+    change of basis, so each case writes that state's eigenvalues, in
+    descending order.  The junk state is redrawn from a copy of ``rng``."""
+    junk = random_density(junk_dim, copy.deepcopy(rng))
+    want = np.linalg.eigvalsh(junk)[::-1]
+    dev = embed_device(from_honest(p), junk_dim, rng)
+    for case in analysis.analyze(dev).to_json()["bell_cases"]:
+        assert len(case["xi_eigenvalues"]) == junk_dim
+        assert case["xi_eigenvalues"] == sorted(case["xi_eigenvalues"], reverse=True)
+        assert np.allclose(case["xi_eigenvalues"], want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])
@@ -459,3 +489,39 @@ def test_analysis_report_serialization(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "quantity,value"
     assert any(line.startswith("gamma_t,") for line in lines)
+    # the CSV carries every per-case scalar of the JSON, degenerate as 0 or 1
+    rows = dict(line.split(",") for line in lines[1:])
+    for case in blob["bell_cases"]:
+        tag = "bell_case.{}{}".format(*case["label"])
+        assert rows[f"{tag}.degenerate"] == "0"
+        scalars = {"branch_trace": case["branch_trace"],
+                   "state_distance": case["state_distance"], **case["measurement_distances"]}
+        for key, value in scalars.items():
+            assert float(rows[f"{tag}.{key}"]) == value, key
+
+
+def test_csv_marks_degenerate_cases():
+    """A case with no weight is told apart from a real one in the CSV."""
+    rows = dict(analysis.analyze(_missing_branch_device()).scalar_rows())
+    assert rows["bell_case.00.degenerate"] == 0
+    assert rows["bell_case.00.branch_trace"] == pytest.approx(1.0, abs=1e-12)
+    for label in ("01", "10", "11"):
+        assert rows[f"bell_case.{label}.degenerate"] == 1
+        assert rows[f"bell_case.{label}.branch_trace"] == pytest.approx(0.0, abs=1e-12)
+
+
+_CASE_KEYS = {"label", "branch_trace", "state_distance", "measurement_distances",
+              "xi_eigenvalues", "degenerate"}
+
+
+@pytest.mark.parametrize("dev", _dense_reference_devices())
+def test_report_json_schema(dev):
+    """Each Bell case writes exactly its scalars and the junk spectrum,
+    never the junk matrix, and the whole report is strict JSON."""
+    report = analysis.analyze(dev)
+    doc = report.to_json()
+    json.dumps(doc, allow_nan=False)
+    for case, mem in zip(doc["bell_cases"], report.bell_cases):
+        assert set(case) == _CASE_KEYS
+        assert all(type(lam) is float for lam in case["xi_eigenvalues"])
+        assert len(case["xi_eigenvalues"]) == signed_factor(mem.xi)[0].shape[1]

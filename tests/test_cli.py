@@ -86,6 +86,27 @@ def test_gen_device_and_analyze(tmp_path, capsys):
     assert csv_path.read_text().startswith("quantity,value")
 
 
+def _keys(doc) -> set:
+    """Every dict key at any depth of a JSON document."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def test_analyze_writes_junk_spectrum_not_matrix(tmp_path):
+    """``analyze --out`` writes each Bell case's junk state as its
+    descending eigenvalues, with no ``xi`` matrix anywhere in the file."""
+    dev, report = tmp_path / "dev.json", tmp_path / "report.json"
+    assert cli.main(["gen-device", "--noise", "0.1", "--out", str(dev)]) == 0
+    assert cli.main(["analyze", str(dev), "--out", str(report)]) == 0
+    blob = json.loads(report.read_text())
+    assert "xi" not in _keys(blob)
+    for case in blob["bell_cases"]:
+        assert case["xi_eigenvalues"] == pytest.approx([1.0], abs=1e-12)
+
+
 def test_analyze_missing_file_fails(tmp_path):
     assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 1
 

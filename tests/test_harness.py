@@ -28,6 +28,14 @@ def test_run_config_validation():
             RunConfig(force_basis=basis)
 
 
+@pytest.mark.parametrize("sessions", [2.5, True, "3", 0])
+def test_run_config_refuses_bad_sessions(sessions):
+    """A session count is a plain int of at least 1: a float would fail
+    later inside ``run_sessions`` and ``True`` would run one session."""
+    with pytest.raises(ConfigurationError, match="sessions"):
+        RunConfig(sessions=sessions)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
 def test_run_config_refuses_bad_seed(seed):
     """A seed is a non-negative int; numpy would refuse a negative one only
