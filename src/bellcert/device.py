@@ -3,11 +3,11 @@
 A device specifies, for each basis pair, an ensemble of labelled states
 (the post-commitment branches, labelled by the answers a sound prover
 would give), plus one four-outcome projective measurement per question
-pair.  :func:`validate` checks a device's structure: each matrix's shape
-and finiteness first, one at a time, then the remaining laws as stacked
-passes over all branch states and all projectors.  Past it, the analysis
-layer and the prover read a device only as two stacks, :func:`partial_states`
-and :func:`projectors`; only this module knows the branch-list layout.
+pair.  :func:`device_from_json` only decodes a device file; :func:`validate`
+alone judges a device's structure, built in code or decoded alike.  Past
+it, the analysis layer and the prover read a device only as two stacks,
+:func:`partial_states` and :func:`projectors`; only this module knows the
+branch-list layout.
 """
 from __future__ import annotations
 
@@ -66,9 +66,10 @@ class Violation:
 
 
 def _matrix_fault(m: np.ndarray, dim: int) -> str | None:
-    """Why ``m`` cannot enter the arithmetic (a wrong shape, or a NaN or
-    infinite entry), or None; checked before any operation on it."""
-    if m.shape != (dim, dim):
+    """Why ``m`` cannot enter the arithmetic (a ``dim`` that is not a plain
+    int >= 1, a shape other than (dim, dim), or a NaN or infinite entry), or
+    None; checked before any operation on it."""
+    if type(dim) is not int or dim < 1 or m.shape != (dim, dim):
         return "dim"
     if not np.isfinite(m).all():
         return "finiteness"
@@ -78,49 +79,49 @@ def _matrix_fault(m: np.ndarray, dim: int) -> str | None:
 def validate(device: Device) -> list[Violation]:
     """Collect every structural violation beyond ``VALIDATION_TOL`` (empty = valid).
 
-    A state or projector of the wrong shape or with a non-finite entry is
-    an infinite ``dim`` or ``finiteness`` violation, found before any
-    arithmetic on it, and enters no further check.  The others are checked
-    as stacks: the branch states of all bases in one pass (hermiticity, one
-    ``eigvalsh`` for the lowest eigenvalues, trace), and the projectors of
-    all question pairs in one stacked ``P P`` and one batched product
-    ``P_a P_b`` for the orthogonality pairs.  Names and order are those of
-    a loop over one matrix at a time, and magnitudes equal up to rounding.
+    The only judge of a device's structure; it accepts any device that
+    :func:`device_from_json` decodes.  A missing basis or question pair, a
+    label that is not two plain bits (``protocol.is_pair``), a non-finite
+    weight, and a state or projector of the wrong shape or with a non-finite
+    entry are infinite violations; such a matrix enters no arithmetic.  The
+    other laws are checked on stacks: each basis pair's branch states
+    (hermiticity, lowest eigenvalue, trace) and each question pair's four
+    projectors (``P P``, completeness, ``P_a P_b``).  No (dim, dim) array is
+    built that the device does not hold, since a file's ``dim`` is hostile.
+    Names and order are those of a loop over one matrix at a time.
     """
     out: list[Violation] = []
     dim = device.dim
     inf = float("inf")
 
-    # branch states: shape and finiteness first, then the stacked checks
-    states = [np.asarray(br.state, dtype=complex)
-              for basis in BASIS_PAIRS for br in device.branches.get(basis) or ()]
-    faults = [_matrix_fault(st, dim) for st in states]
-    good = np.array([st for st, f in zip(states, faults) if f is None]).reshape(-1, dim, dim)
-    herm = np.max(np.abs(good - good.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
-    low = np.linalg.eigvalsh(good).min(axis=-1, initial=inf)
-    tr_err = np.abs(np.trace(good, axis1=-2, axis2=-1).real - 1.0)
-    checked = iter(zip(herm.tolist(), low.tolist(), tr_err.tolist()))
-    fault_of = iter(faults)
     for basis in BASIS_PAIRS:
         branches = device.branches.get(basis)
         if not branches:
             out.append(Violation(f"branches[{basis}] missing", inf))
             continue
+        states = [np.asarray(br.state, dtype=complex) for br in branches]
+        faults = [_matrix_fault(st, dim) for st in states]
+        ok = np.array([f is None for f in faults])
+        herm, low, tr_err = np.zeros((3, len(states)))
+        if ok.any():
+            good = np.array([st for st, f in zip(states, faults) if f is None])
+            herm[ok] = np.max(np.abs(good - good.conj().swapaxes(-1, -2)), axis=(-2, -1))
+            low[ok] = np.linalg.eigvalsh(good).min(axis=-1)
+            tr_err[ok] = np.abs(np.trace(good, axis1=-2, axis2=-1).real - 1.0)
         total = 0.0
-        for br in branches:
+        for br, fault, h, lo, t in zip(branches, faults, herm.tolist(), low.tolist(),
+                                       tr_err.tolist()):
             total += br.weight
             name = f"branch {basis}/{br.label}"
-            if tuple(br.label) not in OUTCOME_PAIRS:
+            if not is_pair(br.label):
                 out.append(Violation(f"{name} label", inf))
             if not np.isfinite(br.weight):
                 out.append(Violation(f"{name} weight", inf))
             elif br.weight < -VALIDATION_TOL:
                 out.append(Violation(f"{name} weight", -br.weight))
-            fault = next(fault_of)
             if fault is not None:
                 out.append(Violation(f"{name} {fault}", inf))
                 continue
-            h, lo, t = next(checked)
             if h > VALIDATION_TOL:
                 out.append(Violation(f"{name} hermiticity", h))
             elif lo < -VALIDATION_TOL:
@@ -130,39 +131,33 @@ def validate(device: Device) -> list[Violation]:
         if abs(total - 1.0) > VALIDATION_TOL:
             out.append(Violation(f"branches[{basis}] weight sum", abs(total - 1.0)))
 
-    # measurements: a question pair with a missing outcome, or with a
-    # projector of the wrong shape or with a non-finite entry, enters no
-    # stacked check
-    fatal, projs = {}, []
     for q in QUESTION_PAIRS:
         meas = device.measurements.get(q)
         if not meas or set(meas) != set(OUTCOME_PAIRS):
-            fatal[q] = [Violation(f"measurements[{q}] outcomes", inf)]
+            out.append(Violation(f"measurements[{q}] outcomes", inf))
             continue
         mats = [np.asarray(meas[o], dtype=complex) for o in OUTCOME_PAIRS]
-        fatal[q] = [Violation(f"measurements[{q}][{o}] {fault}", inf)
-                    for o, m in zip(OUTCOME_PAIRS, mats)
-                    if (fault := _matrix_fault(m, dim)) is not None]
-        if not fatal[q]:
-            projs.append(mats)
-    p = np.array(projs).reshape(-1, len(OUTCOME_PAIRS), dim, dim)
-    idem = np.max(np.abs(p @ p - p), axis=(-2, -1))
-    herm = np.max(np.abs(p - p.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    comp = np.max(np.abs(p.sum(axis=1) - np.eye(dim)), axis=(-2, -1))
-    ortho = np.max(np.abs(p[:, _ORTHO_A] @ p[:, _ORTHO_B]), axis=(-2, -1))
-    checked = iter(zip(np.maximum(idem, herm).tolist(), comp.tolist(), ortho.tolist()))
-    for q in QUESTION_PAIRS:
-        if fatal[q]:
-            out += fatal[q]
+        faults = [Violation(f"measurements[{q}][{o}] {fault}", inf)
+                  for o, m in zip(OUTCOME_PAIRS, mats)
+                  if (fault := _matrix_fault(m, dim)) is not None]
+        if faults:
+            out += faults
             continue
-        proj_err, comp_err, ortho_err = next(checked)
-        for o in device.measurements[q]:
+        p = np.array(mats)
+        idem = np.max(np.abs(p @ p - p), axis=(-2, -1))
+        herm = np.max(np.abs(p - p.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        gap = p.sum(axis=0)
+        gap.flat[::dim + 1] -= 1.0  # the sum minus the identity, which is never built
+        comp_err = float(np.max(np.abs(gap)))
+        ortho = np.max(np.abs(p[_ORTHO_A] @ p[_ORTHO_B]), axis=(-2, -1)).tolist()
+        proj_err = np.maximum(idem, herm).tolist()
+        for o in meas:
             err = proj_err[OUTCOME_PAIRS.index(o)]
             if err > VALIDATION_TOL:
                 out.append(Violation(f"measurements[{q}][{o}] projector", err))
         if comp_err > VALIDATION_TOL:
             out.append(Violation(f"measurements[{q}] completeness", comp_err))
-        for a, b, err in zip(_ORTHO_A, _ORTHO_B, ortho_err):
+        for a, b, err in zip(_ORTHO_A, _ORTHO_B, ortho):
             if err > VALIDATION_TOL:
                 out.append(Violation(f"measurements[{q}] orthogonality "
                                      f"{OUTCOME_PAIRS[a]}/{OUTCOME_PAIRS[b]}", err))
@@ -278,13 +273,16 @@ def device_to_json(device: Device) -> dict:
     }
 
 
-def _weight_from_json(w) -> float:
-    if type(w) not in (int, float):
-        raise ValidationError(f"branch weight {w!r} is not a number")
-    return float(w)
-
-
 def device_from_json(d: dict) -> Device:
+    """Decode a device file's JSON object, or raise ``ValidationError``.
+
+    Only the encoding is checked: ``dim`` is a plain int >= 1, ``branches``
+    and ``measurements`` are objects keyed by ``"01"``-style pairs, each
+    branch has a label list, a plain numeric weight and a matrix literal,
+    and each question pair has exactly four matrix literals, because
+    outcomes are positional (``OUTCOME_PAIRS`` order).  Whether the device
+    is well formed is for :func:`validate` alone to judge.
+    """
     try:
         dim = d["dim"]
         if type(dim) is not int or dim < 1:
@@ -292,40 +290,25 @@ def device_from_json(d: dict) -> Device:
         for name in ("branches", "measurements"):
             if type(d[name]) is not dict:
                 raise ValidationError(f"{name} is not an object keyed by pair")
-        branches = {}
-        for key, brs in d["branches"].items():
-            branches[_pair_from_key(key)] = [
-                Branch(label=tuple(br["label"]),
-                       weight=_weight_from_json(br["weight"]),
-                       state=matrix_from_json(br["state"]))
-                for br in brs]
+        branches = {_pair_from_key(key): [_branch_from_json(br) for br in brs]
+                    for key, brs in d["branches"].items()}
         measurements = {}
         for key, projs in d["measurements"].items():
-            if len(projs) != 4:
-                raise ValidationError(f"measurements[{key}] needs 4 projectors")
+            if type(projs) is not list or len(projs) != 4:
+                raise ValidationError(f"measurements[{key}] is not a list of 4 projectors")
             measurements[_pair_from_key(key)] = {
                 o: matrix_from_json(m) for o, m in zip(OUTCOME_PAIRS, projs)}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad device description: {exc}") from exc
-    dev = Device(dim=dim, branches=branches, measurements=measurements)
-    for basis in BASIS_PAIRS:
-        if basis not in dev.branches:
-            raise ValidationError(f"missing branches for basis {basis}")
-    for q in QUESTION_PAIRS:
-        if q not in dev.measurements:
-            raise ValidationError(f"missing measurement for questions {q}")
-    # shapes are checked before ``validate`` builds (dim, dim) arrays
-    for basis, br_list in dev.branches.items():
-        for br in br_list:
-            if not is_pair(br.label):
-                raise ValidationError(f"branch label {list(br.label)} is not a pair of bits")
-            if br.state.shape != (dim, dim):
-                raise ValidationError(f"branch {basis}/{br.label} state has shape {br.state.shape}")
-    for q, projs in dev.measurements.items():
-        for o, m in projs.items():
-            if m.shape != (dim, dim):
-                raise ValidationError(f"measurements[{q}][{o}] has shape {m.shape}")
-    return dev
+    return Device(dim=dim, branches=branches, measurements=measurements)
+
+
+def _branch_from_json(br: dict) -> Branch:
+    label, weight = br["label"], br["weight"]
+    if type(label) is not list or type(weight) not in (int, float):
+        raise ValidationError(f"branch label {label!r} or weight {weight!r} is not "
+                              "a list and a number")
+    return Branch(tuple(label), float(weight), matrix_from_json(br["state"]))
 
 
 def load_device(path: str) -> Device:

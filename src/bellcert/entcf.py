@@ -101,13 +101,13 @@ class EntcfParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "EntcfParams":
-        """Params from a wire object; a field of the wrong type raises
-        MalformedMessageError, an absent one takes its default."""
-        fields = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        bad = [k for k, v in fields.items() if type(v) not in _WIRE_TYPES.get(k, (int,))]
+        """Params from a wire object; an unknown field or one of the wrong type
+        raises MalformedMessageError, an absent one takes its default."""
+        bad = [k for k, v in d.items() if k not in cls.__dataclass_fields__
+               or type(v) not in _WIRE_TYPES.get(k, (int,))]
         if bad:
-            raise MalformedMessageError(f"params fields of the wrong type: {bad}")
-        return cls(**fields)
+            raise MalformedMessageError(f"params fields unknown or of the wrong type: {bad}")
+        return cls(**d)
 
 
 @dataclass

@@ -52,7 +52,15 @@ def message(mtype: str, session_id: int, payload: dict) -> dict:
     return {"type": mtype, "session_id": int(session_id), "payload": payload}
 
 
+# the payload fields of each message type; a payload holds exactly these
+PAYLOAD_FIELDS = {"keys": {"params", "keys"}, "commit": {"y1", "y2"}, "round": {"round"},
+                  "preimage": {"b1", "x1", "b2", "x2"}, "equations": {"d1", "d2"},
+                  "questions": {"q1", "q2"}, "answers": {"v1", "v2"}, "verdict": {"flag"}}
+
+
 def validate_message(obj, expected_type: str) -> dict:
+    """``obj`` if it is an ``expected_type`` message whose payload holds exactly
+    that type's :data:`PAYLOAD_FIELDS`; the values are the receiver's to decode."""
     if not isinstance(obj, dict):
         raise MalformedMessageError("message is not an object")
     extra = set(obj) - {"type", "session_id", "payload"}
@@ -61,8 +69,9 @@ def validate_message(obj, expected_type: str) -> dict:
         raise MalformedMessageError(f"bad message keys: missing={missing} extra={extra}")
     if obj["type"] != expected_type:
         raise MalformedMessageError(f"expected {expected_type!r}, got {obj['type']!r}")
-    if not isinstance(obj["payload"], dict):
-        raise MalformedMessageError("payload is not an object")
+    fields = PAYLOAD_FIELDS[expected_type]
+    if not isinstance(obj["payload"], dict) or set(obj["payload"]) != fields:
+        raise MalformedMessageError(f"payload is not an object of exactly {sorted(fields)}")
     return obj
 
 
@@ -326,7 +335,8 @@ class TranscriptRecord:
         if not isinstance(d, dict):
             raise MalformedMessageError("transcript record is not an object")
         raw = {k: d.get(k) for k in _RECORD_FIELDS}  # a missing field reads as None
-        bad = [k for k, valid in _RECORD_FIELDS.items() if not valid(raw[k])]
+        bad = [k for k in d if k not in raw] + [
+            k for k, valid in _RECORD_FIELDS.items() if not valid(raw[k])]
         if bad:
             raise MalformedMessageError(f"bad transcript record fields: {bad}")
         missing = [k for k in _ROUND_FIELDS[raw["round_type"]] if raw[k] is None]

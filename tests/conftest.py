@@ -12,7 +12,7 @@ from bellcert.device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Branch,
 from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import (VALIDATION_TOL, as_operator, projector_of, state_dep_norm_sq,
                              tensor)
-from bellcert.protocol import CHECKS
+from bellcert.protocol import CHECKS, is_pair
 
 # hypothesis imports this module to report a failing example; its import
 # raises a DeprecationWarning from a dependency, which the per-test "error"
@@ -179,7 +179,7 @@ def dense_validate(device: Device) -> list[Violation]:
         total = 0.0
         for br in branches:
             total += br.weight
-            if tuple(br.label) not in OUTCOME_PAIRS:
+            if not is_pair(br.label):
                 out.append(Violation(f"branch {basis}/{br.label} label", float("inf")))
             if not np.isfinite(br.weight):
                 out.append(Violation(f"branch {basis}/{br.label} weight", float("inf")))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,10 +77,16 @@ def test_device_json_roundtrip(tmp_path):
 
 
 def test_device_json_requires_all_bases():
+    """A file without a basis pair loads, and ``validate`` names the gap
+    (``analyze`` refuses it); a question pair without four projectors is
+    refused on loading, because outcomes are positional."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     del d["branches"]["01"]
-    with pytest.raises(ValidationError):
-        devmod.device_from_json(d)
+    dev = devmod.device_from_json(d)
+    name = "branches[(0, 1)] missing"
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        analysis.analyze(dev)
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["measurements"]["11"] = d["measurements"]["11"][:3]
     with pytest.raises(ValidationError):
@@ -88,29 +95,32 @@ def test_device_json_requires_all_bases():
 
 @pytest.mark.parametrize("size", [2, 5])
 def test_device_json_refuses_wrong_size_projector(tmp_path, capsys, size):
-    """A projector of the wrong size is refused on loading, by question pair
-    and outcome, and ``analyze`` exits 2 as for any malformed device file."""
+    """A projector of the wrong size loads; ``validate`` names it by
+    question pair and outcome, and ``analyze`` exits 2 as for any
+    malformed device file."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["measurements"]["00"][0] = matrix_to_json(np.eye(size))
-    with pytest.raises(ValidationError, match=re.escape("measurements[(0, 0)][(0, 0)]")):
-        devmod.device_from_json(d)
+    name = "measurements[(0, 0)][(0, 0)] dim"
+    dev = devmod.device_from_json(d)
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
     path = tmp_path / "dev.json"
     path.write_text(json.dumps(d))
     assert cli.main(["analyze", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: device cannot be analyzed: {name}\n"
 
 
 def test_device_json_refuses_wrong_size_state(tmp_path, capsys):
-    """A branch state of the wrong size is refused on loading, by basis and
-    label, and ``analyze`` exits 2."""
+    """A branch state of the wrong size loads; ``validate`` names it by
+    basis and label, and ``analyze`` exits 2."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["branches"]["10"][2]["state"] = matrix_to_json(np.eye(3) / 3)
-    with pytest.raises(ValidationError, match=re.escape("branch (1, 0)/(1, 0)")):
-        devmod.device_from_json(d)
+    name = "branch (1, 0)/(1, 0) dim"
+    dev = devmod.device_from_json(d)
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
     path = tmp_path / "dev.json"
     path.write_text(json.dumps(d))
     assert cli.main(["analyze", str(path)]) == 2
-    assert "error: branch (1, 0)/(1, 0)" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: device cannot be analyzed: {name}\n"
 
 
 def test_validate_catches_broken_devices():
@@ -141,10 +151,77 @@ def test_validate_catches_broken_devices():
 @pytest.mark.parametrize("label", [[0], [0, 7], ["1", "0"], [True, 0]])
 def test_device_json_refuses_bad_branch_label(label):
     """A label that is not two plain bits would match no outcome, so its
-    branch's weight would silently drop out of the analysis."""
+    branch's weight would silently drop out of the analysis: the file loads,
+    ``validate`` names the label and ``analyze`` refuses the device."""
     d = devmod.device_to_json(devmod.from_honest(0.0))
     d["branches"]["11"][0]["label"] = label
-    with pytest.raises(ValidationError):
+    dev = devmod.device_from_json(d)
+    name = f"branch (1, 1)/{tuple(label)} label"
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        analysis.analyze(dev)
+
+
+def test_validate_refuses_code_built_bool_label(tmp_path):
+    """``(True, False)`` equals the outcome (1, 0) but is not two plain
+    bits: ``validate`` names it, and a saved copy is refused on the way back
+    in under the same name, so no file ``analyze`` reported on is refused."""
+    dev = devmod.from_honest(0.0)
+    dev.branches[(1, 1)][0].label = (True, False)
+    name = "branch (1, 1)/(True, False) label"
+    assert [(v.name, v.magnitude) for v in devmod.validate(dev)] == [(name, float("inf"))]
+    path = tmp_path / "dev.json"
+    devmod.save_device(dev, str(path))
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        analysis.analyze(devmod.load_device(str(path)))
+
+
+def test_validate_names_huge_dim_without_allocating():
+    """A ``dim`` far beyond the matrices the device holds makes each of
+    them an infinite ``dim`` violation; no array of that size is built."""
+    dev = devmod.from_honest(0.0)
+    dev.dim = 2 ** 40
+    want = [f"branch {basis}/{br.label} dim"
+            for basis in devmod.BASIS_PAIRS for br in dev.branches[basis]]
+    want += [f"measurements[{q}][{o}] dim"
+             for q in devmod.QUESTION_PAIRS for o in devmod.OUTCOME_PAIRS]
+    tracemalloc.start()
+    try:
+        violations = devmod.validate(dev)
+        with pytest.raises(ValidationError, match="device cannot be analyzed"):
+            analysis.analyze(dev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v.name, v.magnitude) for v in violations] == [(n, float("inf")) for n in want]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("dim,side", [(0, 0), (4.0, 4)])
+def test_validate_names_bad_dim(dim, side):
+    """A ``dim`` that is not a plain int >= 1, which only code can build,
+    makes each matrix an infinite ``dim`` violation, even one of side
+    ``dim``: an empty device has nothing to measure."""
+    dev = devmod.from_honest(0.0)
+    dev.dim = dim
+    for brs in dev.branches.values():
+        for br in brs:
+            br.state = np.eye(side, dtype=complex) / max(side, 1)
+    for meas in dev.measurements.values():
+        for o in meas:
+            meas[o] = np.eye(side, dtype=complex)
+    violations = devmod.validate(dev)
+    assert len(violations) == 32
+    assert all(v.name.endswith(" dim") and v.magnitude == float("inf") for v in violations)
+    with pytest.raises(ValidationError, match="device cannot be analyzed"):
+        analysis.analyze(dev)
+
+
+def test_device_json_refuses_huge_weight():
+    """A JSON int too large for a float is refused, not an ``OverflowError``."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["branches"]["01"][0]["weight"] = 10 ** 400
+    with pytest.raises(ValidationError, match="bad device description"):
         devmod.device_from_json(d)
 
 
@@ -219,8 +296,8 @@ def test_analyze_reports_non_hermitian_branch_of_other_basis():
 ], ids=["projector", "state"])
 def test_validate_reports_wrong_shape_matrix(where, name):
     """A 3x3 projector or a 4x3 branch state in a device of dimension 4,
-    built in Python (``device_from_json`` refuses both), is an infinite
-    ``dim`` violation that ``analyze`` refuses by name."""
+    built in Python, is an infinite ``dim`` violation that ``analyze``
+    refuses by name, as for a device file (see the wrong-size file tests)."""
     dev = devmod.from_honest(0.1)
     if where == "projector":
         dev.measurements[(0, 0)][(0, 1)] = np.eye(3, dtype=complex)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcert import entcf
-from bellcert.errors import (ConfigurationError, FamilyError,
-                             InvalidImageError, ValidationError)
+from bellcert.errors import (ConfigurationError, FamilyError, InvalidImageError,
+                             MalformedMessageError, ValidationError)
 
 IDEAL = entcf.EntcfParams(backend="ideal", ideal_w=16)
 LWE = entcf.EntcfParams(backend="lwe")
@@ -48,6 +48,16 @@ def test_widest_ideal_keys(rng):
 
 def test_params_json_roundtrip(params):
     assert entcf.EntcfParams.from_json(params.to_json()) == params
+
+
+def test_params_json_refuses_unknown_field(params):
+    """Params from the wire hold only known fields; an absent one takes its
+    default."""
+    wire = params.to_json()
+    with pytest.raises(MalformedMessageError, match="evil"):
+        entcf.EntcfParams.from_json({**wire, "evil": 1})
+    assert entcf.EntcfParams.from_json({"backend": params.backend}) == \
+        entcf.EntcfParams(backend=params.backend)
 
 
 def test_claw_roundtrip(params, rng):

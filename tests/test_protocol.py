@@ -135,6 +135,65 @@ def _session_at(round_type: str):
     return state, prover, vrng
 
 
+def _honest_messages() -> dict:
+    """One honest message of each type, from an ideal session of each round type."""
+    msgs = {}
+    for round_type in protocol.ROUND_TYPES:
+        vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+        state, msgs["keys"] = protocol.start_session(PARAMS, vrng, round_type=round_type)
+
+        def exchange(msg, state=state, vrng=vrng):
+            reply = protocol.respond(state, msg, vrng)
+            msgs[msg["type"]], msgs[reply["type"]] = msg, reply
+            return reply
+        HonestProver(prng, ClawOracle(state.keys, state.trapdoors)).play(msgs["keys"], exchange)
+    return msgs
+
+
+@pytest.mark.parametrize("mtype", protocol.PAYLOAD_FIELDS)
+def test_payload_field_sets_are_exact(mtype):
+    """Each message type's payload holds exactly its fields: the envelope
+    check of either side refuses one extra field, or one missing."""
+    msg = _honest_messages()[mtype]
+    assert set(msg["payload"]) == protocol.PAYLOAD_FIELDS[mtype]
+    protocol.validate_message(msg, mtype)
+    extra = {**msg, "payload": {**msg["payload"], "junk": 0}}
+    short = {**msg, "payload": dict(list(msg["payload"].items())[1:])}
+    for bad in (extra, short):
+        with pytest.raises(MalformedMessageError):
+            protocol.validate_message(bad, mtype)
+
+
+@pytest.mark.parametrize("mtype,field", [
+    ("commit", "junk"), ("preimage", "b3"), ("equations", "d3"), ("answers", "v3")])
+def test_verifier_refuses_extra_payload_field(mtype, field):
+    """A prover message with one field too many is refused and leaves the
+    session where it was; the same message without it is accepted."""
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    round_type = "preimage" if mtype == "preimage" else "hadamard"
+    state, keys = protocol.start_session(PARAMS, vrng, round_type=round_type)
+    prover = HonestProver(prng, ClawOracle(state.keys, state.trapdoors))
+    msg = prover.commit(keys)
+    if mtype != "commit":
+        protocol.respond(state, msg, vrng)
+        msg = prover.preimage_answer() if mtype == "preimage" else prover.equations()
+    if mtype == "answers":
+        msg = prover.answers(protocol.respond(state, msg, vrng))
+    phase = state.phase
+    with pytest.raises(MalformedMessageError):
+        protocol.respond(state, {**msg, "payload": {**msg["payload"], field: 0}}, vrng)
+    assert state.phase == phase
+    protocol.respond(state, msg, vrng)
+
+
+def test_record_refuses_unknown_field():
+    """A transcript record holds only the fields of ``_RECORD_FIELDS``."""
+    rec = _run_honest(0).record.to_json()
+    protocol.TranscriptRecord.from_json(rec)
+    with pytest.raises(MalformedMessageError, match="evil"):
+        protocol.TranscriptRecord.from_json({**rec, "evil": None})
+
+
 def test_respond_follows_the_phase():
     vrng = role_rng(0, 0, 0)
     state, keys = protocol.start_session(PARAMS, vrng, round_type="preimage")

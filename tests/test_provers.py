@@ -186,6 +186,28 @@ def test_play_refuses_bad_round_or_verdict(replies):
         prover.play(keys, lambda msg: next(scripted))
 
 
+def _with_junk(msg: dict) -> dict:
+    return {**msg, "payload": {**msg["payload"], "junk": 0}}
+
+
+@pytest.mark.parametrize("mtype", ["keys", "round", "questions", "verdict"])
+def test_prover_refuses_extra_payload_field(mtype):
+    """A verifier message with one field too many is refused by the prover,
+    so a hostile verifier cannot pass it fields the prover would ignore."""
+    state, keys = protocol.start_session(PARAMS, role_rng(0, 0, 0), round_type="hadamard")
+    prover = provers.HonestProver(role_rng(0, 0, 1),
+                                  provers.ClawOracle(state.keys, state.trapdoors))
+    replies = [_round("hadamard"), _QUESTIONS, _verdict({"flag": "ok"})]
+    if mtype == "keys":
+        keys = _with_junk(keys)
+    else:
+        i = ["round", "questions", "verdict"].index(mtype)
+        replies[i] = _with_junk(replies[i])
+    scripted = iter(replies)
+    with pytest.raises(MalformedMessageError):
+        prover.play(keys, lambda msg: next(scripted))
+
+
 LWE = entcf.EntcfParams(backend="lwe")
 
 
