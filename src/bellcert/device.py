@@ -312,8 +312,13 @@ def _branch_from_json(br: dict) -> Branch:
 
 
 def load_device(path: str) -> Device:
+    """The device in the file at ``path``; a file that is not JSON is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return device_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except (RecursionError, ValueError) as exc:  # bad UTF-8, JSON and int strings
+            raise ValidationError(f"device file {path} does not decode: {exc}") from exc
+    return device_from_json(obj)
 
 
 def save_device(device: Device, path: str) -> None:

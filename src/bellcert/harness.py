@@ -127,12 +127,17 @@ class RunStats:
         }
 
 
-def collect(config: RunConfig, play) -> RunStats:
-    """Count and write the record of ``play(session_id)`` for every session;
-    protocol and transport errors count as aborts, and ``None`` ends the run."""
+def open_transcript(config: RunConfig):
+    """``config``'s transcript file opened for writing, or a null context."""
+    return (open(config.transcript_path, "w", encoding="utf-8") if config.transcript_path
+            else contextlib.nullcontext())
+
+
+def collect(config: RunConfig, play, transcript) -> RunStats:
+    """Count and write to ``transcript``, which it closes, the record of ``play(session_id)``
+    for every session; protocol and transport errors count as aborts, ``None`` ends the run."""
     stats = RunStats()
-    with (open(config.transcript_path, "w", encoding="utf-8") if config.transcript_path
-          else contextlib.nullcontext()) as sink:
+    with transcript as sink:
         for sid in range(config.sessions):
             try:
                 rec = play(sid)
@@ -149,7 +154,7 @@ def collect(config: RunConfig, play) -> RunStats:
 
 def run_sessions(config: RunConfig) -> RunStats:
     # run_one_session is looked up for every session, so it can be swapped out
-    return collect(config, lambda sid: run_one_session(config, sid))
+    return collect(config, lambda sid: run_one_session(config, sid), open_transcript(config))
 
 
 def read_transcripts(path: str) -> Iterable[TranscriptRecord]:

@@ -16,7 +16,8 @@ import time
 
 from . import protocol
 from .errors import AbortSessionError, ConfigurationError, MalformedMessageError
-from .harness import PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, collect, role_rng
+from .harness import (PROVER_ROLE, VERIFIER_ROLE, RunConfig, RunStats, collect,
+                      open_transcript, role_rng)
 from .provers import make_prover, parse_strategy
 
 MAX_LINE_BYTES = 64 * 1024
@@ -72,15 +73,20 @@ class LineChannel:
             pass
 
 
-def _listen(host: str, port: int, config: RunConfig, timeout: float) -> socket.socket:
+def _listen(host: str, port: int, config: RunConfig, timeout: float):
+    """The listening socket and the opened transcript; on any error, no socket stays open."""
     if config.force_basis is not None or config.force_round is not None:
         raise ConfigurationError("forced bases/rounds are in-process diagnostics only")
     server = socket.create_server((host, port))
     server.settimeout(timeout)
-    return server
+    try:
+        return server, open_transcript(config)
+    except BaseException:
+        server.close()
+        raise
 
 
-def _serve_on(server: socket.socket, config: RunConfig, timeout: float) -> RunStats:
+def _serve_on(server: socket.socket, transcript, config: RunConfig, timeout: float) -> RunStats:
     def play(session_id: int):
         try:
             conn, _ = server.accept()
@@ -98,7 +104,7 @@ def _serve_on(server: socket.socket, config: RunConfig, timeout: float) -> RunSt
             chan.close()
 
     with server:
-        return collect(config, play)
+        return collect(config, play, transcript)
 
 
 def serve(host: str, port: int, config: RunConfig, *,
@@ -112,7 +118,7 @@ def serve(host: str, port: int, config: RunConfig, *,
     Session ids follow accept order, so sequential clients reproduce the
     in-process harness exactly.
     """
-    return _serve_on(_listen(host, port, config, timeout), config, timeout)
+    return _serve_on(*_listen(host, port, config, timeout), config, timeout)
 
 
 def serve_in_thread(host: str, port: int, config: RunConfig,
@@ -122,10 +128,10 @@ def serve_in_thread(host: str, port: int, config: RunConfig,
     Pass ``port=0`` for an ephemeral port.  ``result`` is a single-element
     list that receives the RunStats once the thread finishes.
     """
-    server = _listen(host, port, config, timeout)
+    server, transcript = _listen(host, port, config, timeout)
     result: list = []
     thread = threading.Thread(
-        target=lambda: result.append(_serve_on(server, config, timeout)), daemon=True)
+        target=lambda: result.append(_serve_on(server, transcript, config, timeout)), daemon=True)
     thread.start()
     return thread, server.getsockname()[1], result
 
@@ -144,10 +150,8 @@ def run_prover(host: str, port: int, strategy: str, seed: int, *,
     with socket.create_connection((host, port), timeout=timeout) as sock:
         chan = LineChannel(sock, timeout)
         keys_msg = chan.recv()
-        sid = keys_msg.get("session_id") if isinstance(keys_msg, dict) else None
-        if type(sid) is not int or sid < 0:
-            raise MalformedMessageError(f"keys message has no valid session id: {sid!r}")
-        prover = make_prover(strategy, role_rng(seed, sid, PROVER_ROLE))
+        protocol.validate_message(keys_msg, "keys")  # before its session id seeds the prover
+        prover = make_prover(strategy, role_rng(seed, keys_msg["session_id"], PROVER_ROLE))
 
         def exchange(msg: dict) -> dict:
             chan.send(msg)

@@ -19,9 +19,9 @@ and :func:`respond` hands each prover message to the step of the current phase.
 Each step writes what it accepted into the session's :class:`TranscriptRecord`,
 and the verdict is :func:`recheck_flag` of the finished record, as in an audit.
 
-Messages are plain dicts ``{"type", "session_id", "payload"}`` so the same
-objects travel in-process, over the line-delimited TCP transport, and into
-transcript logs.
+Messages are plain dicts ``{"type", "session_id", "payload"}`` that travel
+in-process and over the TCP transport; both ends check each message they
+receive against :data:`PAYLOAD_FIELDS` in :func:`validate_message` alone.
 """
 from __future__ import annotations
 
@@ -52,29 +52,6 @@ def message(mtype: str, session_id: int, payload: dict) -> dict:
     return {"type": mtype, "session_id": int(session_id), "payload": payload}
 
 
-# the payload fields of each message type; a payload holds exactly these
-PAYLOAD_FIELDS = {"keys": {"params", "keys"}, "commit": {"y1", "y2"}, "round": {"round"},
-                  "preimage": {"b1", "x1", "b2", "x2"}, "equations": {"d1", "d2"},
-                  "questions": {"q1", "q2"}, "answers": {"v1", "v2"}, "verdict": {"flag"}}
-
-
-def validate_message(obj, expected_type: str) -> dict:
-    """``obj`` if it is an ``expected_type`` message whose payload holds exactly
-    that type's :data:`PAYLOAD_FIELDS`; the values are the receiver's to decode."""
-    if not isinstance(obj, dict):
-        raise MalformedMessageError("message is not an object")
-    extra = set(obj) - {"type", "session_id", "payload"}
-    missing = {"type", "session_id", "payload"} - set(obj)
-    if extra or missing:
-        raise MalformedMessageError(f"bad message keys: missing={missing} extra={extra}")
-    if obj["type"] != expected_type:
-        raise MalformedMessageError(f"expected {expected_type!r}, got {obj['type']!r}")
-    fields = PAYLOAD_FIELDS[expected_type]
-    if not isinstance(obj["payload"], dict) or set(obj["payload"]) != fields:
-        raise MalformedMessageError(f"payload is not an object of exactly {sorted(fields)}")
-    return obj
-
-
 def is_bit(v) -> bool:
     """Only the plain ints 0 and 1 are bits; ``True``, ``1.0`` and ``"1"`` are not."""
     return type(v) is int and v in (0, 1)
@@ -84,18 +61,55 @@ def is_pair(v, item=is_bit) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == 2 and all(item(x) for x in v)
 
 
-def _bit(payload: dict, key: str) -> int:
-    v = payload.get(key)
-    if not is_bit(v):
-        raise MalformedMessageError(f"field {key!r} must be the integer 0 or 1, got {v!r}")
-    return v
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
-def _hexbits(payload: dict, key: str, params: entcf.EntcfParams) -> int:
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_session_id(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+# each message type's payload fields, in order, with the rule each value meets;
+# a hex field need only be a string, since the step that receives it decodes it
+PAYLOAD_FIELDS = {
+    "keys": {"params": _is_object, "keys": lambda v: is_pair(v, _is_object)},
+    "commit": {"y1": _is_str, "y2": _is_str}, "round": {"round": lambda v: v in ROUND_TYPES},
+    "preimage": {"b1": is_bit, "x1": _is_str, "b2": is_bit, "x2": _is_str},
+    "equations": {"d1": _is_str, "d2": _is_str}, "questions": {"q1": is_bit, "q2": is_bit},
+    "answers": {"v1": is_bit, "v2": is_bit}, "verdict": {"flag": lambda v: v in FLAG_VALUES}}
+_ENVELOPE = {"type", "session_id", "payload"}
+
+
+def validate_message(obj, mtype: str, session_id: Optional[int] = None) -> dict:
+    """The payload of ``obj`` if it is an ``mtype`` message of a plain-int session
+    id >= 0 (``session_id``, when given) whose payload holds exactly the fields of
+    :data:`PAYLOAD_FIELDS`, each meeting its rule; else MalformedMessageError."""
+    if not isinstance(obj, dict) or obj.keys() != _ENVELOPE:
+        raise MalformedMessageError("message is not an object of type, session_id and payload")
+    if obj["type"] != mtype:
+        raise MalformedMessageError(f"expected {mtype!r}, got {obj['type']!r}")
+    sid = obj["session_id"]
+    if not _is_session_id(sid) or (session_id is not None and sid != session_id):
+        raise MalformedMessageError(f"bad session id {sid!r} (this session: {session_id})")
+    rules, payload = PAYLOAD_FIELDS[mtype], obj["payload"]
+    if not isinstance(payload, dict) or payload.keys() != rules.keys():
+        raise MalformedMessageError(f"payload is not an object of exactly {sorted(rules)}")
+    for k, valid in rules.items():
+        if not valid(payload[k]):
+            raise MalformedMessageError(f"bad {mtype} payload field {k!r}")
+    return payload
+
+
+def _from_wire(decode, params: entcf.EntcfParams, payload: dict, *fields: str) -> tuple:
+    """``decode(params, value)`` of each hex field; a refused spelling is malformed."""
     try:
-        return entcf.bits_from_wire(params, payload[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedMessageError(f"bad bit-string field {key!r}: {exc}") from exc
+        return tuple(decode(params, payload[k]) for k in fields)
+    except ValueError as exc:
+        raise MalformedMessageError(f"bad hex field among {fields}: {exc}") from exc
 
 
 @dataclass
@@ -115,11 +129,7 @@ class VerifierState:
         """The payload of ``msg``, which must be this session's ``phase`` message."""
         if self.phase != phase:
             raise ProtocolStateError(f"session in phase {self.phase!r}, expected {phase!r}")
-        sid = validate_message(msg, phase)["session_id"]
-        if type(sid) is not int or sid != self.record.session_id:
-            raise MalformedMessageError(
-                f"message for session {sid!r} sent to session {self.record.session_id}")
-        return msg["payload"]
+        return validate_message(msg, phase, self.record.session_id)
 
 
 def start_session(params: entcf.EntcfParams, rng: np.random.Generator,
@@ -160,13 +170,8 @@ def respond(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
 def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
     """Accept the prover's images and announce the round type."""
     payload = state._payload(msg, "commit")
-    try:
-        y1 = entcf.image_from_wire(state.params, payload["y1"])
-        y2 = entcf.image_from_wire(state.params, payload["y2"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedMessageError(f"bad commitment: {exc}") from exc
+    state.images = _from_wire(entcf.image_from_wire, state.params, payload, "y1", "y2")
     rec = state.record
-    state.images = (y1, y2)
     rec.images = (payload["y1"], payload["y2"])
     drawn = ROUND_TYPES[int(rng.integers(2))]  # even when forced: the stream is kept
     rec.round_type = rec.round_type or drawn
@@ -176,8 +181,8 @@ def receive_commit(state: VerifierState, msg: dict, rng: np.random.Generator) ->
 
 def receive_preimage(state: VerifierState, msg: dict) -> dict:
     payload = state._payload(msg, "preimage")
-    b = (_bit(payload, "b1"), _bit(payload, "b2"))
-    x = (_hexbits(payload, "x1", state.params), _hexbits(payload, "x2", state.params))
+    b = (payload["b1"], payload["b2"])
+    x = _from_wire(entcf.bits_from_wire, state.params, payload, "x1", "x2")
     rec = state.record
     rec.openings = (b[0], payload["x1"], b[1], payload["x2"])
     rec.pre_leg_ok = tuple(entcf.chk(state.keys[i], state.images[i], b[i], x[i])
@@ -187,7 +192,7 @@ def receive_preimage(state: VerifierState, msg: dict) -> dict:
 
 def receive_equations(state: VerifierState, msg: dict, rng: np.random.Generator) -> dict:
     payload = state._payload(msg, "equations")
-    d = (_hexbits(payload, "d1", state.params), _hexbits(payload, "d2", state.params))
+    d = _from_wire(entcf.bits_from_wire, state.params, payload, "d1", "d2")
     rec = state.record
     rec.equations = (payload["d1"], payload["d2"])
     rec.targets = _decode_targets(state, d)
@@ -199,7 +204,7 @@ def receive_equations(state: VerifierState, msg: dict, rng: np.random.Generator)
 
 def receive_answers(state: VerifierState, msg: dict) -> dict:
     payload = state._payload(msg, "answers")
-    state.record.answers = (_bit(payload, "v1"), _bit(payload, "v2"))
+    state.record.answers = (payload["v1"], payload["v2"])
     return _finish(state)
 
 
@@ -349,8 +354,11 @@ def _optional(valid):
     return lambda v: v is None or valid(v)
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
+def _payload_values(mtype: str):
+    """The rule of a record field that stores an ``mtype`` payload's values, in field order."""
+    rules = tuple(PAYLOAD_FIELDS[mtype].values())
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == len(rules)
+                      and all(valid(x) for valid, x in zip(rules, v)))
 
 
 def _is_targets(t) -> bool:
@@ -359,20 +367,20 @@ def _is_targets(t) -> bool:
 
 
 # the validity rule of every stored field, in the order records are written;
-# only the fields from openings on may be None
+# the payload values the verifier accepted keep their PAYLOAD_FIELDS rules,
+# and only the fields from openings on may be None
 _RECORD_FIELDS = {
-    "session_id": lambda v: type(v) is int and v >= 0,
+    "session_id": _is_session_id,
     "basis": is_pair,
-    "round_type": lambda v: v in ROUND_TYPES,
-    "flag": lambda v: v in FLAG_VALUES,
-    "images": lambda v: is_pair(v, _is_str),
-    "keys": lambda v: is_pair(v, lambda k: isinstance(k, dict) and set(k) == {"payload"}),
-    "openings": _optional(lambda v: isinstance(v, list) and len(v) == 4
-                          and is_pair(v[0::2]) and is_pair(v[1::2], _is_str)),
+    "round_type": PAYLOAD_FIELDS["round"]["round"],
+    "flag": PAYLOAD_FIELDS["verdict"]["flag"],
+    "images": _payload_values("commit"),
+    "keys": lambda v: is_pair(v, lambda k: _is_object(k) and set(k) == {"payload"}),
+    "openings": _optional(_payload_values("preimage")),
     "pre_leg_ok": _optional(lambda v: is_pair(v, lambda b: type(b) is bool)),
-    "equations": _optional(lambda v: is_pair(v, _is_str)),
-    "questions": _optional(is_pair),
-    "answers": _optional(is_pair),
+    "equations": _optional(_payload_values("equations")),
+    "questions": _optional(_payload_values("questions")),
+    "answers": _optional(_payload_values("answers")),
     "targets": _optional(_is_targets),
 }
 

@@ -26,8 +26,7 @@ from .device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Device, from_ho
 from .errors import (AbortSessionError, BellcertError, ConfigurationError,
                      MalformedMessageError)
 from .linalg import VALIDATION_TOL, trace_prod
-from .protocol import (FLAG_VALUES, ROUND_TYPES, accepted_pair, is_pair, message,
-                       validate_message)
+from .protocol import accepted_pair, message, validate_message
 
 
 def answer_table(dev: Device) -> dict[tuple, list[float]]:
@@ -77,19 +76,6 @@ class ClawOracle:
         return x ^ partner
 
 
-def _decode_keys(payload: dict) -> tuple[entcf.EntcfParams, tuple[entcf.PublicKey, ...]]:
-    """The params and the two public keys of a keys payload, or MalformedMessageError."""
-    params, keys = payload.get("params"), payload.get("keys")
-    if not (isinstance(params, dict) and isinstance(keys, list) and len(keys) == 2
-            and all(isinstance(k, dict) for k in keys)):
-        raise MalformedMessageError("keys payload needs a params object and two key objects")
-    try:
-        params = entcf.EntcfParams.from_json(params)
-        return params, tuple(entcf.PublicKey.from_json(k, params) for k in keys)
-    except BellcertError as exc:
-        raise MalformedMessageError(f"bad keys payload: {exc!r}") from exc
-
-
 class HonestProver:
     """One session on the device whose :func:`answer_table` is ``table`` (the
     noiseless honest device's by default): :meth:`play` runs the four steps."""
@@ -108,23 +94,21 @@ class HonestProver:
     def play(self, keys_msg: dict, exchange) -> str:
         """Play the session that ``keys_msg`` opens and return the verdict flag;
         ``exchange(msg)`` delivers a message to the verifier and returns its reply."""
-        round_msg = validate_message(exchange(self.commit(keys_msg)), "round")
-        round_type = round_msg["payload"].get("round")
-        if round_type not in ROUND_TYPES:
-            raise MalformedMessageError(f"unknown round type {round_type!r}")
-        if round_type == "preimage":
+        round_msg = exchange(self.commit(keys_msg))
+        if validate_message(round_msg, "round", self.session_id)["round"] == "preimage":
             verdict = exchange(self.preimage_answer())
         else:
             verdict = exchange(self.answers(exchange(self.equations())))
-        flag = validate_message(verdict, "verdict")["payload"].get("flag")
-        if flag not in FLAG_VALUES:
-            raise MalformedMessageError(f"unknown verdict flag {flag!r}")
-        return flag
+        return validate_message(verdict, "verdict", self.session_id)["flag"]
 
     def commit(self, keys_msg: dict) -> dict:
-        payload = validate_message(keys_msg, "keys")["payload"]
+        payload = validate_message(keys_msg, "keys")
         self.session_id = keys_msg["session_id"]
-        params, self.keys = _decode_keys(payload)
+        try:
+            params = entcf.EntcfParams.from_json(payload["params"])
+            self.keys = tuple(entcf.PublicKey.from_json(k, params) for k in payload["keys"])
+        except BellcertError as exc:
+            raise MalformedMessageError(f"bad keys payload: {exc!r}") from exc
         if self.oracle is None:
             self.oracle = ClawOracle(self.keys)
         self._prepare()
@@ -172,16 +156,9 @@ class HonestProver:
             "d2": entcf.bits_to_wire(params, self.legs[1]["d"]),
         })
 
-    @staticmethod
-    def _questions(questions_msg: dict) -> tuple[int, int]:
-        payload = validate_message(questions_msg, "questions")["payload"]
-        q = (payload.get("q1"), payload.get("q2"))
-        if not is_pair(q):
-            raise MalformedMessageError(f"questions {q!r} are not a pair of bits")
-        return q
-
     def answers(self, questions_msg: dict) -> dict:
-        q = self._questions(questions_msg)
+        payload = validate_message(questions_msg, "questions", self.session_id)
+        q = (payload["q1"], payload["q2"])
         basis = tuple(int("claw_xor" in leg) for leg in self.legs)  # 1 on an F leg
         targets = {}
         for i, leg in enumerate(self.legs, 1):
@@ -199,7 +176,7 @@ class ClassicalGuessProver(HonestProver):
     """Commits honestly but sends uniformly random hadamard answers."""
 
     def answers(self, questions_msg):
-        self._questions(questions_msg)
+        validate_message(questions_msg, "questions", self.session_id)
         return message("answers", self.session_id,
                        {"v1": int(self.rng.integers(2)), "v2": int(self.rng.integers(2))})
 

@@ -117,6 +117,17 @@ def test_analyze_corrupt_file_is_config_error(tmp_path):
     assert cli.main(["analyze", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("raw", [b'{"dim": 4,', b"\xff\xfe", b"[" * 100_000],
+                         ids=["truncated", "not_utf8", "too_deep"])
+def test_analyze_undecodable_file_is_config_error(tmp_path, capsys, raw):
+    """A device file that is not JSON is a usage error that names the file."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert cli.main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_analyze_names_non_finite_weight(tmp_path, capsys):
     """A NaN weight is refused as a usage error that names the branch."""
     dev = tmp_path / "dev.json"

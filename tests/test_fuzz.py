@@ -12,7 +12,7 @@ import socket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellcert import analysis, device, entcf, net, protocol, provers
+from bellcert import analysis, device, entcf, net, protocol
 from bellcert.errors import BellcertError, MalformedMessageError
 from bellcert.harness import role_rng
 from bellcert.protocol import Flag
@@ -99,16 +99,24 @@ def _near_value(v):
     return options
 
 
+class _NoClaws:
+    """A claw oracle for any keys: it reports every leg as an injective one."""
+
+    def claw_xor(self, leg, b, x, y):
+        return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(params=st.sampled_from(BACKENDS), data=st.data())
 def test_decode_keys_raises_only_malformed(params, data):
-    """Whatever a verifier puts in the keys payload object, the prover
-    either decodes it or raises MalformedMessageError."""
+    """Whatever a verifier puts in the keys payload object, the prover's
+    commit either plays the keys or raises MalformedMessageError."""
     _, keys = protocol.start_session(params, role_rng(0, 0, 0), basis=(1, 0))
-    honest = json.loads(json.dumps(keys["payload"]))
-    payload = data.draw(st.fixed_dictionaries({k: _near_value(v) for k, v in honest.items()}))
+    honest = json.loads(json.dumps(keys))
+    payload = data.draw(st.fixed_dictionaries(
+        {k: _near_value(v) for k, v in honest["payload"].items()}))
     try:
-        provers._decode_keys(payload)
+        HonestProver(role_rng(0, 0, 1), _NoClaws()).commit({**honest, "payload": payload})
     except MalformedMessageError:
         pass
 
@@ -124,5 +132,22 @@ def test_device_file_raises_only_bellcert_errors(data):
     blob = data.draw(st.fixed_dictionaries({k: _near_value(v) for k, v in HONEST_DEVICE.items()}))
     try:
         analysis.analyze(device.device_from_json(json.loads(json.dumps(blob))))
+    except BellcertError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=200) | st.sampled_from(
+    list(json.dumps(HONEST_DEVICE).encode()[:i] for i in (1, 10, 100, 1000))))
+@example(raw=b'{"dim": 4,')
+@example(raw=b"\xff\xfe")
+@example(raw=b"[" * 100_000)
+def test_device_file_bytes_raise_only_bellcert_errors(tmp_path_factory, raw):
+    """Whatever bytes a device file holds, ``load_device`` and ``analyze``
+    either report on it or raise a BellcertError."""
+    path = tmp_path_factory.mktemp("device") / "dev.json"
+    path.write_bytes(raw)
+    try:
+        analysis.analyze(device.load_device(str(path)))
     except BellcertError:
         pass

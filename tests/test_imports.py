@@ -1,13 +1,16 @@
-"""No module of the package imports a name it never uses, or keeps a
-private name it never reads.
+"""No module of the package imports a name it never uses, keeps a
+private name it never reads, or reads JSON without catching its failures.
 
 No linter runs with the tests, so these scans stand in for one: in each
 module of ``src/bellcert``, every name an ``import`` binds must be read
 somewhere in the module (as a plain name, or as the root of an attribute
-chain), or be listed in the module's ``__all__``; and every private name
+chain), or be listed in the module's ``__all__``; every private name
 the module defines at its top level (a ``_function``, ``_Class`` or
 ``_CONSTANT``) must be read somewhere in the module, since no other module
-may use it.
+may use it; and every ``json.load``/``json.loads`` call must sit in the
+body of a ``try`` whose handlers catch ``ValueError`` (bad UTF-8, bad JSON,
+over-long int strings) and ``RecursionError`` (deep nesting), since every
+file or line the package reads may be hostile.
 """
 from __future__ import annotations
 
@@ -78,3 +81,48 @@ def test_scan_finds_unused_privates():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def unguarded_json_reads(source: str) -> list[int]:
+    """The lines of the ``json.load``/``json.loads`` calls in ``source`` that no
+    enclosing ``try`` guards with handlers for ValueError and RecursionError."""
+    found = []
+
+    def visit(node, guarded: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            guarded = False  # its body runs when called, not where it is defined
+        if isinstance(node, ast.Try):
+            caught = {n.id for h in node.handlers if h.type
+                      for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+            for child in node.body:
+                visit(child, guarded or {"ValueError", "RecursionError"} <= caught)
+            for child in (*node.handlers, *node.orelse, *node.finalbody):
+                visit(child, guarded)
+            return
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr in ("load", "loads") and isinstance(func.value, ast.Name)
+                and func.value.id == "json" and not guarded):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_finds_unguarded_json_reads():
+    source = ("import json\n"
+              "a = json.loads('1')\n"
+              "try:\n    b = json.load(fh)\nexcept (ValueError, RecursionError):\n"
+              "    c = json.loads('2')\n"
+              "try:\n    d = json.loads('3')\nexcept ValueError:\n    pass\n"
+              "try:\n    def f():\n        return json.loads('4')\n"
+              "except (RecursionError, ValueError):\n    pass\n"
+              "e = json.dumps(1)\n")
+    assert unguarded_json_reads(source) == [2, 6, 8, 13]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unguarded_json_reads(path):
+    assert unguarded_json_reads(path.read_text(encoding="utf-8")) == []

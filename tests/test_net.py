@@ -252,6 +252,20 @@ def test_accept_timeout_ends_serving(tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
+def test_unopenable_transcript_raises_in_caller(tmp_path):
+    """A transcript in a missing directory is the caller's OSError, raised
+    before any thread starts, and the port it bound is closed again."""
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    cfg = RunConfig(params=IDEAL, sessions=1, transcript_path=str(tmp_path / "no" / "t.jsonl"))
+    threads = threading.active_count()
+    with pytest.raises(OSError):
+        net.serve_in_thread("127.0.0.1", port, cfg, timeout=1)
+    assert threading.active_count() <= threads  # no server thread was started
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+
+
 def test_serve_rejects_forced_diagnostics(tmp_path):
     cfg = RunConfig(params=IDEAL, sessions=1, force_basis=(1, 1))
     with pytest.raises(ConfigurationError):

@@ -135,12 +135,12 @@ def _session_at(round_type: str):
     return state, prover, vrng
 
 
-def _honest_messages() -> dict:
-    """One honest message of each type, from an ideal session of each round type."""
+def _honest_messages(params: entcf.EntcfParams = PARAMS) -> dict:
+    """One honest message of each type, from a session of each round type."""
     msgs = {}
     for round_type in protocol.ROUND_TYPES:
         vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
-        state, msgs["keys"] = protocol.start_session(PARAMS, vrng, round_type=round_type)
+        state, msgs["keys"] = protocol.start_session(params, vrng, round_type=round_type)
 
         def exchange(msg, state=state, vrng=vrng):
             reply = protocol.respond(state, msg, vrng)
@@ -150,18 +150,28 @@ def _honest_messages() -> dict:
     return msgs
 
 
+# a value each field's rule refuses: [] for the keys payload's params and
+# keys, "x" for a round or flag, and (below) True for a bit, 1 for a hex field
+_WRONG_VALUES = {"params": [], "keys": [], "round": "x", "flag": "x"}
+
+
 @pytest.mark.parametrize("mtype", protocol.PAYLOAD_FIELDS)
 def test_payload_field_sets_are_exact(mtype):
-    """Each message type's payload holds exactly its fields: the envelope
-    check of either side refuses one extra field, or one missing."""
-    msg = _honest_messages()[mtype]
-    assert set(msg["payload"]) == protocol.PAYLOAD_FIELDS[mtype]
-    protocol.validate_message(msg, mtype)
-    extra = {**msg, "payload": {**msg["payload"], "junk": 0}}
-    short = {**msg, "payload": dict(list(msg["payload"].items())[1:])}
-    for bad in (extra, short):
-        with pytest.raises(MalformedMessageError):
-            protocol.validate_message(bad, mtype)
+    """On both backends, each message type's payload holds exactly its
+    fields, each meeting its rule: the gate of either side refuses one extra
+    field, one missing, or one wrong value in any field."""
+    for params in (PARAMS, entcf.EntcfParams("lwe")):
+        msg = _honest_messages(params)[mtype]
+        assert list(msg["payload"]) == list(protocol.PAYLOAD_FIELDS[mtype])
+        assert protocol.validate_message(msg, mtype, 0) is msg["payload"]
+        extra = {**msg, "payload": {**msg["payload"], "junk": 0}}
+        short = {**msg, "payload": dict(list(msg["payload"].items())[1:])}
+        wrong = [{**msg, "payload": {**msg["payload"], field: _WRONG_VALUES.get(
+                      field, True if type(value) is int else 1)}}
+                 for field, value in msg["payload"].items()]
+        for bad in (extra, short, *wrong):
+            with pytest.raises(MalformedMessageError):
+                protocol.validate_message(bad, mtype)
 
 
 @pytest.mark.parametrize("mtype,field", [

@@ -208,6 +208,26 @@ def test_prover_refuses_extra_payload_field(mtype):
         prover.play(keys, lambda msg: next(scripted))
 
 
+@pytest.mark.parametrize("mtype", ["round", "questions", "verdict"])
+def test_prover_refuses_foreign_session_id(mtype):
+    """A verifier message for another session is refused by the prover; the
+    same replies with the session's own id are played to the end."""
+    state, keys = protocol.start_session(PARAMS, role_rng(0, 0, 0), round_type="hadamard")
+    replies = [_round("hadamard"), _QUESTIONS, _verdict({"flag": "ok"})]
+
+    def play():
+        prover = provers.HonestProver(role_rng(0, 0, 1),
+                                      provers.ClawOracle(state.keys, state.trapdoors))
+        scripted = iter(replies)
+        return prover.play(keys, lambda msg: next(scripted))
+
+    assert play() == "ok"
+    i = ["round", "questions", "verdict"].index(mtype)
+    replies[i] = {**replies[i], "session_id": 1}
+    with pytest.raises(MalformedMessageError, match="bad session id 1 "):
+        play()
+
+
 LWE = entcf.EntcfParams(backend="lwe")
 
 
