@@ -36,8 +36,6 @@ from .errors import (ConfigurationError, FamilyError, InvalidImageError,
 
 FAMILIES = ("F", "G")
 BACKENDS = ("ideal", "lwe")
-# JSON types of the EntcfParams fields that are not plain ints
-_WIRE_TYPES = {"backend": (str,), "lwe_sigma": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,9 @@ class EntcfParams:
     lwe_check_bound: int = 2048   # per-coordinate acceptance bound in chk
 
     def __post_init__(self):
+        bad = _mistyped(vars(self))
+        if bad:
+            raise ConfigurationError(f"params fields of the wrong type: {bad}")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
         if not 4 <= self.ideal_w <= 63:
@@ -103,11 +104,21 @@ class EntcfParams:
     def from_json(cls, d: dict) -> "EntcfParams":
         """Params from a wire object; an unknown field or one of the wrong type
         raises MalformedMessageError, an absent one takes its default."""
-        bad = [k for k, v in d.items() if k not in cls.__dataclass_fields__
-               or type(v) not in _WIRE_TYPES.get(k, (int,))]
+        bad = _mistyped(d)
         if bad:
             raise MalformedMessageError(f"params fields unknown or of the wrong type: {bad}")
         return cls(**d)
+
+
+# the JSON type of each EntcfParams field: a plain int, bar these two
+_WIRE_TYPES = {**dict.fromkeys(EntcfParams.__dataclass_fields__, (int,)),
+               "backend": (str,), "lwe_sigma": (int, float)}
+
+
+def _mistyped(fields: dict) -> list[str]:
+    """The names in ``fields`` that are not EntcfParams fields or whose
+    value is not of the field's JSON type."""
+    return [k for k, v in fields.items() if type(v) not in _WIRE_TYPES.get(k, ())]
 
 
 @dataclass
@@ -233,6 +244,12 @@ def _unpermute(seed: bytes, w: int, value: int) -> int:
     return (left << w) | right
 
 
+def _ideal_unpermute(td: Trapdoor, y) -> int:
+    """The padded preimage of an ideal image: ``(b << w) | x`` on a G key,
+    ``x0`` (its branch-0 preimage) on an F key when ``y`` is an image."""
+    return _unpermute(td.payload["seed"], td.params.ideal_w, int(y))
+
+
 # ---------------------------------------------------------------------------
 # public API, dispatching on backend
 # ---------------------------------------------------------------------------
@@ -292,7 +309,7 @@ def invert(td: Trapdoor, pk: PublicKey, b: int, y):
     b = _check_bit(b)
     if td.params.backend == "ideal":
         w = td.params.ideal_w
-        z = _unpermute(td.payload["seed"], w, int(y))
+        z = _ideal_unpermute(td, y)
         if td.family == "F":
             if z >> w:
                 return None
@@ -307,12 +324,21 @@ def invert(td: Trapdoor, pk: PublicKey, b: int, y):
 
 
 def decode_bit(td: Trapdoor, pk: PublicKey, y) -> int:
-    """For a G-family image, recover which branch produced it."""
+    """For a G-family image, recover which branch produced it.
+
+    On the ideal backend one unpermutation ``z`` decides it: the branch is
+    ``z >> w``, and ``z >> (w + 1)`` nonzero means no branch produced ``y``.
+    """
     if td.family != "G":
         raise FamilyError("branch decoding is defined for family G only")
-    for b in (0, 1):
-        if invert(td, pk, b, y) is not None:
+    if td.params.backend == "ideal":
+        b = _ideal_unpermute(td, y) >> td.params.ideal_w
+        if b in (0, 1):
             return b
+    else:
+        for b in (0, 1):
+            if invert(td, pk, b, y) is not None:
+                return b
     raise InvalidImageError("image lies outside both branch ranges")
 
 
@@ -320,18 +346,26 @@ def decode_equation(td: Trapdoor, pk: PublicKey, y, d: int):
     """Parity d . (x0 xor x1) of the claw of an F-family image.
 
     Returns None when y is not a valid image, and for the all-zero mask,
-    whose parity says nothing about the claw.
+    whose parity says nothing about the claw.  On the ideal backend every
+    claw differs by the key's ``delta``, so one unpermutation only tells
+    whether ``y`` is an image (its value below ``2**w``).
     """
     if td.family != "F":
         raise FamilyError("equation decoding is defined for family F only")
     d = _check_preimage(td.params, d)
     if d == 0:
         return None
-    x0 = invert(td, pk, 0, y)
-    x1 = invert(td, pk, 1, y)
-    if x0 is None or x1 is None:
-        return None
-    return (d & (x0 ^ x1)).bit_count() & 1
+    if td.params.backend == "ideal":
+        if _ideal_unpermute(td, y) >> td.params.ideal_w:
+            return None
+        claw = td.payload["delta"]
+    else:
+        x0 = invert(td, pk, 0, y)
+        x1 = invert(td, pk, 1, y)
+        if x0 is None or x1 is None:
+            return None
+        claw = x0 ^ x1
+    return (d & claw).bit_count() & 1
 
 
 def random_preimage(params: EntcfParams, rng: np.random.Generator) -> int:

@@ -17,6 +17,8 @@ claw, so the oracle can be built without trapdoors there.)
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,14 +37,22 @@ def answer_table(dev: Device) -> dict[tuple, list[float]]:
     projectors, one contraction of the two stacks of :mod:`bellcert.device`,
     clipped at 0 and normalised by their sum.  The honest commitment makes
     the four labels of a basis equally likely, so a device whose label
-    weighs otherwise is refused with ConfigurationError."""
+    weighs otherwise, or whose clipped row has no finite positive sum, is
+    refused with ConfigurationError."""
     parts = partial_states(dev)
     for (i, j), weight in np.ndenumerate(np.trace(parts, axis1=-2, axis2=-1).real):
         if abs(weight - 0.25) > VALIDATION_TOL:
             raise ConfigurationError(f"branches {BASIS_PAIRS[i]}/{OUTCOME_PAIRS[j]} "
                                      f"weigh {weight}, not 1/4")
     probs = np.maximum(trace_prod(projectors(dev), parts[:, :, None, None]).real, 0.0)
-    probs /= probs.sum(-1, keepdims=True)
+    sums = probs.sum(-1)
+    empty = np.argwhere(~(np.isfinite(sums) & (sums > 0)))
+    if len(empty):
+        i, j, k = empty[0]
+        raise ConfigurationError(f"branches {BASIS_PAIRS[i]}/{OUTCOME_PAIRS[j]} under "
+                                 f"questions {QUESTION_PAIRS[k]} answer with total "
+                                 f"probability {sums[i, j, k]}, not a positive number")
+    probs /= sums[..., None]
     return {(BASIS_PAIRS[i], OUTCOME_PAIRS[j], QUESTION_PAIRS[k]): probs[i, j, k].tolist()
             for i, j, k in np.ndindex(probs.shape[:3])}
 
@@ -67,10 +77,15 @@ class ClawOracle:
         self.trapdoors = tuple(trapdoors)
 
     def claw_xor(self, leg: int, b: int, x: int, y):
-        """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G leg."""
-        if self.trapdoors[leg].family != "F":
+        """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G
+        leg.  On the ideal backend that is the F key's ``delta``, with no
+        inversion: every image's two preimages differ by it."""
+        td = self.trapdoors[leg]
+        if td.family != "F":
             return None
-        partner = entcf.invert(self.trapdoors[leg], self.keys[leg], 1 - b, y)
+        if td.params.backend == "ideal":
+            return td.payload["delta"]
+        partner = entcf.invert(td, self.keys[leg], 1 - b, y)
         if partner is None:
             raise AbortSessionError("claw oracle failed to invert a fresh image")
         return x ^ partner
@@ -166,10 +181,18 @@ class HonestProver:
                 targets[f"u{i}"] = (leg["d"] & leg["claw_xor"]).bit_count() & 1
             else:
                 targets[f"b{i}"] = leg["b"]
-        probs = self.table[basis, accepted_pair(basis, targets), q]
-        outcome = int(self.rng.choice(4, p=probs))
+        outcome = _draw(self.table[basis, accepted_pair(basis, targets), q], self.rng)
         return message("answers", self.session_id,
                        {"v1": outcome >> 1, "v2": outcome & 1})
+
+
+def _draw(probs: list[float], rng: np.random.Generator) -> int:
+    """An index drawn from ``probs`` by inverse CDF: the same draw, from the
+    same one uniform, as ``rng.choice(len(probs), p=probs)``, without its
+    per-call checks (:func:`answer_table` rows are already valid)."""
+    cdf = list(accumulate(probs))
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], rng.random())
 
 
 class ClassicalGuessProver(HonestProver):

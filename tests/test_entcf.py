@@ -33,6 +33,14 @@ def test_param_validation():
         entcf.EntcfParams(backend="lwe", lwe_sigma=float("nan"))
     with pytest.raises(ConfigurationError):
         entcf.EntcfParams(backend="ideal", ideal_w=64)  # claw shift beyond int64
+    # a valid size but not the field's JSON type: refused when built in code,
+    # as from the wire, before any session can trip on it
+    for field, value in [("ideal_w", 8.5), ("lwe_n", 2.0), ("lwe_q", 65536.0),
+                         ("lwe_sigma", True), ("lwe_check_bound", 2047.5)]:
+        with pytest.raises(ConfigurationError, match=field):
+            entcf.EntcfParams(backend="lwe", **{field: value})
+        with pytest.raises(MalformedMessageError, match=field):
+            entcf.EntcfParams.from_json({**LWE.to_json(), field: value})
 
 
 def test_widest_ideal_keys(rng):
@@ -97,6 +105,49 @@ def test_equation_decoding_matches_claw_parity(params, rng):
         assert eq == (d & claw).bit_count() % 2
         # decoding is deterministic
         assert entcf.decode_equation(td, pk, y, d) == eq
+
+
+def _decode_bit_by_inversion(td, pk, y):
+    """decode_bit as the first branch that inverts ``y``."""
+    for b in (0, 1):
+        if entcf.invert(td, pk, b, y) is not None:
+            return b
+    raise InvalidImageError("image lies outside both branch ranges")
+
+
+def _decode_equation_by_inversion(td, pk, y, d):
+    """decode_equation as the parity of the XOR of both branches' inversions."""
+    if d == 0:
+        return None
+    x0, x1 = entcf.invert(td, pk, 0, y), entcf.invert(td, pk, 1, y)
+    if x0 is None or x1 is None:
+        return None
+    return (d & (x0 ^ x1)).bit_count() & 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidImageError as exc:
+        return type(exc)
+
+
+def test_ideal_decoding_matches_inversion_exhaustive(rng):
+    """At ideal_w = 4, decode_bit and decode_equation, which unpermute once,
+    agree with their two-inversion definitions on every image and mask."""
+    small = entcf.EntcfParams(backend="ideal", ideal_w=4)
+    pk_f, td_f = entcf.gen("F", small, rng)
+    pk_g, td_g = entcf.gen("G", small, rng)
+    seen = set()
+    for y in range(1 << 8):
+        bit = _outcome(entcf.decode_bit, td_g, pk_g, y)
+        assert bit == _outcome(_decode_bit_by_inversion, td_g, pk_g, y)
+        seen.add(bit)
+        for d in range(1 << 4):
+            parity = entcf.decode_equation(td_f, pk_f, y, d)
+            assert parity == _decode_equation_by_inversion(td_f, pk_f, y, d)
+            seen.add(parity)
+    assert seen == {0, 1, None, InvalidImageError}
 
 
 def test_zero_mask_flagged_degenerate(params, rng):

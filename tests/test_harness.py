@@ -272,6 +272,8 @@ def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest)
      "36d4655cc3d064c9e482610cb05660d20d1f981746827a2b580310cc459d9ec9"),
     ("ideal", "honest", 300, 10, None, "preimage",
      "14fc7f3d200eef42c35342155ba75b6e4aa989d6a4a1a237e54afc2381eef44d"),
+    ("ideal", "honest", 300, 15, (1, 1), "hadamard",
+     "ef5bcbc40ead9b5aa156b43c4463a1eccbb5c038dff66bdefc0602b03d5dc276"),
     ("lwe", "honest", 60, 11, (0, 1), "hadamard",
      "d6b4db724384f5beb7ceb8281d70c652975b21c792234e3d3a559ab4a217bfa0"),
     ("lwe", "honest", 60, 12, (1, 1), "hadamard",

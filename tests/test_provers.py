@@ -11,7 +11,7 @@ import pytest
 from bellcert import analysis, entcf, protocol, provers
 from bellcert import device as devmod
 from bellcert.errors import ConfigurationError, MalformedMessageError
-from bellcert.harness import RunStats, role_rng
+from bellcert.harness import RunConfig, RunStats, role_rng, run_one_session
 from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
 from conftest import embed_device
@@ -98,6 +98,70 @@ def test_claw_oracle_needs_trapdoors_on_lattice_backend():
     state, _ = protocol.start_session(params, np.random.default_rng(5))
     with pytest.raises(ConfigurationError):
         provers.ClawOracle(state.keys)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "lwe"])
+def test_claw_oracle_matches_inversion(backend, rng):
+    """The oracle's claw XOR of a fresh image is ``x`` xor the other branch's
+    inversion; on ideal F legs the oracle reads it from the key's delta."""
+    params = entcf.EntcfParams(backend)
+    for seed in range(6):
+        state, _ = protocol.start_session(params, np.random.default_rng(seed), basis=(1, 1))
+        oracle = provers.ClawOracle(state.keys, state.trapdoors)
+        for leg, (pk, td) in enumerate(zip(state.keys, state.trapdoors)):
+            b = int(rng.integers(2))
+            x = entcf.random_preimage(params, rng)
+            y = entcf.eval_sample(pk, b, x, rng)
+            assert oracle.claw_xor(leg, b, x, y) == x ^ entcf.invert(td, pk, 1 - b, y)
+
+
+class _FixedUniform:
+    """A stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_inverse_cdf_draw_equals_generator_choice(rng):
+    """The honest prover's draw is ``Generator.choice(4, p=row)``'s, from the
+    same uniform, on every row of the three played tables and on random rows
+    with zeros: over 1000 seeds of cloned generators, and at each uniform that
+    lands on a boundary of numpy's own cumulative table."""
+    rows = [row for name in ("honest", "no_entangler", "honest_depolarized:0.2")
+            for row in provers.parse_strategy(name)[1].values()]
+    for k in range(64):
+        row = rng.random(4) * (rng.random(4) < 0.6)
+        row[rng.integers(4)] = 0.0
+        if row.sum() > 0:  # half of them off 1 by as much as choice accepts
+            rows.append((row / row.sum() * (1 + (k % 2) * 1e-9)).tolist())
+    for seed in range(1000):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in range(16):
+            row = rows[(16 * seed + t) % len(rows)]
+            assert provers._draw(row, ours) == theirs.choice(4, p=row)
+    for row in rows:
+        cdf = np.cumsum(row)
+        cdf /= cdf[-1]  # as Generator.choice builds it
+        for u in {0.0, *cdf[:-1].tolist(), *np.nextafter(cdf[:-1], 0.0).tolist()}:
+            assert provers._draw(row, _FixedUniform(u)) == cdf.searchsorted(u, side="right")
+
+
+@pytest.mark.parametrize("strategy", ["honest", "classical_guess"])
+def test_forced_ideal_session_feistel_passes(monkeypatch, strategy):
+    """A forced (1,1) hadamard ideal session permutes each committed image
+    once and unpermutes it once, when the verifier decodes its parity."""
+    calls = Counter()
+    for name in ("_permute", "_unpermute"):
+        monkeypatch.setattr(entcf, name, lambda *args, _fn=getattr(entcf, name), _name=name:
+                            calls.update([_name]) or _fn(*args))
+    config = RunConfig(params=entcf.EntcfParams("ideal"), sessions=1, strategy=strategy,
+                       seed=3, force_basis=(1, 1), force_round="hadamard")
+    rec = run_one_session(config, 0)
+    assert rec.targets["u1"] is not None and rec.targets["u2"] is not None
+    assert calls == {"_permute": 2, "_unpermute": 2}
 
 
 def test_honest_answers_distribution_basis11(rng):
@@ -393,6 +457,19 @@ def test_answer_table_refuses_unequal_label_weights():
     for br, w in zip(dev.branches[(0, 1)], (0.4, 0.1, 0.25, 0.25)):
         br.weight = w
     with pytest.raises(ConfigurationError, match="not 1/4"):
+        provers.answer_table(dev)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_answer_table_refuses_rows_without_mass(fill):
+    """A row whose clipped probabilities have no finite positive sum names its
+    basis, label and questions, where it would otherwise be a NaN row."""
+    dev = devmod.from_honest(0.0)
+    for outcome, proj in dev.measurements[(0, 0)].items():
+        dev.measurements[(0, 0)][outcome] = np.full_like(proj, fill)
+    assert devmod.validate(dev)
+    with pytest.raises(ConfigurationError,
+                       match=r"branches \(0, 0\)/\(0, 0\) under questions \(0, 0\)"):
         provers.answer_table(dev)
 
 
