@@ -272,14 +272,14 @@ def test_golden_transcripts(tmp_path, backend, strategy, sessions, seed, digest)
      "36d4655cc3d064c9e482610cb05660d20d1f981746827a2b580310cc459d9ec9"),
     ("ideal", "honest", 300, 10, None, "preimage",
      "14fc7f3d200eef42c35342155ba75b6e4aa989d6a4a1a237e54afc2381eef44d"),
-    ("ideal", "honest", 300, 15, (1, 1), "hadamard",
-     "ef5bcbc40ead9b5aa156b43c4463a1eccbb5c038dff66bdefc0602b03d5dc276"),
     ("lwe", "honest", 60, 11, (0, 1), "hadamard",
      "d6b4db724384f5beb7ceb8281d70c652975b21c792234e3d3a559ab4a217bfa0"),
     ("lwe", "honest", 60, 12, (1, 1), "hadamard",
      "a1d650e4d30227bd3a07be0e25a78926320ae32393f831d54a7d12c0393ac80b"),
     ("lwe", "honest", 60, 13, None, "preimage",
      "dd584c488144883b0b3b28d30564dddfc6769dfb226148c866aa2dab2368d4d2"),
+    ("ideal", "honest", 300, 15, (1, 1), "hadamard",
+     "ef5bcbc40ead9b5aa156b43c4463a1eccbb5c038dff66bdefc0602b03d5dc276"),
 ])
 def test_golden_forced_transcripts(tmp_path, backend, strategy, sessions, seed,
                                    force_basis, force_round, digest):
