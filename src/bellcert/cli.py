@@ -30,7 +30,7 @@ def _make_config(args) -> harness.RunConfig:
 
 def _print_stats(stats: harness.RunStats) -> None:
     est = harness.estimate_gammas(stats)
-    print(f"sessions: {stats.sessions} aborted: {stats.aborted}")
+    print(f"sessions: {stats.sessions} aborted: {stats.aborted} undecodable: {stats.undecodable}")
     print("flags:", " ".join(f"{k}={v}" for k, v in sorted(stats.flag_counts.items())))
     for name, e in (("gamma_p", est.gamma_p), ("gamma_t", est.gamma_t),
                     ("gamma_b", est.gamma_b)):

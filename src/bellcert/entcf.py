@@ -221,26 +221,28 @@ def _lwe_payload_from_json(params: EntcfParams, payload: dict) -> dict:
 # ideal backend: a small keyed Feistel permutation over 2w bits
 # ---------------------------------------------------------------------------
 
+# Round ``rnd`` XORs into one half the seed-keyed blake2b of ``rnd`` and the other
+# half; a pass keys one hash and copies it per round, the digest of keying anew.
 _FEISTEL_ROUNDS = 4
 
 
-def _round_fn(seed: bytes, rnd: int, half: int, value: int) -> int:
-    data = bytes([rnd]) + value.to_bytes((half + 7) // 8, "little")
-    digest = hashlib.blake2b(data, key=seed, digest_size=16).digest()
-    return int.from_bytes(digest, "little") & ((1 << half) - 1)
-
-
 def _permute(seed: bytes, w: int, value: int) -> int:
-    left, right = value >> w, value & ((1 << w) - 1)
+    keyed, mask, size = hashlib.blake2b(key=seed, digest_size=16), (1 << w) - 1, (w + 7) // 8
+    left, right = value >> w, value & mask
     for rnd in range(_FEISTEL_ROUNDS):
-        left, right = right, left ^ _round_fn(seed, rnd, w, right)
+        h = keyed.copy()
+        h.update(bytes([rnd]) + right.to_bytes(size, "little"))
+        left, right = right, left ^ (int.from_bytes(h.digest(), "little") & mask)
     return (left << w) | right
 
 
 def _unpermute(seed: bytes, w: int, value: int) -> int:
-    left, right = value >> w, value & ((1 << w) - 1)
+    keyed, mask, size = hashlib.blake2b(key=seed, digest_size=16), (1 << w) - 1, (w + 7) // 8
+    left, right = value >> w, value & mask
     for rnd in reversed(range(_FEISTEL_ROUNDS)):
-        left, right = right ^ _round_fn(seed, rnd, w, left), left
+        h = keyed.copy()
+        h.update(bytes([rnd]) + left.to_bytes(size, "little"))
+        left, right = right ^ (int.from_bytes(h.digest(), "little") & mask), left
     return (left << w) | right
 
 

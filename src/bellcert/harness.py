@@ -78,40 +78,22 @@ class RunStats:
     fail_cond: dict = field(default_factory=dict)      # flag -> [fails, opportunities]
 
     def add_record(self, rec: TranscriptRecord) -> None:
+        """Tally ``protocol.judge(rec)``: what the verdict judged, bucket by bucket."""
+        j = protocol.judge(rec)
         self.sessions += 1
-        self.flag_counts[rec.flag] += 1
-        basis = rec.basis
-        if rec.round_type == "preimage":
-            fc = self.fail_cond.setdefault("fail_pre", [0, 0])
-            fc[1] += 1
-            fc[0] += rec.flag == Flag.FAIL_PRE.value
-            for leg, ok in enumerate(rec.pre_leg_ok):
-                cell = self.pre_counts.setdefault((basis, leg), [0, 0])
-                cell[1] += 1
-                cell[0] += bool(ok)
+        self.flag_counts[j.flag.value] += 1
+        self.undecodable += j.undecodable
+        if j.kind is None:
             return
-        pair = protocol.accepted_pair(basis, rec.targets)
-        if None in pair:
-            self.undecodable += 1
-            return
-        q, v = rec.questions, rec.answers
-        rows = [c for c in protocol.CHECKS if c.basis == basis]
-        if not rows:
-            return
-        kind = rows[0].fail_flag
-        applied = [c for c in rows if c.questions == q]
-        # every mixed-basis round is a test opportunity, but an all-F round
-        # is a Bell opportunity only under the cross questions
-        if kind is Flag.FAIL_BELL and not applied:
-            return
-        fc = self.fail_cond.setdefault(kind.value, [0, 0])
+        fc = self.fail_cond.setdefault(j.kind.value, [0, 0])
         fc[1] += 1
-        fc[0] += rec.flag == kind.value
-        counts = self.bell_counts if kind is Flag.FAIL_BELL else self.test_counts
-        for c in applied:
-            cell = counts.setdefault(c.bucket, [0, 0])
+        fc[0] += j.flag is j.kind
+        counts = {Flag.FAIL_PRE: self.pre_counts, Flag.FAIL_TEST: self.test_counts,
+                  Flag.FAIL_BELL: self.bell_counts}[j.kind]
+        for bucket, ok in j.tested:
+            cell = counts.setdefault(bucket, [0, 0])
             cell[1] += 1
-            cell[0] += c.passes(v, pair)
+            cell[0] += ok
 
     def to_json(self) -> dict:
         return {
@@ -148,7 +130,8 @@ def collect(config: RunConfig, play, transcript) -> RunStats:
                 break
             stats.add_record(rec)
             if sink is not None:
-                sink.write(json.dumps(rec.to_json()) + "\n")
+                # a record is a tree the verifier built, so no cycle check is needed
+                sink.write(json.dumps(rec.to_json(), check_circular=False) + "\n")
     return stats
 
 

@@ -12,8 +12,9 @@ round type:
   (G legs) and claw parities (F legs) with its trapdoors and applies the
   basis-dependent consistency checks.
 
-The test and Bell checks have one home, the table ``CHECKS``, which the
-verdicts, the harness statistics and the white-box pass tuples all read.
+The test and Bell checks have one home, the table ``CHECKS``.  :func:`judge`
+applies it once per finished record, for the verdict and the harness
+statistics alike, and the white-box pass tuples read it too.
 Forced-basis and forced-round diagnostics pass both to :func:`start_session`,
 and :func:`respond` hands each prover message to the step of the current phase.
 Each step writes what it accepted into the session's :class:`TranscriptRecord`,
@@ -231,10 +232,6 @@ def _decode_targets(state: VerifierState, d: tuple[int, int]) -> dict:
     return out
 
 
-def preimage_flag(leg_ok: tuple[bool, bool]) -> Flag:
-    return Flag.OK if leg_ok[0] and leg_ok[1] else Flag.FAIL_PRE
-
-
 class Check(NamedTuple):
     """One hadamard-round check: in basis ``basis`` under questions
     ``questions``, the XOR of the answers on ``legs`` must equal slot
@@ -290,21 +287,39 @@ def accepted_pair(basis: tuple[int, int], targets: dict) -> tuple:
     return (u2, u1)
 
 
-def hadamard_flag(basis: tuple[int, int], q: tuple[int, int], v: tuple[int, int],
-                  targets: dict) -> Flag:
-    """Apply the checks of ``CHECKS`` that the basis and questions select.
+class Judgement(NamedTuple):
+    """A finished record's one evaluation: its verdict, the fail kind the round
+    was an opportunity for (None if it was none), each tested bucket with its
+    pass bit, and whether a slot of :func:`accepted_pair` did not decode."""
+    flag: Flag
+    kind: Optional[Flag]
+    tested: tuple[tuple, ...]
+    undecodable: bool
+
+
+def judge(record: TranscriptRecord) -> Judgement:
+    """Evaluate a complete record: a preimage round's opened legs, keyed ``(basis, leg)``,
+    or the :data:`CHECKS` rows a hadamard round's basis and questions select.
 
     Undecodable targets count as failed checks: a prover that commits an
     invalid image never earns a pass in a checked slot.
     """
-    checks = [c for c in CHECKS if c.basis == basis and c.questions == q]
-    if not checks:
-        return Flag.NONE
-    pair = accepted_pair(basis, targets)
-    for c in checks:
-        if not c.passes(v, pair):
-            return c.fail_flag
-    return Flag.OK
+    basis, pair = record.basis, ()
+    if record.round_type == "preimage":
+        kind = Flag.FAIL_PRE
+        tested = tuple(((basis, leg), bool(ok)) for leg, ok in enumerate(record.pre_leg_ok))
+    else:
+        pair = accepted_pair(basis, record.targets)
+        rows = [c for c in CHECKS if c.basis == basis]
+        tested = tuple((c.bucket, c.passes(record.answers, pair))
+                       for c in rows if c.questions == record.questions)
+        # a basis's rows share one fail kind: every mixed-basis round is a test
+        # opportunity, but an all-F round a Bell one only under the cross questions
+        kind = rows[0].fail_flag if rows else None
+        if kind is Flag.FAIL_BELL and not tested:
+            kind = None
+    flag = Flag.NONE if not tested else Flag.OK if all(ok for _, ok in tested) else kind
+    return Judgement(flag, kind, tested, None in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +414,4 @@ def record_from_state(state: VerifierState) -> TranscriptRecord:
 
 def recheck_flag(record: TranscriptRecord) -> Flag:
     """Recompute a complete record's verdict from its stored answers and targets."""
-    if record.round_type == "preimage":
-        return preimage_flag(record.pre_leg_ok)
-    return hadamard_flag(record.basis, record.questions, record.answers, record.targets)
+    return judge(record).flag

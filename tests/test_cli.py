@@ -18,7 +18,7 @@ def test_run_writes_stats(tmp_path, capsys):
                    "--stats-out", str(stats), "--transcripts", str(transcripts)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "sessions: 50" in out
+    assert "sessions: 50 aborted: 0 undecodable: 0" in out
     blob = json.loads(stats.read_text())
     assert blob["stats"]["sessions"] == 50
     assert len(transcripts.read_text().splitlines()) == 50

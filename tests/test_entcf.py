@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,3 +266,29 @@ def test_feistel_permutation_invertible(seed, value):
     forward = entcf._permute(key, w, value)
     assert entcf._unpermute(key, w, forward) == value
     assert 0 <= forward < (1 << (2 * w))
+
+
+def _feistel_keyed_per_round(seed: bytes, w: int, value: int, inverse: bool) -> int:
+    """The ideal Feistel pass with every round's blake2b keyed anew."""
+    def round_fn(rnd, half):
+        data = bytes([rnd]) + half.to_bytes((w + 7) // 8, "little")
+        digest = hashlib.blake2b(data, key=seed, digest_size=16).digest()
+        return int.from_bytes(digest, "little") & ((1 << w) - 1)
+
+    left, right = value >> w, value & ((1 << w) - 1)
+    rounds = range(entcf._FEISTEL_ROUNDS)
+    for rnd in reversed(rounds) if inverse else rounds:
+        if inverse:
+            left, right = right ^ round_fn(rnd, left), left
+        else:
+            left, right = right, left ^ round_fn(rnd, right)
+    return (left << w) | right
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), w=st.integers(4, 63), data=st.data())
+def test_feistel_matches_per_round_keying(seed, w, data):
+    """Copying one keyed hash per pass gives every round the digest of keying it anew."""
+    value = data.draw(st.integers(0, (1 << (2 * w)) - 1))
+    assert entcf._permute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, False)
+    assert entcf._unpermute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, True)

@@ -3,14 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from bellcert import harness, protocol
+from bellcert import entcf, harness, net, protocol
 from bellcert.entcf import EntcfParams
 from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig
-from bellcert.provers import ClawOracle
+from bellcert.provers import ClawOracle, HonestProver
 
 IDEAL = EntcfParams(backend="ideal", ideal_w=16)
 
@@ -69,6 +70,64 @@ def test_stats_roundtrip_through_transcripts(tmp_path):
     live = harness.run_sessions(cfg)
     replayed = harness.stats_from_transcripts(str(path))
     assert live.to_json() == replayed.to_json()
+
+
+class _RandomImageProver(HonestProver):
+    """Commits uniformly drawn ideal images in place of its own, so the
+    verifier's trapdoors decode almost none of them."""
+
+    def commit(self, keys_msg):
+        msg = super().commit(keys_msg)
+        params = self.keys[0].params
+        for k in ("y1", "y2"):
+            y = int(self.rng.integers(1 << (2 * params.ideal_w)))
+            msg["payload"][k] = entcf.image_to_wire(params, y)
+        return msg
+
+
+def _play_random_images(config: RunConfig, session_id: int) -> protocol.TranscriptRecord:
+    vrng = harness.role_rng(config.seed, session_id, harness.VERIFIER_ROLE)
+    prng = harness.role_rng(config.seed, session_id, harness.PROVER_ROLE)
+    state, keys_msg = protocol.start_session(config.params, vrng, session_id)
+    prover = _RandomImageProver(prng, ClawOracle(state.keys, state.trapdoors))
+    prover.play(keys_msg, lambda msg: protocol.respond(state, msg, vrng))
+    return protocol.record_from_state(state)
+
+
+def _judged_run(path, how: str) -> harness.RunStats:
+    """The live statistics of a run that writes its transcript to ``path``."""
+    cfg = RunConfig(params=EntcfParams("lwe") if how == "lwe" else IDEAL,
+                    sessions=40 if how == "lwe" else 200, seed=11,
+                    strategy="honest_depolarized:0.3", transcript_path=str(path))
+    if how == "tcp":
+        thread, port, result = net.serve_in_thread("127.0.0.1", 0, cfg, timeout=20)
+        for _ in range(cfg.sessions):
+            net.run_prover("127.0.0.1", port, cfg.strategy, cfg.seed)
+        thread.join(20)
+        return result[0]
+    if how == "random_images":
+        return harness.collect(cfg, lambda sid: _play_random_images(cfg, sid),
+                               harness.open_transcript(cfg))
+    return harness.run_sessions(cfg)
+
+
+@pytest.mark.parametrize("how", ["ideal", "lwe", "tcp", "random_images"])
+def test_stats_tally_the_judgements(tmp_path, how):
+    """The buckets and ``conditional_fail`` count exactly what the verdict
+    judged, undecodable rounds included, live and read back alike."""
+    path = tmp_path / "t.jsonl"
+    live = _judged_run(path, how)
+    assert live.sessions and not live.aborted
+    assert live.to_json() == harness.stats_from_transcripts(str(path)).to_json()
+    for kind in ("fail_pre", "fail_test", "fail_bell"):
+        assert live.fail_cond.get(kind, [0, 0])[0] == live.flag_counts.get(kind, 0)
+    tested = Counter(bucket for rec in harness.read_transcripts(str(path))
+                     for bucket, _ in protocol.judge(rec).tested)
+    buckets = {**live.pre_counts, **live.test_counts, **live.bell_counts}
+    assert {bucket: total for bucket, (_, total) in buckets.items()} == tested
+    if how == "random_images":
+        assert live.undecodable > live.sessions / 3
+        assert len(live.test_counts) == 8 and len(live.bell_counts) == 2
 
 
 def test_honest_runs_have_no_failures():

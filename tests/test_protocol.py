@@ -285,60 +285,100 @@ def _targets(b1=None, b2=None, u1=None, u2=None):
     return {"b1": b1, "b2": b2, "u1": u1, "u2": u2}
 
 
+def _hadamard(basis, q, v, targets) -> protocol.TranscriptRecord:
+    return protocol.TranscriptRecord(0, basis, ({}, {}), "hadamard", questions=q, answers=v,
+                                     targets=targets)
+
+
+def _hadamard_flag(basis, q, v, targets) -> Flag:
+    return protocol.recheck_flag(_hadamard(basis, q, v, targets))
+
+
+def _preimage(leg_ok) -> protocol.Judgement:
+    return protocol.judge(protocol.TranscriptRecord(0, (0, 1), ({}, {}), "preimage",
+                                                    pre_leg_ok=leg_ok))
+
+
 def test_hadamard_flag_table_first_test_case():
     basis = (0, 1)
     t = _targets(b1=1, u2=0)
     # q1=0 checks the first answer against the decoded branch bit
-    assert protocol.hadamard_flag(basis, (0, 0), (1, 0), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (0, 0), (0, 0), t) is Flag.FAIL_TEST
+    assert _hadamard_flag(basis, (0, 0), (1, 0), t) is Flag.OK
+    assert _hadamard_flag(basis, (0, 0), (0, 0), t) is Flag.FAIL_TEST
     # q2=1 checks the second answer against parity xor branch bit
-    assert protocol.hadamard_flag(basis, (1, 1), (0, 1), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (1, 1), (0, 0), t) is Flag.FAIL_TEST
+    assert _hadamard_flag(basis, (1, 1), (0, 1), t) is Flag.OK
+    assert _hadamard_flag(basis, (1, 1), (0, 0), t) is Flag.FAIL_TEST
     # both checks active
-    assert protocol.hadamard_flag(basis, (0, 1), (1, 1), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (0, 1), (1, 0), t) is Flag.FAIL_TEST
+    assert _hadamard_flag(basis, (0, 1), (1, 1), t) is Flag.OK
+    assert _hadamard_flag(basis, (0, 1), (1, 0), t) is Flag.FAIL_TEST
     # no checks active
-    assert protocol.hadamard_flag(basis, (1, 0), (0, 0), t) is Flag.NONE
+    assert _hadamard_flag(basis, (1, 0), (0, 0), t) is Flag.NONE
 
 
 def test_hadamard_flag_table_second_test_case():
     basis = (1, 0)
     t = _targets(b2=0, u1=1)
-    assert protocol.hadamard_flag(basis, (0, 0), (1, 0), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (0, 0), (1, 1), t) is Flag.FAIL_TEST
-    assert protocol.hadamard_flag(basis, (1, 1), (1, 1), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (1, 0), (1, 0), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (1, 0), (0, 0), t) is Flag.FAIL_TEST
-    assert protocol.hadamard_flag(basis, (0, 1), (0, 0), t) is Flag.NONE
+    assert _hadamard_flag(basis, (0, 0), (1, 0), t) is Flag.OK
+    assert _hadamard_flag(basis, (0, 0), (1, 1), t) is Flag.FAIL_TEST
+    assert _hadamard_flag(basis, (1, 1), (1, 1), t) is Flag.OK
+    assert _hadamard_flag(basis, (1, 0), (1, 0), t) is Flag.OK
+    assert _hadamard_flag(basis, (1, 0), (0, 0), t) is Flag.FAIL_TEST
+    assert _hadamard_flag(basis, (0, 1), (0, 0), t) is Flag.NONE
 
 
 def test_hadamard_flag_table_bell_case():
     basis = (1, 1)
     t = _targets(u1=1, u2=0)
-    assert protocol.hadamard_flag(basis, (0, 1), (1, 1), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (0, 1), (1, 0), t) is Flag.FAIL_BELL
-    assert protocol.hadamard_flag(basis, (1, 0), (1, 0), t) is Flag.OK
-    assert protocol.hadamard_flag(basis, (1, 0), (1, 1), t) is Flag.FAIL_BELL
-    assert protocol.hadamard_flag(basis, (0, 0), (0, 0), t) is Flag.NONE
-    assert protocol.hadamard_flag(basis, (1, 1), (0, 0), t) is Flag.NONE
+    assert _hadamard_flag(basis, (0, 1), (1, 1), t) is Flag.OK
+    assert _hadamard_flag(basis, (0, 1), (1, 0), t) is Flag.FAIL_BELL
+    assert _hadamard_flag(basis, (1, 0), (1, 0), t) is Flag.OK
+    assert _hadamard_flag(basis, (1, 0), (1, 1), t) is Flag.FAIL_BELL
+    assert _hadamard_flag(basis, (0, 0), (0, 0), t) is Flag.NONE
+    assert _hadamard_flag(basis, (1, 1), (0, 0), t) is Flag.NONE
 
 
 def test_undecodable_targets_fail_checked_slots():
     t = _targets(b1=None, u2=0)
-    assert protocol.hadamard_flag((0, 1), (0, 0), (0, 0), t) is Flag.FAIL_TEST
+    assert _hadamard_flag((0, 1), (0, 0), (0, 0), t) is Flag.FAIL_TEST
     t = _targets(u1=None, u2=None)
-    assert protocol.hadamard_flag((1, 1), (0, 1), (0, 0), t) is Flag.FAIL_BELL
+    assert _hadamard_flag((1, 1), (0, 1), (0, 0), t) is Flag.FAIL_BELL
 
 
 def test_all_zero_basis_never_checks():
     for q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert protocol.hadamard_flag((0, 0), q, (0, 1), _targets(b1=0, b2=1)) is Flag.NONE
+        assert _hadamard_flag((0, 0), q, (0, 1), _targets(b1=0, b2=1)) is Flag.NONE
+        assert protocol.judge(_hadamard((0, 0), q, (0, 1), _targets(b1=0, b2=1))) == (
+            Flag.NONE, None, (), False)
 
 
 def test_preimage_flag():
-    assert protocol.preimage_flag((True, True)) is Flag.OK
-    assert protocol.preimage_flag((True, False)) is Flag.FAIL_PRE
-    assert protocol.preimage_flag((False, True)) is Flag.FAIL_PRE
+    assert _preimage((True, True)).flag is Flag.OK
+    assert _preimage((True, False)).flag is Flag.FAIL_PRE
+    assert _preimage((False, True)).flag is Flag.FAIL_PRE
+    assert _preimage((False, True)) == (
+        Flag.FAIL_PRE, Flag.FAIL_PRE, ((((0, 1), 0), False), (((0, 1), 1), True)), False)
+
+
+def test_judgement_keeps_decodable_checks_of_undecodable_round():
+    """An undecodable F leg fails its own check; the G leg's check beside it
+    is still judged on its merits, and the round is a test opportunity."""
+    t = _targets(b1=1, u2=None)
+    assert protocol.judge(_hadamard((0, 1), (0, 1), (1, 0), t)) == (
+        Flag.FAIL_TEST, Flag.FAIL_TEST, (("zt1", True), ("xt2", False)), True)
+    assert protocol.judge(_hadamard((0, 1), (0, 1), (0, 0), t)) == (
+        Flag.FAIL_TEST, Flag.FAIL_TEST, (("zt1", False), ("xt2", False)), True)
+
+
+def test_judgement_fail_kinds():
+    """Every mixed-basis round is a test opportunity, and an all-F round a Bell
+    one only under the cross questions."""
+    t = _targets(b1=0, b2=1, u1=1, u2=0)
+    assert protocol.judge(_hadamard((1, 0), (0, 1), (0, 0), t)) == (
+        Flag.NONE, Flag.FAIL_TEST, (), False)
+    assert protocol.judge(_hadamard((1, 1), (1, 1), (0, 0), t)) == (
+        Flag.NONE, None, (), False)
+    assert protocol.judge(_hadamard((1, 1), (1, 0), (1, 1), t)) == (
+        Flag.FAIL_BELL, Flag.FAIL_BELL, (("xt1_zt2", False),), False)
 
 
 def test_session_targets_shapes():
@@ -367,8 +407,9 @@ def _every_hadamard_record():
 
 
 def test_check_table_exhaustive():
-    """The flags and run statistics of every hadamard record, pinned to the
-    values of the hand-written checks that ``CHECKS`` replaced."""
+    """The flags of every hadamard record, pinned to the values of the
+    hand-written checks that ``CHECKS`` replaced, and the run statistics, in
+    which an undecodable slot counts as the failed check the verdict calls it."""
     records = list(_every_hadamard_record())
     flags = [protocol.recheck_flag(rec).value for rec in records]
     assert len(records) == 5184
@@ -383,9 +424,14 @@ def test_check_table_exhaustive():
     assert doc["undecodable"] == 2880
     assert list(doc["test_counts"]) == ["z1", "zt1", "xt2", "x2", "z2", "xt1", "zt2", "x1"]
     assert list(doc["bell_counts"]) == ["zt1_xt2", "xt1_zt2"]
-    for cell in (*doc["test_counts"].values(), *doc["bell_counts"].values()):
-        assert cell == [72, 144]
-    assert doc["conditional_fail"] == {"fail_test": [504, 1152], "fail_bell": [144, 288]}
+    # an undecodable slot fails: a slot read off one decoding passes in 1/3 of
+    # the target cells, a slot that XORs two decodings in 2/9
+    cells = {**doc["test_counts"], **doc["bell_counts"]}
+    for name in ("z1", "zt1", "z2", "zt2", "zt1_xt2", "xt1_zt2"):
+        assert cells[name] == [108, 324]
+    for name in ("x1", "xt1", "x2", "xt2"):
+        assert cells[name] == [72, 324]
+    assert doc["conditional_fail"] == {"fail_test": [1512, 2592], "fail_bell": [432, 648]}
     assert list(doc["conditional_fail"]) == ["fail_test", "fail_bell"]
 
 
