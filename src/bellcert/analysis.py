@@ -4,7 +4,8 @@ Given a :class:`~bellcert.device.Device` this module computes:
 
 * the hadamard-round pass tuples and their deficits ``gamma_t`` /
   ``gamma_b`` (test cases and cross-parity case respectively), one entry
-  per row of ``protocol.CHECKS``;
+  per row of ``protocol.CHECKS``: the Born probability that the verdict
+  rule ``Check.passes`` accepts the device's answers;
 * state-dependent commutation residuals between the marginal observables;
 * the swap isometry built from the marginals, its rounding residuals
   against ideal two-qubit Paulis, and the closeness of the conjugated
@@ -12,12 +13,12 @@ Given a :class:`~bellcert.device.Device` this module computes:
 
 :func:`analyze` reads a device only as its two stacks (``partial_states``
 and ``projectors`` of :mod:`bellcert.device`) and builds each input once:
-the marginals, the full states ``parts.sum(1)`` and the swap isometry, which
+their Born table ``answer_probs``, which both pass tuples read, the
+marginals, the full states ``parts.sum(1)`` and the swap isometry, which
 the Pauli and Bell reports share.  Outside :func:`bell_report` every
 quantity is one stacked numpy pass: each (anti)commutator is formed once
-and traced against all four full states in one contraction, a pass-tuple
-row's four traces are one contraction, and the twelve Pauli residuals are
-two stacked ``state_dep_norm_sq`` calls.
+and traced against all four full states in one contraction, and the twelve
+Pauli residuals are two stacked ``state_dep_norm_sq`` calls.
 
 All quantities are exact up to floating point: traces of small matrices,
 and trace distances taken from low-rank factors of their operands through
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, OUTCOME_SIGNS, QUESTION_PAIRS,
-                     Device, marginal_observables, partial_states, projectors, validate)
+from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, Device,
+                     answer_probs, marginal_observables, partial_states, projectors, validate)
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, factored_trace_distance,
                      outcome_vec, rank_factor, signed_factor, state_dep_norm_sq,
@@ -55,36 +56,30 @@ _DEGENERATE_TRACE = 1e-12
 # pass tuples
 # ---------------------------------------------------------------------------
 
-def _pass_probs(parts: np.ndarray, obs: dict[str, np.ndarray], kind: Flag) -> dict[str, float]:
-    """Pass probability of each row of ``protocol.CHECKS`` failing as ``kind``.
-
-    A row's observable is its named marginal, or the product of the two
-    named marginals of a cross-parity row; each entry sums, over the four
-    branch labels of the row's basis, the probability that the observable
-    reproduces the label bit of the row's slot on the matching
-    subnormalized state (a row of the :func:`~bellcert.device.partial_states`
-    stack ``parts``).  A row's four traces are one contraction of the
-    stacked projectors ``(1 +/- O)/2`` against its basis's partial states.
-    """
-    rows = [row for row in CHECKS if row.fail_flag is kind]
-    eye = np.eye(parts.shape[-1])
-    out = {}
-    for row in rows:
-        factors = [obs[name] for name in row.bucket.split("_")]
-        o = factors[0] if len(factors) == 1 else factors[0] @ factors[1]
-        projs = (eye + OUTCOME_SIGNS[row.slot][:, None, None] * o) / 2.0
-        out[row.bucket] = float(trace_prod(projs, parts[BASIS_PAIRS.index(row.basis)]).real.sum())
-    return out
+# each CHECKS row's (basis, questions) block of the answer_probs table, and its
+# label x answers mask: 1 where Check.passes accepts the answers for the label
+_ROW_BLOCKS = ([BASIS_PAIRS.index(row.basis) for row in CHECKS],
+               [QUESTION_PAIRS.index(row.questions) for row in CHECKS])
+_PASS_MASKS = np.array([[[row.passes(answers, label) for answers in OUTCOME_PAIRS]
+                         for label in OUTCOME_PAIRS] for row in CHECKS], dtype=float)
 
 
-def test_tuple(parts: np.ndarray, obs: dict[str, np.ndarray]) -> dict[str, float]:
+def _pass_probs(table: np.ndarray, kind: Flag) -> dict[str, float]:
+    """Probability that the verdict rule passes each row of ``protocol.CHECKS``
+    failing as ``kind``: the row's block of the Born table ``table``
+    (:func:`~bellcert.device.answer_probs`) summed under its pass mask."""
+    entries = (table[_ROW_BLOCKS[0], :, _ROW_BLOCKS[1]] * _PASS_MASKS).sum((-2, -1))
+    return {row.bucket: p for row, p in zip(CHECKS, entries.tolist()) if row.fail_flag is kind}
+
+
+def test_tuple(table: np.ndarray) -> dict[str, float]:
     """Pass probabilities of the single-answer checks in the two mixed bases."""
-    return _pass_probs(parts, obs, Flag.FAIL_TEST)
+    return _pass_probs(table, Flag.FAIL_TEST)
 
 
-def bell_tuple(parts: np.ndarray, obs: dict[str, np.ndarray]) -> dict[str, float]:
+def bell_tuple(table: np.ndarray) -> dict[str, float]:
     """Pass probabilities of the two cross-parity checks in basis (1,1)."""
-    return _pass_probs(parts, obs, Flag.FAIL_BELL)
+    return _pass_probs(table, Flag.FAIL_BELL)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +369,8 @@ def _analyze(device: Device) -> AnalysisReport:
     pairs = {pair: comm_residual(states, pair, obs) for pair in COMM_PAIRS}
     v = swap_isometry(obs)
     bell = BASIS_PAIRS.index((1, 1))
-    test_entries = test_tuple(parts, obs)
-    bell_entries = bell_tuple(parts, obs)
+    table = answer_probs(parts, projs)
+    test_entries, bell_entries = test_tuple(table), bell_tuple(table)
     return AnalysisReport(
         gamma_t=1.0 - min(test_entries.values()),
         gamma_b=1.0 - min(bell_entries.values()),

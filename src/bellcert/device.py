@@ -6,8 +6,9 @@ would give), plus one four-outcome projective measurement per question
 pair.  :func:`device_from_json` only decodes a device file; :func:`validate`
 alone judges a device's structure, built in code or decoded alike.  Past
 it, the analysis layer and the prover read a device only as two stacks,
-:func:`partial_states` and :func:`projectors`; only this module knows the
-branch-list layout.
+:func:`partial_states` and :func:`projectors`, whose Born table
+:func:`answer_probs` is the one source of answer probabilities; only this
+module knows the branch-list layout.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, bell_state, matrix_from_json,
-                     matrix_to_json, outcome_vec, projector_of, tensor)
+                     matrix_to_json, outcome_vec, projector_of, tensor, trace_prod)
 from .protocol import is_pair
 
 BASIS_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -34,7 +35,7 @@ MARGINALS = {
 }
 
 # (-1)^v for the bit v in slot 0 (row 0) and slot 1 (row 1) of each label of
-# OUTCOME_PAIRS, read by the marginal observables and the pass tuples
+# OUTCOME_PAIRS, read by the marginal observables
 OUTCOME_SIGNS = np.array([[(-1.0) ** label[slot] for label in OUTCOME_PAIRS] for slot in (0, 1)])
 # each marginal's row of QUESTION_PAIRS and its leg
 _MARGINAL_ROWS = [QUESTION_PAIRS.index(q) for q, _ in MARGINALS.values()]
@@ -184,6 +185,13 @@ def projectors(device: Device) -> np.ndarray:
     (``QUESTION_PAIRS`` x ``OUTCOME_PAIRS`` order)."""
     return np.array([[device.measurements[q][o] for o in OUTCOME_PAIRS]
                      for q in QUESTION_PAIRS], dtype=complex)
+
+
+def answer_probs(parts: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """The (4, 4, 4, 4) Born table of the two stacks: entry ``[basis, label,
+    questions, outcome]`` is the real part of ``Tr[P_o part]``, unclipped and
+    unnormalised, in one :func:`~bellcert.linalg.trace_prod`."""
+    return trace_prod(projs, parts[:, :, None, None]).real
 
 
 def sigma(device: Device, theta1: int, theta2: int) -> np.ndarray:

@@ -55,7 +55,7 @@ class EntcfParams:
     lwe_check_bound: int = 2048   # per-coordinate acceptance bound in chk
 
     def __post_init__(self):
-        bad = _mistyped(vars(self))
+        bad = [k for k, v in vars(self).items() if type(v) not in _WIRE_TYPES[k]]
         if bad:
             raise ConfigurationError(f"params fields of the wrong type: {bad}")
         if self.backend not in BACKENDS:
@@ -102,23 +102,18 @@ class EntcfParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "EntcfParams":
-        """Params from a wire object; an unknown field or one of the wrong type
-        raises MalformedMessageError, an absent one takes its default."""
-        bad = _mistyped(d)
-        if bad:
-            raise MalformedMessageError(f"params fields unknown or of the wrong type: {bad}")
-        return cls(**d)
+        """Params from a wire object; an unknown field, or a value that the
+        constructor refuses, raises MalformedMessageError with the constructor's
+        message, and an absent field takes its default."""
+        try:
+            return cls(**d)
+        except (TypeError, ConfigurationError) as exc:
+            raise MalformedMessageError(f"bad params: {exc}") from exc
 
 
 # the JSON type of each EntcfParams field: a plain int, bar these two
 _WIRE_TYPES = {**dict.fromkeys(EntcfParams.__dataclass_fields__, (int,)),
                "backend": (str,), "lwe_sigma": (int, float)}
-
-
-def _mistyped(fields: dict) -> list[str]:
-    """The names in ``fields`` that are not EntcfParams fields or whose
-    value is not of the field's JSON type."""
-    return [k for k, v in fields.items() if type(v) not in _WIRE_TYPES.get(k, ())]
 
 
 @dataclass

@@ -14,7 +14,8 @@ round type:
 
 The test and Bell checks have one home, the table ``CHECKS``.  :func:`judge`
 applies it once per finished record, for the verdict and the harness
-statistics alike, and the white-box pass tuples read it too.
+statistics alike, and the white-box pass tuples apply its ``Check.passes``
+to a device's Born table.
 Forced-basis and forced-round diagnostics pass both to :func:`start_session`,
 and :func:`respond` hands each prover message to the step of the current phase.
 Each step writes what it accepted into the session's :class:`TranscriptRecord`,
@@ -253,9 +254,9 @@ class Check(NamedTuple):
         return pair[self.slot] is not None and parity == pair[self.slot]
 
 
-# The one home of the test and Bell checks, in report order.  Bucket names
-# are the marginal observables (or the pair of them, for a cross-parity
-# check) that the white-box analysis compares with the same slot.
+# The one home of the test and Bell checks, in report order, for the verdict,
+# the run statistics and the white-box pass tuples alike.  A bucket is named
+# after the marginal observable (or the pair of them) that its answers read.
 CHECKS = (
     Check("z1", (0, 1), (0, 0), (0,), 0),
     Check("zt1", (0, 1), (0, 1), (0,), 0),

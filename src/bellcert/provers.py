@@ -23,28 +23,26 @@ from itertools import accumulate
 import numpy as np
 
 from . import entcf
-from .device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Device, from_honest,
-                     no_entangler, partial_states, projectors)
+from .device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Device, answer_probs,
+                     from_honest, no_entangler, partial_states, projectors)
 from .errors import (AbortSessionError, BellcertError, ConfigurationError,
                      MalformedMessageError)
-from .linalg import VALIDATION_TOL, trace_prod
+from .linalg import VALIDATION_TOL
 from .protocol import accepted_pair, message, validate_message
 
 
 def answer_table(dev: Device) -> dict[tuple, list[float]]:
     """(basis, label, questions) -> answer probabilities, indexed ``2*v1 + v2``:
-    Tr[P_o part] for the basis and label's partial state and the questions'
-    projectors, one contraction of the two stacks of :mod:`bellcert.device`,
-    clipped at 0 and normalised by their sum.  The honest commitment makes
-    the four labels of a basis equally likely, so a device whose label
-    weighs otherwise, or whose clipped row has no finite positive sum, is
-    refused with ConfigurationError."""
+    the device's :func:`~bellcert.device.answer_probs` row, clipped at 0 and
+    normalised by its sum.  The honest commitment makes the four labels of a
+    basis equally likely, so a device whose label weighs otherwise, or whose
+    clipped row has no finite positive sum, is refused with ConfigurationError."""
     parts = partial_states(dev)
     for (i, j), weight in np.ndenumerate(np.trace(parts, axis1=-2, axis2=-1).real):
         if abs(weight - 0.25) > VALIDATION_TOL:
             raise ConfigurationError(f"branches {BASIS_PAIRS[i]}/{OUTCOME_PAIRS[j]} "
                                      f"weigh {weight}, not 1/4")
-    probs = np.maximum(trace_prod(projectors(dev), parts[:, :, None, None]).real, 0.0)
+    probs = np.maximum(answer_probs(parts, projectors(dev)), 0.0)
     sums = probs.sum(-1)
     empty = np.argwhere(~(np.isfinite(sums) & (sums > 0)))
     if len(empty):

@@ -8,7 +8,8 @@ import pytest
 
 from bellcert import analysis
 from bellcert.device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Branch, Device,
-                             Violation, marginal_observables, partial_states, projectors)
+                             Violation, answer_probs, marginal_observables, partial_states,
+                             projectors)
 from bellcert.errors import DimensionMismatchError, ValidationError
 from bellcert.linalg import (VALIDATION_TOL, as_operator, projector_of, state_dep_norm_sq,
                              tensor)
@@ -52,12 +53,17 @@ def observables(device: Device) -> dict[str, np.ndarray]:
     return marginal_observables(projectors(device))
 
 
+def born_table(device: Device) -> np.ndarray:
+    """The device's ``answer_probs`` table, from its two stacks."""
+    return answer_probs(partial_states(device), projectors(device))
+
+
 def gamma_t(device: Device) -> float:
-    return 1.0 - min(analysis.test_tuple(partial_states(device), observables(device)).values())
+    return 1.0 - min(analysis.test_tuple(born_table(device)).values())
 
 
 def gamma_b(device: Device) -> float:
-    return 1.0 - min(analysis.bell_tuple(partial_states(device), observables(device)).values())
+    return 1.0 - min(analysis.bell_tuple(born_table(device)).values())
 
 
 def interferometric_pass_prob(u1: np.ndarray, u2: np.ndarray,
@@ -244,10 +250,30 @@ def dense_residuals(device: Device, obs: dict[str, np.ndarray]) -> tuple[dict, d
     return anticomm, comm
 
 
+def dense_born_pass_probs(device: Device) -> dict[str, float]:
+    """Every pass-tuple entry of ``protocol.CHECKS``: the Born probability
+    that ``Check.passes`` accepts the answers, one ``dense_sigma_partial``,
+    projector and trace per row, branch label and answer pair."""
+    out = {}
+    for row in CHECKS:
+        total = 0.0
+        for label in OUTCOME_PAIRS:
+            for answers in OUTCOME_PAIRS:
+                if row.passes(answers, label):
+                    part = dense_sigma_partial(device, row.basis[0], label[0],
+                                               row.basis[1], label[1])
+                    proj = device.measurements[row.questions][answers]
+                    total += float(np.real(np.trace(proj @ part)))
+        out[row.bucket] = total
+    return out
+
+
 def dense_pass_probs(device: Device, obs: dict[str, np.ndarray]) -> dict[str, float]:
-    """Every pass-tuple entry of ``protocol.CHECKS``, one
+    """Every pass-tuple entry of ``protocol.CHECKS`` in observable form, one
     ``dense_sigma_partial``, ``projector_of`` and trace per row and branch
-    label."""
+    label: the row's marginal (or product of two, for a cross-parity row)
+    compared with the label's slot bit.  It equals the Born form only where
+    the measurements are projective."""
     out = {}
     for row in CHECKS:
         factors = [obs[name] for name in row.bucket.split("_")]

@@ -15,11 +15,13 @@ from bellcert.device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAI
 from bellcert.errors import ValidationError
 from bellcert.linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, outcome_vec, rank_factor,
                              signed_factor, tensor, trace_distance)
-from conftest import (commutation_norms, dense_pass_probs, dense_pauli_rounding,
-                      dense_residuals, dense_sigma, dense_sigma_partial, dense_validate,
-                      embed_device, gamma_b, gamma_t, interferometric_norm_estimate,
-                      interferometric_pass_prob, observables, random_density,
-                      random_measurement, random_observable_set, random_unitary)
+from bellcert.provers import answer_table
+from conftest import (born_table, commutation_norms, dense_born_pass_probs,
+                      dense_pass_probs, dense_pauli_rounding, dense_residuals, dense_sigma,
+                      dense_sigma_partial, dense_validate, embed_device, gamma_b, gamma_t,
+                      interferometric_norm_estimate, interferometric_pass_prob, observables,
+                      random_density, random_measurement, random_observable_set,
+                      random_unitary)
 
 
 def test_gammas_zero_for_noiseless_honest():
@@ -35,9 +37,9 @@ def test_gammas_linear_in_depolarizing_noise(p):
     dev = from_honest(p)
     assert gamma_t(dev) == pytest.approx(p / 2, abs=1e-12)
     assert gamma_b(dev) == pytest.approx(p / 2, abs=1e-12)
-    for entry in analysis.test_tuple(partial_states(dev), observables(dev)).values():
+    for entry in analysis.test_tuple(born_table(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
-    for entry in analysis.bell_tuple(partial_states(dev), observables(dev)).values():
+    for entry in analysis.bell_tuple(born_table(dev)).values():
         assert entry == pytest.approx(1 - p / 2, abs=1e-12)
 
 
@@ -54,16 +56,17 @@ def test_no_entangler_deficits_are_one_half():
 def test_pass_tuple_keys_follow_check_table():
     dev = from_honest(0.1)
     names = [c.bucket for c in protocol.CHECKS]
-    parts, obs = partial_states(dev), observables(dev)
-    assert list(analysis.test_tuple(parts, obs)) + list(analysis.bell_tuple(parts, obs)) == names
+    table = born_table(dev)
+    assert list(analysis.test_tuple(table)) + list(analysis.bell_tuple(table)) == names
     report = analysis.analyze(dev)
     assert list(report.test_entries) + list(report.bell_entries) == names
 
 
 def test_check_buckets_name_their_marginals():
     """Each part of a row's bucket names, in ``MARGINALS``, the row's own
-    question pair on the row's legs in leg order, so the marginal the
-    analysis reads for a row is the answer the verdict checks."""
+    question pair on the row's legs in leg order, so the marginal that the
+    observable form ``conftest.dense_pass_probs`` reads for a row is the
+    answer the verdict checks."""
     for row in protocol.CHECKS:
         parts = row.bucket.split("_")
         assert [MARGINALS[name] for name in parts] == \
@@ -360,7 +363,9 @@ def test_stacked_checks_match_dense_references(dev):
     """``validate``, the residuals and the pass tuples, which ``analyze``
     takes as stacked contractions, equal the one-entry-at-a-time loops of
     ``conftest``: violation names and order exactly, every number within
-    1e-12 (the Pauli residuals are pinned by the next test)."""
+    1e-12 (the Pauli residuals are pinned by the next test).  The pass
+    entries' reference is the dense Born form, on every device, projective
+    measurements or not."""
     obs = observables(dev)
     report = analysis.analyze(dev)
     want = dense_validate(dev)
@@ -370,10 +375,42 @@ def test_stacked_checks_match_dense_references(dev):
     anticomm, comm = dense_residuals(dev, obs)
     for got, ref in ((report.anticomm, anticomm), (report.comm, comm),
                      ({**report.test_entries, **report.bell_entries},
-                      dense_pass_probs(dev, obs))):
+                      dense_born_pass_probs(dev))):
         assert list(got) == list(ref)
         for key, value in ref.items():
             assert got[key] == pytest.approx(value, abs=1e-12), key
+
+
+@pytest.mark.parametrize("dev", [
+    dev for dev in _dense_reference_devices()
+    if not any(v.name.startswith("measurements") for v in validate(dev.values[0]))])
+def test_pass_tuples_match_observable_form(dev):
+    """Where the measurements are projective, the verdict rule's Born
+    probabilities equal the observable form: the row's marginal, or product
+    of two, compared with the label's slot bit."""
+    report = analysis.analyze(dev)
+    got = {**report.test_entries, **report.bell_entries}
+    for key, value in dense_pass_probs(dev, observables(dev)).items():
+        assert got[key] == pytest.approx(value, abs=1e-12), key
+
+
+@pytest.mark.parametrize("dev", [
+    pytest.param(from_honest(0.2), id="honest-0.2"),
+    pytest.param(no_entangler(), id="no_entangler"),
+    pytest.param(embed_device(from_honest(0.1), 3, np.random.default_rng(11)),
+                 id="embedded-0.1-3")])
+def test_pass_tuples_read_the_prover_answer_table(dev):
+    """The pass tuples and the honest prover's answers share one Born table:
+    each entry is the chance, over the four equally likely labels, that
+    answers drawn from the label's ``answer_table`` row pass the row's check."""
+    table = answer_table(dev)
+    report = analysis.analyze(dev)
+    got = {**report.test_entries, **report.bell_entries}
+    for row in protocol.CHECKS:
+        want = sum(0.25 * table[row.basis, label, row.questions][2 * a + b]
+                   for label in OUTCOME_PAIRS for a, b in OUTCOME_PAIRS
+                   if row.passes((a, b), label))
+        assert got[row.bucket] == pytest.approx(want, abs=1e-12), row.bucket
 
 
 @pytest.mark.parametrize("dev", _dense_reference_devices())
