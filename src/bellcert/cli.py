@@ -9,20 +9,19 @@ import argparse
 import json
 import sys
 
-from . import analysis, device as devmod, harness, net
-from .entcf import EntcfParams
+from . import analysis, device as devmod, entcf, harness, net
 from .errors import BellcertError, ConfigurationError, ValidationError
 from .provers import parse_strategy
 
 
 def _params_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("ideal", "lwe"), default="ideal")
+    parser.add_argument("--backend", choices=entcf.BACKENDS, default="ideal")
     parser.add_argument("--seed", type=int, default=0)
 
 
 def _make_config(args) -> harness.RunConfig:
     return harness.RunConfig(
-        params=EntcfParams(backend=args.backend),
+        params=entcf.EntcfParams(args.backend),
         sessions=args.sessions, seed=args.seed,
         strategy=getattr(args, "strategy", "honest"),
         transcript_path=getattr(args, "transcripts", None))

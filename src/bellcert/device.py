@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (SIGMA_X, SIGMA_Z, VALIDATION_TOL, bell_state, matrix_from_json,
-                     matrix_to_json, outcome_vec, projector_of, tensor, trace_prod)
+                     matrix_to_json, outcome_vec, projector_of, tensor)
 from .protocol import is_pair
 
 BASIS_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -190,8 +190,11 @@ def projectors(device: Device) -> np.ndarray:
 def answer_probs(parts: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """The (4, 4, 4, 4) Born table of the two stacks: entry ``[basis, label,
     questions, outcome]`` is the real part of ``Tr[P_o part]``, unclipped and
-    unnormalised, in one :func:`~bellcert.linalg.trace_prod`."""
-    return trace_prod(projs, parts[:, :, None, None]).real
+    unnormalised, as one (16, d^2) @ (d^2, 16) product of the flattened
+    stacks, ``Tr[P A] = sum_ij A_ji P_ij``."""
+    size = parts.shape[-1] ** 2
+    table = parts.swapaxes(-1, -2).reshape(16, size) @ projs.reshape(16, size).T
+    return table.real.reshape(4, 4, 4, 4)
 
 
 def sigma(device: Device, theta1: int, theta2: int) -> np.ndarray:

@@ -19,15 +19,17 @@ gives w.  Two interchangeable backends exist:
   protocol can be exercised at scale with zero decoding error.
 * ``"lwe"`` -- a toy learning-with-errors construction at desk-scale
   parameters (see :mod:`bellcert.lwe`).  Also not secure; errors are kept
-  small enough that trapdoor decoding never fails at the defaults.
+  small enough that trapdoor decoding never fails at its fixed sizes.
 """
 from __future__ import annotations
 
 import array
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,47 +42,24 @@ BACKENDS = ("ideal", "lwe")
 
 @dataclass(frozen=True)
 class EntcfParams:
-    """Parameters shared by every key of one deployment.
+    """One deployment: its backend, at the sizes fixed for every deployment.
 
-    For the ideal backend only ``ideal_w`` matters.  The lattice backend
-    derives its preimage width from ``lwe_n`` and ``lwe_q``.
+    The ideal backend reads only ``ideal_w``; the lattice backend derives its
+    preimage width from ``lwe_n`` and ``lwe_q``.  The sizes are class
+    constants, so a size keyword raises TypeError.
     """
     backend: str = "ideal"
-    ideal_w: int = 32
-    lwe_n: int = 4
-    lwe_q: int = 2 ** 16
-    lwe_m: int = 80
-    lwe_sigma: float = 1.6
-    lwe_eval_bound: int = 16      # per-coordinate bound on fresh evaluation noise
-    lwe_check_bound: int = 2048   # per-coordinate acceptance bound in chk
+    ideal_w: ClassVar[int] = 32
+    lwe_n: ClassVar[int] = 4
+    lwe_q: ClassVar[int] = 2 ** 16
+    lwe_m: ClassVar[int] = 80
+    lwe_sigma: ClassVar[float] = 1.6
+    lwe_eval_bound: ClassVar[int] = 16     # per-coordinate bound on fresh evaluation noise
+    lwe_check_bound: ClassVar[int] = 2048  # per-coordinate acceptance bound in chk
 
     def __post_init__(self):
-        bad = [k for k, v in vars(self).items() if type(v) not in _WIRE_TYPES[k]]
-        if bad:
-            raise ConfigurationError(f"params fields of the wrong type: {bad}")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
-        if not 4 <= self.ideal_w <= 63:
-            # _ideal_gen draws the claw shift as an int64 in [1, 2^w)
-            raise ConfigurationError("need 4 <= ideal_w <= 63")
-        if self.lwe_q & (self.lwe_q - 1):
-            raise ConfigurationError("lwe_q must be a power of two")
-        k = self.lwe_q.bit_length() - 1
-        if self.lwe_m <= self.lwe_n * k:
-            raise ConfigurationError(
-                f"lwe_m={self.lwe_m} must exceed lwe_n*log2(q)={self.lwe_n * k} "
-                "or the public matrix carries no hidden rows")
-        if self.lwe_n < 1 or self.lwe_q > 1 << 32:
-            # lattice images travel as 32-bit words (image_to_wire)
-            raise ConfigurationError("need lwe_n >= 1 and lwe_q <= 2**32")
-        if not (0 < self.lwe_eval_bound < self.lwe_check_bound):
-            raise ConfigurationError("need 0 < lwe_eval_bound < lwe_check_bound")
-        if not 0 <= self.lwe_sigma <= self.lwe_eval_bound:
-            # wider noise would make the rejection sampler spin
-            raise ConfigurationError("need 0 <= lwe_sigma <= lwe_eval_bound")
-        if 2 * self.lwe_check_bound >= self.lwe_q // (2 * 4):
-            # decoding needs check_bound + eval slack well below q/8
-            raise ConfigurationError("lwe_check_bound too large for reliable decoding")
 
     @property
     def gadget_bits(self) -> int:
@@ -102,18 +81,22 @@ class EntcfParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "EntcfParams":
-        """Params from a wire object; an unknown field, or a value that the
-        constructor refuses, raises MalformedMessageError with the constructor's
-        message, and an absent field takes its default."""
-        try:
-            return cls(**d)
-        except (TypeError, ConfigurationError) as exc:
-            raise MalformedMessageError(f"bad params: {exc}") from exc
+        """The deployment whose ``to_json`` the wire object ``d`` is, value and
+        JSON type alike; anything else raises MalformedMessageError naming the
+        first field that differs, is missing or is extra."""
+        if not isinstance(d, dict):
+            raise MalformedMessageError("params are not an object")
+        params = cls(d["backend"]) if d.get("backend") in BACKENDS else cls()
+        want, got = _typed(params.to_json()), _typed(d)
+        if got != want:
+            bad = next(k for k in [*want, *got] if got.get(k) != want.get(k))
+            raise MalformedMessageError(f"params field {bad!r} is not the deployment's")
+        return params
 
 
-# the JSON type of each EntcfParams field: a plain int, bar these two
-_WIRE_TYPES = {**dict.fromkeys(EntcfParams.__dataclass_fields__, (int,)),
-               "backend": (str,), "lwe_sigma": (int, float)}
+def _typed(d: dict) -> dict:
+    """Each value with its type, so that ``True`` and ``32.0`` differ from ``1`` and ``32``."""
+    return {k: (type(v), v) for k, v in d.items()}
 
 
 @dataclass
@@ -374,15 +357,23 @@ def random_preimage(params: EntcfParams, rng: np.random.Generator) -> int:
     return out
 
 
+def _as_int(v, what: str) -> int:
+    """``v`` as a plain int if it is an integer (numpy's too), never a float or string."""
+    try:
+        return operator.index(v)
+    except TypeError as exc:
+        raise ValidationError(f"{what} {v!r} is not an integer") from exc
+
+
 def _check_bit(b) -> int:
-    b = int(b)
+    b = _as_int(b, "branch bit")
     if b not in (0, 1):
         raise ValidationError(f"branch bit must be 0 or 1, got {b}")
     return b
 
 
 def _check_preimage(params: EntcfParams, x) -> int:
-    x = int(x)
+    x = _as_int(x, "preimage")
     if not 0 <= x < (1 << params.preimage_bits):
         raise ValidationError(f"preimage {x} outside {params.preimage_bits}-bit domain")
     return x

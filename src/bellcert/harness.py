@@ -72,7 +72,7 @@ class RunStats:
     flag_counts: Counter = field(default_factory=Counter)
     aborted: int = 0
     undecodable: int = 0
-    pre_counts: dict = field(default_factory=dict)     # (basis, leg) -> [ok, total]
+    pre_counts: dict = field(default_factory=dict)     # "00.leg1" -> [ok, total]
     test_counts: dict = field(default_factory=dict)    # name -> [ok, total]
     bell_counts: dict = field(default_factory=dict)    # name -> [ok, total]
     fail_cond: dict = field(default_factory=dict)      # flag -> [fails, opportunities]
@@ -101,8 +101,7 @@ class RunStats:
             "flag_counts": dict(self.flag_counts),
             "aborted": self.aborted,
             "undecodable": self.undecodable,
-            "pre_counts": {f"{b[0]}{b[1]}.leg{leg + 1}": list(v)
-                           for (b, leg), v in self.pre_counts.items()},
+            "pre_counts": {k: list(v) for k, v in self.pre_counts.items()},
             "test_counts": {k: list(v) for k, v in self.test_counts.items()},
             "bell_counts": {k: list(v) for k, v in self.bell_counts.items()},
             "conditional_fail": {k: list(v) for k, v in self.fail_cond.items()},
@@ -193,7 +192,7 @@ def _deficit_estimate(counts: dict) -> Estimate:
             insufficient = True
         rate = ok / total if total else 0.0
         if total and rate < worst_rate:
-            worst_name, worst_rate, worst_n = str(name), rate, total
+            worst_name, worst_rate, worst_n = name, rate, total
     sig3 = 3.0 * math.sqrt(max(worst_rate * (1.0 - worst_rate), 1.0 / worst_n) / worst_n) \
         if worst_n else float("nan")
     return Estimate(1.0 - worst_rate, sig3, worst_name, worst_n, insufficient)

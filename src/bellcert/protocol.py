@@ -299,7 +299,7 @@ class Judgement(NamedTuple):
 
 
 def judge(record: TranscriptRecord) -> Judgement:
-    """Evaluate a complete record: a preimage round's opened legs, keyed ``(basis, leg)``,
+    """Evaluate a complete record: a preimage round's opened legs, named ``00.leg1`` and so on,
     or the :data:`CHECKS` rows a hadamard round's basis and questions select.
 
     Undecodable targets count as failed checks: a prover that commits an
@@ -308,7 +308,8 @@ def judge(record: TranscriptRecord) -> Judgement:
     basis, pair = record.basis, ()
     if record.round_type == "preimage":
         kind = Flag.FAIL_PRE
-        tested = tuple(((basis, leg), bool(ok)) for leg, ok in enumerate(record.pre_leg_ok))
+        tested = tuple((f"{basis[0]}{basis[1]}.leg{leg + 1}", bool(ok))
+                       for leg, ok in enumerate(record.pre_leg_ok))
     else:
         pair = accepted_pair(basis, record.targets)
         rows = [c for c in CHECKS if c.basis == basis]

@@ -65,8 +65,7 @@ def test_acceptance_02_lattice_backend_correctness():
 @pytest.mark.parametrize("backend", ["ideal", "lwe"])
 def test_acceptance_03_function_pair_suite(backend):
     """1000 keypairs per family: claws, branch decoding, checks, parities."""
-    params = EntcfParams(backend=backend,
-                         ideal_w=16 if backend == "ideal" else 32)
+    params = EntcfParams(backend=backend)
     rng = np.random.default_rng(103)
     for _ in range(1000):
         pk, td = entcf.gen("F", params, rng)

@@ -19,8 +19,12 @@ def test_run_writes_stats(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "sessions: 50 aborted: 0 undecodable: 0" in out
+    # a preimage bucket has one name, printed and written alike
+    assert "(3 sigma, weakest bucket 00.leg1 n=5)" in out
     blob = json.loads(stats.read_text())
     assert blob["stats"]["sessions"] == 50
+    assert blob["estimates"]["gamma_p"]["bucket"] == "00.leg1"
+    assert blob["stats"]["pre_counts"]["00.leg1"] == [5, 5]
     assert len(transcripts.read_text().splitlines()) == 50
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from bellcert import entcf
 from bellcert.errors import (ConfigurationError, FamilyError, InvalidImageError,
                              MalformedMessageError, ValidationError)
 
-IDEAL = entcf.EntcfParams(backend="ideal", ideal_w=16)
+IDEAL = entcf.EntcfParams(backend="ideal")
 LWE = entcf.EntcfParams(backend="lwe")
 
 
@@ -23,51 +25,53 @@ def params(request):
 def test_param_validation():
     with pytest.raises(ConfigurationError):
         entcf.EntcfParams(backend="nope")
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="lwe", lwe_m=64)  # no room above the gadget
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="lwe", lwe_q=1000)  # not a power of two
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="lwe", lwe_q=2 ** 40, lwe_m=200)  # images are 32-bit words
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="lwe", lwe_sigma=17.0)  # wider than lwe_eval_bound
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="lwe", lwe_sigma=float("nan"))
-    with pytest.raises(ConfigurationError):
-        entcf.EntcfParams(backend="ideal", ideal_w=64)  # claw shift beyond int64
-    # a valid size but not the field's JSON type: refused when built in code,
-    # as from the wire, before any session can trip on it
-    for field, value in [("ideal_w", 8.5), ("lwe_n", 2.0), ("lwe_q", 65536.0),
-                         ("lwe_sigma", True), ("lwe_check_bound", 2047.5)]:
-        with pytest.raises(ConfigurationError, match=field):
-            entcf.EntcfParams(backend="lwe", **{field: value})
-        with pytest.raises(MalformedMessageError, match=field):
-            entcf.EntcfParams.from_json({**LWE.to_json(), field: value})
+    # a deployment is its backend: the sizes are not fields
+    assert [f.name for f in dataclasses.fields(entcf.EntcfParams)] == ["backend"]
+    for field, value in LWE.to_json().items():
+        if field != "backend":
+            with pytest.raises(TypeError):
+                entcf.EntcfParams(backend="lwe", **{field: value})
 
 
-def test_widest_ideal_keys(rng):
-    """At ideal_w = 63, the largest accepted, both families generate and
-    round-trip."""
-    params = entcf.EntcfParams(backend="ideal", ideal_w=63)
-    for family in "FG":
-        pk, td = entcf.gen(family, params, rng)
-        x = entcf.random_preimage(params, rng)
-        y = entcf.eval_sample(pk, 1, x, rng)
-        assert entcf.chk(pk, y, 1, x) and entcf.invert(td, pk, 1, y) == x
+def test_deployment_margins():
+    """The fixed sizes keep the margins that the backends rely on."""
+    p = entcf.EntcfParams
+    assert p.lwe_q & (p.lwe_q - 1) == 0 and p.lwe_q <= 1 << 32  # images are 32-bit words
+    assert p.lwe_m > p.lwe_n * LWE.gadget_bits  # hidden rows above the gadget
+    assert 0 < p.lwe_eval_bound < p.lwe_check_bound
+    assert 0 <= p.lwe_sigma <= p.lwe_eval_bound  # else the rejection sampler spins
+    assert 2 * p.lwe_check_bound < p.lwe_q / 8  # decoding slack below q/8
+    assert 4 <= p.ideal_w <= 63  # the claw shift is drawn as an int64 in [1, 2^w)
 
 
 def test_params_json_roundtrip(params):
     assert entcf.EntcfParams.from_json(params.to_json()) == params
 
 
+def test_params_json_is_the_deployments():
+    """The wire form is pinned byte for byte: every session's keys message carries it."""
+    for params in (IDEAL, LWE):
+        assert json.dumps(params.to_json()) == (
+            f'{{"backend": "{params.backend}", "ideal_w": 32, "lwe_n": 4, "lwe_q": 65536, '
+            '"lwe_m": 80, "lwe_sigma": 1.6, "lwe_eval_bound": 16, "lwe_check_bound": 2048}')
+
+
 def test_params_json_refuses_unknown_field(params):
-    """Params from the wire hold only known fields; an absent one takes its
-    default."""
+    """Params from the wire equal the deployment's, field for field and in
+    JSON type; the refusal names the first field that differs."""
     wire = params.to_json()
-    with pytest.raises(MalformedMessageError, match="evil"):
-        entcf.EntcfParams.from_json({**wire, "evil": 1})
-    assert entcf.EntcfParams.from_json({"backend": params.backend}) == \
-        entcf.EntcfParams(backend=params.backend)
+    cases = [({**wire, "evil": 1}, "evil"), ({"backend": params.backend}, "ideal_w"),
+             ({**wire, "backend": "quantum"}, "backend"), ({**wire, "backend": ["lwe"]}, "backend"),
+             ({**wire, "ideal_w": 16}, "ideal_w"), ({**wire, "ideal_w": 32.0}, "ideal_w"),
+             ({**wire, "ideal_w": 1 << 17}, "ideal_w"), ({**wire, "lwe_n": 4.0}, "lwe_n"),
+             ({**wire, "lwe_q": 65536.0}, "lwe_q"), ({**wire, "lwe_sigma": True}, "lwe_sigma"),
+             ({**wire, "lwe_sigma": float("nan")}, "lwe_sigma"),
+             ({**wire, "lwe_check_bound": 2047.5}, "lwe_check_bound")]
+    for d, field in cases:
+        with pytest.raises(MalformedMessageError, match=field):
+            entcf.EntcfParams.from_json(d)
+    with pytest.raises(MalformedMessageError):
+        entcf.EntcfParams.from_json([wire])
 
 
 def test_claw_roundtrip(params, rng):
@@ -134,10 +138,11 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def test_ideal_decoding_matches_inversion_exhaustive(rng):
+def test_ideal_decoding_matches_inversion_exhaustive(rng, monkeypatch):
     """At ideal_w = 4, decode_bit and decode_equation, which unpermute once,
     agree with their two-inversion definitions on every image and mask."""
-    small = entcf.EntcfParams(backend="ideal", ideal_w=4)
+    monkeypatch.setattr(entcf.EntcfParams, "ideal_w", 4)
+    small = entcf.EntcfParams(backend="ideal")
     pk_f, td_f = entcf.gen("F", small, rng)
     pk_g, td_g = entcf.gen("G", small, rng)
     seen = set()
@@ -185,9 +190,10 @@ def test_invalid_image_rejected_ideal(rng):
         entcf.decode_bit(td, pk, bad)
 
 
-def test_ideal_claw_shift_law_exhaustive(rng):
+def test_ideal_claw_shift_law_exhaustive(rng, monkeypatch):
     """f_1(x) == f_0(x ^ claw) for every point of a small domain."""
-    small = entcf.EntcfParams(backend="ideal", ideal_w=8)
+    monkeypatch.setattr(entcf.EntcfParams, "ideal_w", 8)
+    small = entcf.EntcfParams(backend="ideal")
     pk, td = entcf.gen("F", small, rng)
     probe = entcf.eval_sample(pk, 0, 0, rng)
     claw = entcf.invert(td, pk, 1, probe) ^ 0
@@ -197,8 +203,9 @@ def test_ideal_claw_shift_law_exhaustive(rng):
         assert y0 == y1
 
 
-def test_ideal_images_are_permutation_outputs(rng):
-    small = entcf.EntcfParams(backend="ideal", ideal_w=8)
+def test_ideal_images_are_permutation_outputs(rng, monkeypatch):
+    monkeypatch.setattr(entcf.EntcfParams, "ideal_w", 8)
+    small = entcf.EntcfParams(backend="ideal")
     pk, _ = entcf.gen("G", small, rng)
     images = {entcf.eval_sample(pk, b, x, rng) for b in (0, 1) for x in range(256)}
     assert len(images) == 512  # both branches injective with disjoint ranges
@@ -249,6 +256,20 @@ def test_preimage_domain_enforced(params, rng):
         entcf.chk(pk, 0, 0, 1 << params.preimage_bits)
     with pytest.raises(ValidationError):
         entcf.eval_sample(pk, 2, 0, rng)
+
+
+def test_bits_and_preimages_are_integers(rng):
+    """A string or float is refused where a branch bit or preimage is due,
+    and numpy integers still pass."""
+    pk, _ = entcf.gen("G", IDEAL, rng)
+    for bad_bit in ("1", 1.5):
+        with pytest.raises(ValidationError):
+            entcf.eval_sample(pk, bad_bit, 3, rng)
+    y = entcf.eval_sample(pk, 0, 3, rng)
+    with pytest.raises(ValidationError):
+        entcf.chk(pk, y, 0, 3.9)
+    assert entcf.chk(pk, y, np.int64(0), np.uint32(3))
+    assert entcf.eval_sample(pk, np.int8(0), np.int64(3), rng) == y
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,7 @@ from bellcert.harness import role_rng
 from bellcert.protocol import Flag
 from bellcert.provers import ClawOracle, HonestProver
 
-BACKENDS = (entcf.EntcfParams(backend="ideal", ideal_w=16), entcf.EntcfParams(backend="lwe"))
+BACKENDS = (entcf.EntcfParams(backend="ideal"), entcf.EntcfParams(backend="lwe"))
 PHASES = ("commit", "preimage", "equations", "answers")
 
 JSON = st.recursive(

@@ -9,11 +9,12 @@ import pytest
 
 from bellcert import entcf, harness, net, protocol
 from bellcert.entcf import EntcfParams
-from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMessageError
+from bellcert.errors import (AbortSessionError, BellcertError, ConfigurationError,
+                             MalformedMessageError)
 from bellcert.harness import RunConfig
 from bellcert.provers import ClawOracle, HonestProver
 
-IDEAL = EntcfParams(backend="ideal", ideal_w=16)
+IDEAL = EntcfParams(backend="ideal")
 
 
 def test_run_config_validation():
@@ -80,7 +81,7 @@ class _RandomImageProver(HonestProver):
         msg = super().commit(keys_msg)
         params = self.keys[0].params
         for k in ("y1", "y2"):
-            y = int(self.rng.integers(1 << (2 * params.ideal_w)))
+            y = int.from_bytes(self.rng.bytes(2 * params.ideal_w // 8), "little")
             msg["payload"][k] = entcf.image_to_wire(params, y)
         return msg
 
@@ -128,6 +129,46 @@ def test_stats_tally_the_judgements(tmp_path, how):
     if how == "random_images":
         assert live.undecodable > live.sessions / 3
         assert len(live.test_counts) == 8 and len(live.bell_counts) == 2
+
+
+def _replay(record: protocol.TranscriptRecord, config: RunConfig, seed: int):
+    """``record``'s prover messages, rebuilt from its stored values and played to a
+    fresh verifier on ``seed``'s stream and the run's forced options: the new
+    record, or None when a package error ends the replay."""
+    sid = record.session_id
+    vrng = harness.role_rng(seed, sid, harness.VERIFIER_ROLE)
+    state, _ = protocol.start_session(config.params, vrng, sid, basis=config.force_basis,
+                                      round_type=config.force_round)
+    sent = [("commit", record.images)] + (
+        [("preimage", record.openings)] if record.round_type == "preimage"
+        else [("equations", record.equations), ("answers", record.answers)])
+    try:
+        for mtype, values in sent:
+            payload = dict(zip(protocol.PAYLOAD_FIELDS[mtype], values))
+            protocol.respond(state, protocol.message(mtype, sid, payload), vrng)
+        return protocol.record_from_state(state)
+    except BellcertError:
+        return None
+
+
+@pytest.mark.parametrize("backend,sessions,strategy,force", [
+    ("ideal", 200, "honest_depolarized:0.2", {}),
+    ("lwe", 60, "classical_guess", {}),
+    ("ideal", 60, "no_entangler", {"force_basis": (1, 1), "force_round": "hadamard"}),
+], ids=["ideal", "lwe", "forced_bell"])
+def test_records_replay_exactly(tmp_path, backend, sessions, strategy, force):
+    """Every stored record is what a fresh verifier on the run's seed records
+    when its prover messages are played back to it; under another seed none is."""
+    path = tmp_path / "t.jsonl"
+    cfg = RunConfig(params=EntcfParams(backend), sessions=sessions, strategy=strategy,
+                    seed=21, transcript_path=str(path), **force)
+    harness.run_sessions(cfg)
+    records = list(harness.read_transcripts(str(path)))
+    assert len(records) == sessions
+    assert {rec.round_type for rec in records} == set(
+        protocol.ROUND_TYPES if not force else [force["force_round"]])
+    assert all(_replay(rec, cfg, cfg.seed) == rec for rec in records)
+    assert not any(_replay(rec, cfg, cfg.seed + 1) == rec for rec in records)
 
 
 def test_honest_runs_have_no_failures():

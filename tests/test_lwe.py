@@ -6,8 +6,17 @@ import pytest
 from bellcert import entcf, lwe
 
 PARAMS = entcf.EntcfParams(backend="lwe")
-SMALL = entcf.EntcfParams("lwe", lwe_n=2, lwe_q=2 ** 12, lwe_m=40, lwe_eval_bound=8,
-                          lwe_check_bound=200)
+# smaller lattice sizes, set on the class for one test (the deployment's are fixed)
+SIZES = {"default": {},
+         "small": {"lwe_n": 2, "lwe_q": 2 ** 12, "lwe_m": 40, "lwe_eval_bound": 8,
+                   "lwe_check_bound": 200}}
+
+
+@pytest.fixture
+def params(request, monkeypatch):
+    for name, value in SIZES[request.param].items():
+        monkeypatch.setattr(entcf.EntcfParams, name, value)
+    return PARAMS
 
 
 def _centered(v: np.ndarray, q: int) -> np.ndarray:
@@ -50,14 +59,14 @@ def _decode_inputs(params, rng):
             yield v
 
 
-@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+@pytest.mark.parametrize("params", list(SIZES), indirect=True)
 def test_gadget_decode_matches_reference(params, rng):
     n, k, q = params.lwe_n, params.gadget_bits, params.lwe_q
     for v in _decode_inputs(params, rng):
         assert lwe._gadget_decode(v, n, k, q) == _reference_gadget_decode(v, n, k, q)
 
 
-@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+@pytest.mark.parametrize("params", list(SIZES), indirect=True)
 def test_gadget_is_cached_and_read_only(params):
     n, k = params.lwe_n, params.gadget_bits
     fresh = np.zeros((n * k, n), dtype=np.int64)
@@ -117,7 +126,7 @@ def _reference_chk(pk, y, b, x) -> bool:
     return bool(np.max(np.abs(resid)) <= params.lwe_check_bound)
 
 
-@pytest.mark.parametrize("params", [PARAMS, SMALL], ids=["default", "small"])
+@pytest.mark.parametrize("params", list(SIZES), indirect=True)
 def test_chk_matches_centered_reference(params, rng):
     """chk agrees with the centred residual test, also with one coordinate
     exactly at or one past the check bound on either side."""

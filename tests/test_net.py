@@ -14,7 +14,7 @@ from bellcert.errors import AbortSessionError, ConfigurationError, MalformedMess
 from bellcert.harness import RunConfig, run_sessions
 from bellcert.provers import make_prover
 
-IDEAL = EntcfParams(backend="ideal", ideal_w=16)
+IDEAL = EntcfParams(backend="ideal")
 
 
 def _serve(tmp_path, sessions, seed, name="wire.jsonl", strategy="honest"):

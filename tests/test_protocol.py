@@ -14,7 +14,7 @@ from bellcert.harness import RunStats, role_rng
 from bellcert.protocol import Flag
 from bellcert.provers import ClawOracle, HonestProver
 
-PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
+PARAMS = entcf.EntcfParams(backend="ideal")
 
 
 def _run_honest(seed: int) -> protocol.VerifierState:
@@ -258,13 +258,18 @@ def test_opening_bits_validated():
             protocol.receive_preimage(state, msg)
 
 
-# 16-bit masks and preimages are exactly two bytes of lower-case hex ("cdab").
-NON_CANONICAL_BITS = ["CDAB", "cdAB", " cdab", "cd ab", "cdab\n", "cd",
-                      entcf.bits_to_wire(PARAMS, 5) + "00"]
+# At ideal_w = 16, set on the class by ``ideal_w16``, masks and preimages are
+# exactly two bytes of lower-case hex ("cdab"); "050000" is 5 with a byte too many.
+NON_CANONICAL_BITS = ["CDAB", "cdAB", " cdab", "cd ab", "cdab\n", "cd", "050000"]
+
+
+@pytest.fixture
+def ideal_w16(monkeypatch):
+    monkeypatch.setattr(entcf.EntcfParams, "ideal_w", 16)
 
 
 @pytest.mark.parametrize("bad", NON_CANONICAL_BITS)
-def test_non_canonical_mask_rejected(bad):
+def test_non_canonical_mask_rejected(bad, ideal_w16):
     state, prover, vrng = _session_at("hadamard")
     msg = prover.equations()
     msg["payload"]["d1"] = bad
@@ -273,7 +278,7 @@ def test_non_canonical_mask_rejected(bad):
 
 
 @pytest.mark.parametrize("bad", NON_CANONICAL_BITS)
-def test_non_canonical_opening_rejected(bad):
+def test_non_canonical_opening_rejected(bad, ideal_w16):
     state, prover, _ = _session_at("preimage")
     msg = prover.preimage_answer()
     msg["payload"]["x1"] = bad
@@ -356,7 +361,7 @@ def test_preimage_flag():
     assert _preimage((True, False)).flag is Flag.FAIL_PRE
     assert _preimage((False, True)).flag is Flag.FAIL_PRE
     assert _preimage((False, True)) == (
-        Flag.FAIL_PRE, Flag.FAIL_PRE, ((((0, 1), 0), False), (((0, 1), 1), True)), False)
+        Flag.FAIL_PRE, Flag.FAIL_PRE, (("01.leg1", False), ("01.leg2", True)), False)
 
 
 def test_judgement_keeps_decodable_checks_of_undecodable_round():

@@ -16,7 +16,7 @@ from bellcert.linalg import SIGMA_X, SIGMA_Z, projector_of, tensor
 from bellcert.protocol import Flag
 from conftest import embed_device
 
-PARAMS = entcf.EntcfParams(backend="ideal", ideal_w=16)
+PARAMS = entcf.EntcfParams(backend="ideal")
 
 
 def test_parse_strategy():
@@ -343,7 +343,7 @@ _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
         "seed_unwrapped": _set(["keys", 0, "payload", "seed"], "00" * 32),
         "width_mismatch": _set(["keys", 1, "payload", "w"], 17),
         "delta_zero": _set(["keys", 0, "payload", "delta"], 0),
-        "delta_too_wide": _set(["keys", 0, "payload", "delta"], 1 << 16),
+        "delta_too_wide": _set(["keys", 0, "payload", "delta"], 1 << 32),
         "delta_float": _set(["keys", 0, "payload", "delta"], 3.0),
     },
     "lwe": {
