@@ -21,13 +21,14 @@ and traced against all four full states in one contraction, and the twelve
 Pauli residuals are two stacked ``state_dep_norm_sq`` calls.
 
 All quantities are exact up to floating point: traces of small matrices,
-and trace distances taken from low-rank factors of their operands through
-one small eigensolve each (see :func:`bell_report`).  The factors keep only
-the singular values of the projectors and the eigen-components of the junk
-state that ``svd`` and ``eigh`` can tell from 0, so each distance moves by
-at most ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps
-max|lambda_xi|``, of order ``d^2 eps`` (below 1e-13 for a valid device at
-d = 24).
+and trace distances taken from low-rank factors of their operands, each in
+the unitary frame of its ancilla vector, through one small eigensolve each:
+two stacked calls, 64 update and four state distances (see
+:func:`bell_report`).  The factors keep only the singular values of the
+projectors and the eigen-components of the junk state that ``svd`` and
+``eigh`` can tell from 0, so each distance moves by at most ``d eps
+||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps max|lambda_xi|``, of
+order ``d^2 eps`` (below 1e-13 for a valid device at d = 24).
 
 The JSON form of a report (:meth:`AnalysisReport.to_json`) writes each Bell
 case's junk state by its spectrum, the eigenvalues that its factor keeps:
@@ -188,13 +189,18 @@ def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
 # certification report
 # ---------------------------------------------------------------------------
 
-# each measurement update's name and ancilla vector u (x) u', in the order of the
-# projectors stack, and the shifted Bell state of each cross-parity label
+# each measurement update's name, in the order of the projectors stack, and the
+# five frames of bell_report: per question pair the unitary whose columns are
+# its updates' ancilla vectors u (x) u' (in OUTCOME_PAIRS order), then the one
+# whose columns are the shifted Bell states of the cross-parity labels
 _UPDATES = [f"q{q1}{q2}_v{a}{b}" for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS]
-_UPDATE_ANC = np.array([np.kron(outcome_vec(q1, a), outcome_vec(q2, b))
-                        for q1, q2 in QUESTION_PAIRS for a, b in OUTCOME_PAIRS])
-_PHIS = np.array([bell_state(*label) for label in OUTCOME_PAIRS])
-_UPDATE_ANC.flags.writeable = _PHIS.flags.writeable = False
+_FRAMES = np.array([[np.kron(outcome_vec(q1, a), outcome_vec(q2, b)) for a, b in OUTCOME_PAIRS]
+                    for q1, q2 in QUESTION_PAIRS]
+                   + [[bell_state(*label) for label in OUTCOME_PAIRS]]).swapaxes(-1, -2)
+# (1/2) <u|phi> for each update (rows) and case (columns); each ancilla block's others
+_COEF = 0.5 * (_FRAMES[:4].conj().swapaxes(-1, -2) @ _FRAMES[4]).reshape(16, 4)
+_OTHERS = np.array([[j for j in range(4) if j != o] for o in range(4)])
+_FRAMES.flags.writeable = _COEF.flags.writeable = False
 
 
 @dataclass
@@ -234,59 +240,71 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
     of the device's marginals.
 
     Each distance is ``(1/2) ||V P part P^dag V^dag - (1/4) (pi phi)(pi phi)^dag
-    (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance.  Both
-    operands are taken as factors with hermitian middles for
-    :func:`~bellcert.linalg.factored_trace_distance`.  The 16 projectors are
-    factored once, ``P = L R`` by :func:`~bellcert.linalg.rank_factor`, so an
-    update's left operand is ``(V L) (R part R^dag) (V L)^dag``; the state's is
-    ``V part V^dag``.  ``xi`` is factored once per case by
-    :func:`~bellcert.linalg.signed_factor` into ``X diag(sx) X^dag``, and the
-    right factor is ``(1/2) <u|phi> (u (x) X)`` for the outcome vector ``u``;
-    the case's ``xi_eigenvalues`` are ``sx |X_j|^2`` over X's columns ``X_j``,
-    read off the factor with no second eigensolve.
-    The 16 updates of a case run as one stacked call whose eigensolves have
-    side ``rank(P) + rank(xi)`` (12 at d = 24) rather than 4d.  Nothing is
-    assumed of the projectors or of the signs of ``part``, so invalid devices
-    (non-PSD branches, non-projector measurements) are measured exactly
-    too.  The factors drop the singular values ``<= d eps max(s)`` of each
-    projector and the eigen-components of ``xi`` with
-    ``|lambda| <= d eps max|lambda|``, which ``svd`` and ``eigh`` cannot tell
-    from 0; this moves each distance from the dense one by at most
+    (x) xi||_1``, with ``P = 1`` and ``pi = 1`` for the state distance, taken
+    after ``F^dag (x) 1`` for the frame ``F`` of ``_FRAMES`` whose column ``o``
+    is the update's ``u`` (or ``phi``), which keeps the trace norm.  With
+    ``xi = X diag(sx) X^dag`` (:func:`~bellcert.linalg.signed_factor`) the right
+    factor ``(1/2) <u|phi> (e_o (x) X)`` fills ancilla block ``o`` alone; the
+    left operand is ``(W L) (R part R^dag) (W L)^dag`` for ``W = (F^dag (x) 1) V``
+    and ``P = L R`` (:func:`~bellcert.linalg.rank_factor`; ``L = R = 1`` for the
+    state).  A distance sees ``[W L  G]`` only through its Gram matrix, so W L's
+    other three blocks become their ``k x k`` QR factor, once per frame and
+    block for all cases: each :func:`~bellcert.linalg.factored_trace_distance`
+    operand has ``d + k`` rows, not 4d (30 at d = 24).  The 64 update
+    distances are one stacked call and the four state distances another;
+    narrower ``xi`` factors get zero columns of sign 0.  ``xi`` is ``w sigma
+    w^dag`` over its trace, for block ``w`` of V in the Bell frame and
+    ``sigma = cases.sum(0)``; ``xi_eigenvalues`` are ``sx |X_j|^2`` over X's
+    columns, read off the factor with no second eigensolve.
+
+    Nothing is assumed of the projectors or of the signs of ``part``, so
+    invalid devices (non-PSD branches, non-projector measurements) are
+    measured exactly too.  The frames are unitary and the QRs Householder, so
+    they add rounding of order ``d eps`` only.  The factors drop the singular
+    values ``<= d eps max(s)`` of each projector and the eigen-components of
+    ``xi`` with ``|lambda| <= d eps max|lambda|``, which ``svd`` and ``eigh``
+    cannot tell from 0; this moves each distance from the dense one by at most
     ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps max|lambda_xi|``,
     below 1e-13 for a valid device at d = 24 (``||V|| = ||P_o|| = 1``, both
     operands of unit trace at most).
     """
     d = v.shape[1]
-    full = v @ cases.sum(0) @ v.conj().T  # on C4 (x) C^d
+    # V in each frame, by ancilla block: w[f, j] = (e_j^dag F_f^dag (x) 1) V
+    w = (_FRAMES.conj().swapaxes(-1, -2) @ v.reshape(4, d * d)).reshape(5, 4, d, d)
     left, right = rank_factor(projs.reshape(-1, d, d))
-    v_left = v @ left
-    right_h = right.conj().swapaxes(-1, -2)
+    k, o = left.shape[-1], np.arange(4)
+    wl = w[:4, None] @ left.reshape(4, 4, 1, d, k)  # [q, o, j]: block j of update (q, o)
+    rest = np.linalg.qr(wl[:, o[:, None], _OTHERS].reshape(16, 3 * d, k), mode="r")
+    f = np.concatenate([wl[:, o, o].reshape(16, d, k), rest], axis=-2)
 
-    reports = []
-    for label, phi, part in zip(OUTCOME_PAIRS, _PHIS, cases):
-        # contract the ancilla against phi to extract the junk state
-        t = full.reshape(4, d, 4, d)
-        m = np.einsum("i,ijkl,k->jl", phi.conj(), t, phi)
-        tr = float(np.real(np.trace(m)))
-        degenerate = tr < _DEGENERATE_TRACE
-        xi = np.zeros((d, d), dtype=complex) if degenerate else m / tr
+    m = w[4] @ cases.sum(0) @ w[4].conj().swapaxes(-1, -2)
+    traces = np.trace(m, axis1=-2, axis2=-1).real.tolist()
+    xis = [np.zeros((d, d), dtype=complex) if tr < _DEGENERATE_TRACE else mc / tr
+           for tr, mc in zip(traces, m)]
+    factors = [signed_factor(xi) for xi in xis]
+    width = max(x.shape[1] for x, _ in factors)
+    xs, mg = np.zeros((4, d, width), dtype=complex), np.zeros((4, width, width))
+    for c, (x, sx) in enumerate(factors):
+        xs[c, :, :x.shape[1]] = x
+        mg[c, range(len(sx)), range(len(sx))] = sx
 
-        x, sx = signed_factor(xi)
-        mx = np.diag(sx)
-        spectrum = np.sort(sx * np.sum(np.abs(x) ** 2, axis=0))[::-1]
-        # (1/2) <u|phi> (u (x) X) has rows indexed (ancilla, junk), like V
-        coef = 0.5 * _UPDATE_ANC * (_UPDATE_ANC.conj() @ phi)[:, None]
-        g = (coef[:, :, None, None] * x).reshape(len(_UPDATES), 4 * d, x.shape[1])
-        g_state = (0.5 * phi[:, None, None] * x).reshape(4 * d, x.shape[1])
-
-        state_distance = float(factored_trace_distance(v, part, g_state, mx))
-        dists = factored_trace_distance(v_left, right @ part @ right_h, g, mx)
-        reports.append(BellCaseReport(label=label, branch_trace=tr,
-                                      state_distance=state_distance,
-                                      measurement_distances=dict(zip(_UPDATES, dists.tolist())),
-                                      xi=xi, xi_eigenvalues=spectrum.tolist(),
-                                      degenerate=degenerate))
-    return reports
+    g = np.zeros((4, 16, d + k, width), dtype=complex)
+    g[:, :, :d] = _COEF.T[:, :, None, None] * xs[:, None]
+    dists = factored_trace_distance(np.broadcast_to(f, g.shape[:-1] + (k,)),
+                                    right @ cases[:, None] @ right.conj().swapaxes(-1, -2),
+                                    g, mg[:, None]).tolist()
+    # the state distances in the Bell frame: block c over the QR of the other three
+    bell_rest = np.linalg.qr(w[4, _OTHERS].reshape(4, 3 * d, d), mode="r")
+    g_state = np.concatenate([0.5 * xs, np.zeros((4, d, width))], axis=-2)
+    states = factored_trace_distance(np.concatenate([w[4], bell_rest], axis=-2), cases,
+                                     g_state, mg).tolist()
+    return [BellCaseReport(label=label, branch_trace=tr, state_distance=state,
+                           measurement_distances=dict(zip(_UPDATES, dist)), xi=xi,
+                           xi_eigenvalues=sorted((sx * np.sum(np.abs(x) ** 2, axis=0)).tolist(),
+                                                 reverse=True),
+                           degenerate=tr < _DEGENERATE_TRACE)
+            for label, tr, xi, (x, sx), state, dist
+            in zip(OUTCOME_PAIRS, traces, xis, factors, states, dists)]
 
 
 # ---------------------------------------------------------------------------

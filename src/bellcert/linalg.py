@@ -157,14 +157,15 @@ def rank_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``numpy.linalg.matrix_rank`` rule) and every factor cut to the widest
     rank kept in the stack: ``L`` is ``(..., n, k)`` and ``R`` ``(..., k, n)``.
     The kept values are a prefix of the sorted ``s``, so a narrower matrix
-    only gets zero columns in ``L``.  Nothing is assumed of the matrices
+    only gets zero columns in ``L``.  Both factors are compact arrays, not
+    views that keep the whole SVD alive.  Nothing is assumed of the matrices
     (no hermiticity, no projector law); what is dropped moves ``a`` by at
     most ``n eps max(s)`` in operator norm.
     """
     u, s, vh = np.linalg.svd(a)
     s = np.where(s > a.shape[-1] * np.finfo(float).eps * s[..., :1], s, 0.0)
     k = int(np.count_nonzero(s, axis=-1).max(initial=0))
-    return u[..., :k] * s[..., None, :k], vh[..., :k, :]
+    return u[..., :k] * s[..., None, :k], vh[..., :k, :].copy()
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

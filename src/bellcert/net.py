@@ -1,11 +1,11 @@
 """Line-delimited JSON transport for running sessions over TCP.
 
 One connection carries one session.  Messages are single JSON objects
-terminated by a newline, at most 64 KiB per line, and each end gives the
-whole session a 30 second default timeout.  Both ends drive a session as
-the in-process harness does (``protocol.respond``, ``HonestProver.play``,
-``harness.collect``) with its per-session random streams, so transcripts
-are identical byte for byte.
+terminated by a newline, at most 64 KiB per line at both ends (the newline
+not counted), and each end gives the whole session a 30 second default
+timeout.  Both ends drive a session as the in-process harness does
+(``protocol.respond``, ``HonestProver.play``, ``harness.collect``) with its
+per-session random streams, so transcripts are identical byte for byte.
 """
 from __future__ import annotations
 
@@ -41,12 +41,12 @@ class LineChannel:
         self.sock.settimeout(left)
 
     def send(self, obj: dict) -> None:
-        data = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+        data = json.dumps(obj, separators=(",", ":")).encode()
         if len(data) > MAX_LINE_BYTES:
             raise MalformedMessageError(f"outgoing message of {len(data)} bytes "
                                         f"exceeds the {MAX_LINE_BYTES} byte line limit")
         self._time_left()
-        self.sock.sendall(data)
+        self.sock.sendall(data + b"\n")
 
     def recv(self):
         """The next line's JSON value; the step that receives it checks the envelope."""

@@ -272,8 +272,30 @@ def _dense_reference_devices():
     devices += [pytest.param(_negative_weight_device(), id="negative_weight"),
                 pytest.param(_random_measurement_device(rng), id="random_measurement"),
                 pytest.param(_non_hermitian_projector_device(rng), id="non_hermitian_projector"),
-                pytest.param(embed_device(from_honest(0.2), 6, rng), id="embedded-0.2-6")]
+                pytest.param(embed_device(from_honest(0.2), 6, rng), id="embedded-0.2-6"),
+                pytest.param(embed_device(_missing_branch_device(), 3, rng),
+                             id="embedded-missing_branch-3")]
     return devices
+
+
+def test_bell_frames_map_their_vectors_to_the_standard_basis():
+    """Each frame of ``bell_report`` is unitary and maps its question pair's
+    update vector u (x) u' for outcome o, or the Bell state of label o, to e_o."""
+    vectors = [[np.kron(outcome_vec(q1, a), outcome_vec(q2, b)) for a, b in OUTCOME_PAIRS]
+               for q1, q2 in QUESTION_PAIRS] + [[bell_state(*c) for c in OUTCOME_PAIRS]]
+    assert analysis._FRAMES.shape == (5, 4, 4)
+    for frame, vecs in zip(analysis._FRAMES, vectors):
+        assert np.max(np.abs(frame.conj().T @ frame - np.eye(4))) <= 1e-15
+        for o, vec in enumerate(vecs):
+            assert np.max(np.abs(frame.conj().T @ vec - np.eye(4)[o])) <= 1e-15
+
+
+def test_reference_devices_mix_junk_factor_widths():
+    """The embedded missing-branch device has three degenerate cases (zero-width
+    junk factors) beside a rank-3 one, so the dense reference pins the padding."""
+    dev = _dense_reference_devices()[-1].values[0]
+    widths = [signed_factor(case.xi)[0].shape[1] for case in _bell_report(dev)]
+    assert widths == [3, 0, 0, 0]
 
 
 @pytest.mark.parametrize("p,junk_dim", [(0.0, 2), (0.2, 3), (0.1, 6)])

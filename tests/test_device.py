@@ -234,6 +234,31 @@ def test_device_json_refuses_bad_dim(dim):
         devmod.device_from_json(d)
 
 
+@pytest.mark.parametrize("group", ["branches", "measurements"])
+@pytest.mark.parametrize("key", ["011", "0", "02"])
+def test_device_json_refuses_bad_pair_key(group, key):
+    """A basis or question key is exactly two characters, each 0 or 1."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d[group][key] = d[group].pop("01")
+    with pytest.raises(ValidationError):
+        devmod.device_from_json(d)
+
+
+def test_dim_one_device_decodes_without_dim_violation():
+    """``dim`` 1 is the smallest legal dimension: such a device decodes, and
+    ``validate`` finds no ``dim`` violation in its 1 x 1 matrices."""
+    d = devmod.device_to_json(devmod.from_honest(0.0))
+    d["dim"] = 1
+    one, zero = matrix_to_json(np.eye(1)), matrix_to_json(np.zeros((1, 1)))
+    for branches in d["branches"].values():
+        for br in branches:
+            br["state"] = one
+    d["measurements"] = {key: [one, zero, zero, zero] for key in d["measurements"]}
+    dev = devmod.device_from_json(d)
+    assert dev.dim == 1
+    assert not [v.name for v in devmod.validate(dev) if v.name.endswith(" dim")]
+
+
 @pytest.mark.parametrize("weight", ["0.25", True, None, [0.25]])
 def test_device_json_refuses_bad_weight(weight):
     """A weight is a plain JSON number; "0.25" would otherwise load as 0.25."""

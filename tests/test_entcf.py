@@ -236,11 +236,13 @@ def test_image_wire_roundtrip(params, rng):
 
 
 def test_lattice_image_codec(rng):
-    """Four little-endian bytes per coordinate; out-of-range values refused."""
+    """Four little-endian bytes per coordinate; values outside [0, 2**32) refused."""
     y = rng.integers(0, LWE.lwe_q, LWE.lwe_m)
     s = entcf.image_to_wire(LWE, y)
     assert s == b"".join(int(v).to_bytes(4, "little") for v in y).hex()
     assert np.array_equal(entcf.image_from_wire(LWE, s), y)
+    y[0] = (1 << 32) - 1  # the largest 32-bit word still encodes
+    assert entcf.image_to_wire(LWE, y).startswith("ffffffff")
     for bad in (-1, 1 << 32):
         y[0] = bad
         with pytest.raises(ValidationError):
@@ -248,6 +250,16 @@ def test_lattice_image_codec(rng):
     y[0] = LWE.lwe_q
     with pytest.raises(ValidationError):
         entcf.image_from_wire(LWE, entcf.image_to_wire(LWE, y))
+
+
+@pytest.mark.parametrize("delta", [1, (1 << IDEAL.ideal_w) - 1])
+def test_ideal_key_delta_ends_decode(rng, delta):
+    """An ideal F key's ``delta`` lies in [1, 2**w), both ends included; 0 and
+    2**w are refused in ``test_provers._BAD_KEYS``."""
+    pk, _ = entcf.gen("F", IDEAL, rng)
+    doc = pk.to_json()
+    doc["payload"]["delta"] = delta
+    assert entcf.PublicKey.from_json(doc, IDEAL).payload["delta"] == delta
 
 
 def test_preimage_domain_enforced(params, rng):

@@ -173,6 +173,8 @@ def test_rank_factor_width_is_widest_rank(rng, ranks, kind):
     for i, rank in enumerate(ranks):
         assert np.max(np.abs(left[i] @ right[i] - a[i]), initial=0.0) < 1e-12
         assert not np.any(left[i][:, rank:])
+    # compact arrays of their own, not views that keep the whole SVD alive
+    assert left.base is None and right.base is None
 
 
 def test_matrix_json_roundtrip(rng):

@@ -78,6 +78,59 @@ def test_oversize_line_rejected():
         right.close()
 
 
+class _ChunkSocket:
+    """A socket stand-in: ``recv`` returns the given chunks in order, and
+    ``sendall`` keeps what is sent."""
+
+    def __init__(self, chunks=()):
+        self.chunks, self.sent = list(chunks), b""
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def sendall(self, data):
+        self.sent += data
+
+
+def _line_of(size: int) -> dict:
+    """A message whose compact JSON line is ``size`` bytes, newline not counted."""
+    return {"p": "a" * (size - len('{"p":""}'))}
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_send_line_limit(extra):
+    """A line of ``MAX_LINE_BYTES`` is sent with its newline; one byte more is refused."""
+    sock = _ChunkSocket()
+    chan = net.LineChannel(sock, timeout=5)
+    msg = _line_of(net.MAX_LINE_BYTES + extra)
+    if extra:
+        with pytest.raises(MalformedMessageError):
+            chan.send(msg)
+        assert sock.sent == b""
+    else:
+        chan.send(msg)
+        assert sock.sent == json.dumps(msg, separators=(",", ":")).encode() + b"\n"
+        assert len(sock.sent) == net.MAX_LINE_BYTES + 1
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "newline_apart"])
+def test_recv_line_limit(extra, split):
+    """``recv`` takes a line of ``MAX_LINE_BYTES`` and refuses one byte more,
+    whether the newline comes with the line or in a later chunk."""
+    msg = _line_of(net.MAX_LINE_BYTES + extra)
+    line = json.dumps(msg, separators=(",", ":")).encode()
+    chan = net.LineChannel(_ChunkSocket([line, b"\n"] if split else [line + b"\n"]), timeout=5)
+    if extra:
+        with pytest.raises(MalformedMessageError):
+            chan.recv()
+    else:
+        assert chan.recv() == msg
+
+
 def test_garbage_line_rejected():
     left, right = socket.socketpair()
     try:

@@ -341,6 +341,8 @@ _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
                                      ["__hex__"][:-2])(p),
         "seed_not_hex": _set(_seed(0), "zz" * 32),
         "seed_unwrapped": _set(["keys", 0, "payload", "seed"], "00" * 32),
+        "seed_one_character": _set(["keys", 0, "payload", "seed"], "a"),
+        "seed_wrapper_second_entry": lambda p: p["keys"][1]["payload"]["seed"].update(x=0),
         "width_mismatch": _set(["keys", 1, "payload", "w"], 17),
         "delta_zero": _set(["keys", 0, "payload", "delta"], 0),
         "delta_too_wide": _set(["keys", 0, "payload", "delta"], 1 << 32),
@@ -359,6 +361,7 @@ _BAD_KEYS = {  # keys[0] is an F key and keys[1] a G key
         "row_not_list": _set(_entry("a", 3), 4),
         "u_short": lambda p: p["keys"][0]["payload"]["u"]["__array__"].pop(),
         "extra_field": _set(["keys", 1, "payload", "s"], {"__array__": [1, 2, 3, 4]}),
+        "a_wrapper_second_entry": lambda p: p["keys"][0]["payload"]["a"].update(x=0),
         "q_above_32_bits": lambda p: p["params"].update(lwe_q=2 ** 40, lwe_m=200),
         "sigma_above_eval_bound": _set(["params", "lwe_sigma"], 1e9),
     },
