@@ -47,7 +47,7 @@ from .device import (BASIS_PAIRS, MARGINALS, OUTCOME_PAIRS, QUESTION_PAIRS, Devi
 from .errors import ValidationError
 from .linalg import (ID2, SIGMA_X, SIGMA_Z, bell_state, factored_trace_distance,
                      outcome_vec, rank_factor, signed_factor, state_dep_norm_sq,
-                     tensor, trace_prod)
+                     tensor)
 from .protocol import CHECKS, Flag
 
 _DEGENERATE_TRACE = 1e-12
@@ -91,11 +91,10 @@ COMM_PAIRS = ("z1_x2", "z2_x1")
 
 
 def _on_bases(a: np.ndarray, states: np.ndarray) -> dict[tuple[int, int], float]:
-    """Tr[A^dag A sigma] on each basis pair's full state, as one contraction
-    against the stack ``states`` (in ``BASIS_PAIRS`` order); clamped at 0
-    like :func:`~bellcert.linalg.state_dep_norm_sq`."""
-    vals = np.maximum(trace_prod(a.conj().T @ a, states).real, 0.0)
-    return dict(zip(BASIS_PAIRS, vals.tolist()))
+    """Tr[A^dag A sigma] on each basis pair's full state, by one
+    :func:`~bellcert.linalg.state_dep_norm_sq` call against the stack
+    ``states`` (in ``BASIS_PAIRS`` order)."""
+    return dict(zip(BASIS_PAIRS, state_dep_norm_sq(a, states).tolist()))
 
 
 def anticomm_residual(states: np.ndarray, leg: int,

@@ -10,34 +10,26 @@ Two families are exposed through one API:
   ranges.  The trapdoor recovers which branch produced an image.
 
 Preimages and equation masks are w-bit integers; ``params.preimage_bits``
-gives w.  Two interchangeable backends exist:
-
-* ``"ideal"`` -- a keyed pseudorandom permutation over 2w bits, with the
-  claw shift placed directly in the public key.  Checking and evaluation
-  are exact and deterministic.  This backend makes no hardness claim at
-  all (the public key trivially reveals the claw); it exists so that the
-  protocol can be exercised at scale with zero decoding error.
-* ``"lwe"`` -- a toy learning-with-errors construction at desk-scale
-  parameters (see :mod:`bellcert.lwe`).  Also not secure; errors are kept
-  small enough that trapdoor decoding never fails at its fixed sizes.
+gives w.  Each public function checks its arguments and then calls the
+key's backend module (:mod:`bellcert.ideal` or :mod:`bellcert.lwe`) from
+the one table ``_MODULES``; a backend module holds its math and its key and
+image codecs, and imports nothing from here.
 """
 from __future__ import annotations
 
-import array
-import hashlib
 import operator
-import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
 
+from . import ideal, lwe
 from .errors import (ConfigurationError, FamilyError, InvalidImageError,
                      MalformedMessageError, ValidationError)
 
 FAMILIES = ("F", "G")
-BACKENDS = ("ideal", "lwe")
+_MODULES = {"ideal": ideal, "lwe": lwe}
+BACKENDS = tuple(_MODULES)
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class PublicKey:
     payload: dict
 
     def to_json(self) -> dict:
-        return {"payload": _payload_to_json(self.payload)}
+        return {"payload": _MODULES[self.params.backend].payload_to_json(self.payload)}
 
     @classmethod
     def from_json(cls, d: dict, params: EntcfParams) -> "PublicKey":
@@ -114,9 +106,7 @@ class PublicKey:
         of ``params``; anything else raises MalformedMessageError."""
         if set(d) != {"payload"} or not isinstance(d["payload"], dict):
             raise MalformedMessageError("a key is exactly a payload object")
-        if params.backend == "ideal":
-            return cls(params, _ideal_payload_from_json(params, d["payload"]))
-        return cls(params, _lwe_payload_from_json(params, d["payload"]))
+        return cls(params, _MODULES[params.backend].payload_from_json(params, d["payload"]))
 
 
 @dataclass
@@ -126,226 +116,73 @@ class Trapdoor:
     payload: dict
 
 
-def _payload_to_json(payload: dict) -> dict:
-    out = {}
-    for k, v in payload.items():
-        if isinstance(v, np.ndarray):
-            out[k] = {"__array__": v.tolist()}
-        elif isinstance(v, bytes):
-            out[k] = {"__hex__": v.hex()}
-        else:
-            out[k] = v
-    return out
-
-
-def _wrapped(payload: dict, key: str, tag: str):
-    """The value under ``payload[key][tag]``, as ``_payload_to_json`` wraps it."""
-    v = payload[key]
-    if not (isinstance(v, dict) and len(v) == 1 and tag in v):
-        raise MalformedMessageError(f"key field {key!r} is not a {tag} object")
-    return v[tag]
-
-
-_SEED_HEX = re.compile("[0-9a-f]{64}")
-
-
-def ideal_family(payload: dict) -> str:
-    """The family of an ideal key: an F payload is the one carrying ``delta``."""
-    return "F" if "delta" in payload else "G"
-
-
-def _ideal_payload_from_json(params: EntcfParams, payload: dict) -> dict:
-    if set(payload) - {"delta"} != {"seed", "w"}:
-        raise MalformedMessageError(f"bad ideal key fields {list(payload)}")
-    seed, w = _wrapped(payload, "seed", "__hex__"), payload["w"]
-    if type(seed) is not str or not _SEED_HEX.fullmatch(seed):
-        raise MalformedMessageError("ideal key seed is not 32 bytes of canonical hex")
-    if type(w) is not int or w != params.ideal_w:
-        raise MalformedMessageError(f"ideal key width {w!r} is not ideal_w = {params.ideal_w}")
-    out = {"seed": bytes.fromhex(seed), "w": w}
-    if ideal_family(payload) == "F":
-        delta = payload["delta"]
-        if type(delta) is not int or delta < 1 or delta.bit_length() > w:
-            raise MalformedMessageError(f"ideal key delta outside [1, 2**{w})")
-        out["delta"] = delta
-    return out
-
-
-def _lwe_payload_from_json(params: EntcfParams, payload: dict) -> dict:
-    """``a`` (m×n) and ``u`` (m) of plain ints in [0, q), checked in one pass."""
-    if set(payload) != {"a", "u"}:
-        raise MalformedMessageError(f"bad lattice key fields {list(payload)}")
-    m, n, q = params.lwe_m, params.lwe_n, params.lwe_q
-    a, u = _wrapped(payload, "a", "__array__"), _wrapped(payload, "u", "__array__")
-    if not (type(a) is list and len(a) == m and type(u) is list and len(u) == m):
-        raise MalformedMessageError(f"lattice key needs {m} rows in a and {m} entries in u")
-    try:
-        if set(map(len, a)) != {n}:
-            raise MalformedMessageError(f"lattice key rows of a need {n} entries")
-        flat = list(chain(chain.from_iterable(a), u))
-        # array("q") takes ints (and bools) only, within int64
-        arr = np.frombuffer(array.array("q", flat), np.int64)
-    except (TypeError, OverflowError) as exc:
-        raise MalformedMessageError(f"lattice key entries are not ints: {exc}") from exc
-    lo, hi = arr.min(), arr.max()
-    if lo < 0 or hi >= q:
-        raise MalformedMessageError("lattice key entry outside [0, lwe_q)")
-    if lo <= 1 and any(type(flat[i]) is not int for i in np.flatnonzero(arr <= 1).tolist()):
-        raise MalformedMessageError("lattice key entries must be plain ints, not true/false")
-    return {"a": arr[:m * n].reshape(m, n), "u": arr[m * n:]}
-
-
 # ---------------------------------------------------------------------------
-# ideal backend: a small keyed Feistel permutation over 2w bits
-# ---------------------------------------------------------------------------
-
-# Round ``rnd`` XORs into one half the seed-keyed blake2b of ``rnd`` and the other
-# half; a pass keys one hash and copies it per round, the digest of keying anew.
-_FEISTEL_ROUNDS = 4
-
-
-def _permute(seed: bytes, w: int, value: int) -> int:
-    keyed, mask, size = hashlib.blake2b(key=seed, digest_size=16), (1 << w) - 1, (w + 7) // 8
-    left, right = value >> w, value & mask
-    for rnd in range(_FEISTEL_ROUNDS):
-        h = keyed.copy()
-        h.update(bytes([rnd]) + right.to_bytes(size, "little"))
-        left, right = right, left ^ (int.from_bytes(h.digest(), "little") & mask)
-    return (left << w) | right
-
-
-def _unpermute(seed: bytes, w: int, value: int) -> int:
-    keyed, mask, size = hashlib.blake2b(key=seed, digest_size=16), (1 << w) - 1, (w + 7) // 8
-    left, right = value >> w, value & mask
-    for rnd in reversed(range(_FEISTEL_ROUNDS)):
-        h = keyed.copy()
-        h.update(bytes([rnd]) + left.to_bytes(size, "little"))
-        left, right = right ^ (int.from_bytes(h.digest(), "little") & mask), left
-    return (left << w) | right
-
-
-def _ideal_unpermute(td: Trapdoor, y) -> int:
-    """The padded preimage of an ideal image: ``(b << w) | x`` on a G key,
-    ``x0`` (its branch-0 preimage) on an F key when ``y`` is an image."""
-    return _unpermute(td.payload["seed"], td.params.ideal_w, int(y))
-
-
-# ---------------------------------------------------------------------------
-# public API, dispatching on backend
+# public API: check the arguments, then call the key's backend module
 # ---------------------------------------------------------------------------
 
 def gen(family: str, params: EntcfParams, rng: np.random.Generator):
     """Sample a keypair; returns ``(PublicKey, Trapdoor)``."""
     if family not in FAMILIES:
         raise FamilyError(f"unknown family {family!r}")
-    if params.backend == "ideal":
-        return _ideal_gen(family, params, rng)
-    from . import lwe
-    return lwe.gen(family, params, rng)
-
-
-def _ideal_gen(family: str, params: EntcfParams, rng: np.random.Generator):
-    w = params.ideal_w
-    seed = rng.bytes(32)
-    payload = {"seed": seed, "w": w}
-    if family == "F":
-        # The claw shift sits in the public key: both branches must be
-        # publicly evaluable and checkable, so this mock trades away all
-        # hiding in exchange for exactness.
-        delta = int(rng.integers(1, 1 << w))
-        payload["delta"] = delta
-    return PublicKey(params, dict(payload)), Trapdoor(family, params, dict(payload))
+    pk, td = _MODULES[params.backend].gen(family, params, rng)
+    return PublicKey(params, pk), Trapdoor(family, params, td)
 
 
 def eval_sample(pk: PublicKey, b: int, x: int, rng: np.random.Generator):
     """Evaluate branch ``b`` on preimage ``x`` (with fresh noise on lwe)."""
     b = _check_bit(b)
     x = _check_preimage(pk.params, x)
-    if pk.params.backend == "ideal":
-        return _ideal_eval(pk, b, x)
-    from . import lwe
-    return lwe.eval_sample(pk, b, x, rng)
-
-
-def _ideal_eval(pk: PublicKey, b: int, x: int) -> int:
-    w = pk.params.ideal_w
-    if ideal_family(pk.payload) == "F":
-        return _permute(pk.payload["seed"], w, x ^ (b * pk.payload["delta"]))
-    return _permute(pk.payload["seed"], w, (b << w) | x)
+    return _MODULES[pk.params.backend].eval_sample(pk, b, x, rng)
 
 
 def chk(pk: PublicKey, y, b: int, x: int) -> bool:
     """Publicly check whether (b, x) is a valid preimage of image y."""
     b = _check_bit(b)
     x = _check_preimage(pk.params, x)
-    if pk.params.backend == "ideal":
-        return _ideal_eval(pk, b, x) == int(y)
-    from . import lwe
-    return lwe.chk(pk, y, b, x)
+    return _MODULES[pk.params.backend].chk(pk, y, b, x)
 
 
 def invert(td: Trapdoor, pk: PublicKey, b: int, y):
     """Trapdoor inversion of branch ``b``; None when y has no b-preimage."""
-    b = _check_bit(b)
-    if td.params.backend == "ideal":
-        w = td.params.ideal_w
-        z = _ideal_unpermute(td, y)
-        if td.family == "F":
-            if z >> w:
-                return None
-            return z ^ (b * td.payload["delta"])
-        if z >> (w + 1):
-            return None
-        if (z >> w) != b:
-            return None
-        return z & ((1 << w) - 1)
-    from . import lwe
-    return lwe.invert(td, pk, b, y)
+    return _MODULES[td.params.backend].invert(td, pk, _check_bit(b), y)
 
 
 def decode_bit(td: Trapdoor, pk: PublicKey, y) -> int:
-    """For a G-family image, recover which branch produced it.
-
-    On the ideal backend one unpermutation ``z`` decides it: the branch is
-    ``z >> w``, and ``z >> (w + 1)`` nonzero means no branch produced ``y``.
-    """
+    """For a G-family image, recover which branch produced it."""
     if td.family != "G":
         raise FamilyError("branch decoding is defined for family G only")
-    if td.params.backend == "ideal":
-        b = _ideal_unpermute(td, y) >> td.params.ideal_w
-        if b in (0, 1):
-            return b
-    else:
-        for b in (0, 1):
-            if invert(td, pk, b, y) is not None:
-                return b
-    raise InvalidImageError("image lies outside both branch ranges")
+    b = _MODULES[td.params.backend].decode_bit(td, pk, y)
+    if b is None:
+        raise InvalidImageError("image lies outside both branch ranges")
+    return b
 
 
 def decode_equation(td: Trapdoor, pk: PublicKey, y, d: int):
     """Parity d . (x0 xor x1) of the claw of an F-family image.
 
     Returns None when y is not a valid image, and for the all-zero mask,
-    whose parity says nothing about the claw.  On the ideal backend every
-    claw differs by the key's ``delta``, so one unpermutation only tells
-    whether ``y`` is an image (its value below ``2**w``).
+    whose parity says nothing about the claw.
     """
     if td.family != "F":
         raise FamilyError("equation decoding is defined for family F only")
     d = _check_preimage(td.params, d)
     if d == 0:
         return None
-    if td.params.backend == "ideal":
-        if _ideal_unpermute(td, y) >> td.params.ideal_w:
-            return None
-        claw = td.payload["delta"]
-    else:
-        x0 = invert(td, pk, 0, y)
-        x1 = invert(td, pk, 1, y)
-        if x0 is None or x1 is None:
-            return None
-        claw = x0 ^ x1
-    return (d & claw).bit_count() & 1
+    claw = _MODULES[td.params.backend].claw(td, pk, y)
+    return None if claw is None else (d & claw).bit_count() & 1
+
+
+def claw_xor(td: Trapdoor, pk: PublicKey, b: int, x: int, y):
+    """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G key."""
+    if td.family != "F":
+        return None
+    return _MODULES[td.params.backend].claw_xor(td, pk, b, x, y)
+
+
+def public_trapdoor(pk: PublicKey) -> Trapdoor:
+    """The trapdoor in a public key: an ideal key's own; lwe has none (ConfigurationError)."""
+    family, payload = _MODULES[pk.params.backend].public_trapdoor(pk.payload)
+    return Trapdoor(family, pk.params, payload)
 
 
 def random_preimage(params: EntcfParams, rng: np.random.Generator) -> int:
@@ -379,18 +216,8 @@ def _check_preimage(params: EntcfParams, x) -> int:
     return x
 
 
-# ---------------------------------------------------------------------------
-# wire helpers: images and preimages as hex strings
-# ---------------------------------------------------------------------------
-
 def image_to_wire(params: EntcfParams, y) -> str:
-    if params.backend == "ideal":
-        nbytes = (2 * params.ideal_w + 8) // 8
-        return int(y).to_bytes(nbytes, "little").hex()
-    vec = np.asarray(y, dtype=np.int64)
-    if vec.min() < 0 or vec.max() >= 1 << 32:
-        raise ValidationError("lattice image coordinate outside [0, 2**32)")
-    return vec.astype("<u4").tobytes().hex()
+    return _MODULES[params.backend].image_to_bytes(params, y).hex()
 
 
 def _canonical_hex(s: str) -> bytes:
@@ -402,18 +229,7 @@ def _canonical_hex(s: str) -> bytes:
 
 
 def image_from_wire(params: EntcfParams, s: str):
-    raw = _canonical_hex(s)
-    if params.backend == "ideal":
-        y = int.from_bytes(raw, "little")
-        if len(raw) != (2 * params.ideal_w + 8) // 8 or y >> (2 * params.ideal_w):
-            raise ValidationError("ideal image has wrong length or exceeds 2w bits")
-        return y
-    if len(raw) != 4 * params.lwe_m:
-        raise ValidationError("lattice image has wrong length")
-    y = np.frombuffer(raw, "<u4").astype(np.int64)
-    if y.max() >= params.lwe_q:
-        raise ValidationError("lattice image coordinate not below lwe_q")
-    return y
+    return _MODULES[params.backend].image_from_bytes(params, _canonical_hex(s))
 
 
 def bits_to_wire(params: EntcfParams, x: int) -> str:

@@ -31,19 +31,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-def _as_matrix(a) -> np.ndarray:
-    """Coerce to a complex matrix, rejecting non-finite entries."""
+def as_operator(a) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains non-finite entries")
-    return m
-
-
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m

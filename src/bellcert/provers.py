@@ -11,8 +11,8 @@ The claw-free legs need the partner preimage of the committed image to
 know their parity.  A real device would hold that in superposition; the
 simulation instead queries a :class:`ClawOracle`, which is the only place
 trapdoor material crosses into prover code and exists purely for state
-tracking.  (On the ideal backend the public key already determines the
-claw, so the oracle can be built without trapdoors there.)
+tracking.  (An ideal public key already determines the claw, so the
+oracle can be built without trapdoors there.)
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ import numpy as np
 from . import entcf
 from .device import (BASIS_PAIRS, OUTCOME_PAIRS, QUESTION_PAIRS, Device, answer_probs,
                      from_honest, no_entangler, partial_states, projectors)
-from .errors import (AbortSessionError, BellcertError, ConfigurationError,
-                     MalformedMessageError)
+from .errors import BellcertError, ConfigurationError, MalformedMessageError
 from .linalg import VALIDATION_TOL
 from .protocol import accepted_pair, message, validate_message
 
@@ -59,34 +58,19 @@ class ClawOracle:
     """Simulation-only handle answering claw-partner queries; the honest
     simulation learns which legs are claw-free from it alone.
 
-    Built either from trapdoors (any backend) or from public keys alone
-    (ideal backend, whose keys are claw-revealing by construction).
+    Built either from trapdoors or from public keys alone, as
+    :func:`~bellcert.entcf.public_trapdoor` allows (an ideal key is its own).
     """
 
     def __init__(self, keys, trapdoors=None):
         self.keys = tuple(keys)
         if trapdoors is None:
-            params = self.keys[0].params
-            if params.backend != "ideal":
-                raise ConfigurationError(
-                    "claw oracle needs trapdoors on non-ideal backends")
-            trapdoors = tuple(entcf.Trapdoor(entcf.ideal_family(pk.payload), params,
-                                             dict(pk.payload)) for pk in self.keys)
+            trapdoors = map(entcf.public_trapdoor, self.keys)
         self.trapdoors = tuple(trapdoors)
 
     def claw_xor(self, leg: int, b: int, x: int, y):
-        """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G
-        leg.  On the ideal backend that is the F key's ``delta``, with no
-        inversion: every image's two preimages differ by it."""
-        td = self.trapdoors[leg]
-        if td.family != "F":
-            return None
-        if td.params.backend == "ideal":
-            return td.payload["delta"]
-        partner = entcf.invert(td, self.keys[leg], 1 - b, y)
-        if partner is None:
-            raise AbortSessionError("claw oracle failed to invert a fresh image")
-        return x ^ partner
+        """``x`` xor its claw partner for the image ``y`` of (b, x); None on a G leg."""
+        return entcf.claw_xor(self.trapdoors[leg], self.keys[leg], b, x, y)
 
 
 class HonestProver:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcert import entcf
+from bellcert import entcf, ideal
 from bellcert.errors import (ConfigurationError, FamilyError, InvalidImageError,
                              MalformedMessageError, ValidationError)
 
@@ -296,8 +296,8 @@ def test_bits_wire_roundtrip(x):
 def test_feistel_permutation_invertible(seed, value):
     key = seed.to_bytes(4, "little") * 8
     w = 16
-    forward = entcf._permute(key, w, value)
-    assert entcf._unpermute(key, w, forward) == value
+    forward = ideal._permute(key, w, value)
+    assert ideal._unpermute(key, w, forward) == value
     assert 0 <= forward < (1 << (2 * w))
 
 
@@ -309,7 +309,7 @@ def _feistel_keyed_per_round(seed: bytes, w: int, value: int, inverse: bool) -> 
         return int.from_bytes(digest, "little") & ((1 << w) - 1)
 
     left, right = value >> w, value & ((1 << w) - 1)
-    rounds = range(entcf._FEISTEL_ROUNDS)
+    rounds = range(ideal._FEISTEL_ROUNDS)
     for rnd in reversed(rounds) if inverse else rounds:
         if inverse:
             left, right = right ^ round_fn(rnd, left), left
@@ -323,5 +323,5 @@ def _feistel_keyed_per_round(seed: bytes, w: int, value: int, inverse: bool) -> 
 def test_feistel_matches_per_round_keying(seed, w, data):
     """Copying one keyed hash per pass gives every round the digest of keying it anew."""
     value = data.draw(st.integers(0, (1 << (2 * w)) - 1))
-    assert entcf._permute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, False)
-    assert entcf._unpermute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, True)
+    assert ideal._permute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, False)
+    assert ideal._unpermute(seed, w, value) == _feistel_keyed_per_round(seed, w, value, True)

@@ -1,16 +1,18 @@
-"""No module of the package imports a name it never uses, keeps a
-private name it never reads, or reads JSON without catching its failures.
+"""No module of the package imports a name it never uses, imports inside a
+function, keeps a private name it never reads, or reads JSON without
+catching its failures.
 
 No linter runs with the tests, so these scans stand in for one: in each
 module of ``src/bellcert``, every name an ``import`` binds must be read
 somewhere in the module (as a plain name, or as the root of an attribute
-chain), or be listed in the module's ``__all__``; every private name
-the module defines at its top level (a ``_function``, ``_Class`` or
-``_CONSTANT``) must be read somewhere in the module, since no other module
-may use it; and every ``json.load``/``json.loads`` call must sit in the
-body of a ``try`` whose handlers catch ``ValueError`` (bad UTF-8, bad JSON,
-over-long int strings) and ``RecursionError`` (deep nesting), since every
-file or line the package reads may be hostile.
+chain), or be listed in the module's ``__all__``; no ``import`` statement
+may sit in a function body, so every dependency shows at the top; every
+private name the module defines at its top level (a ``_function``,
+``_Class`` or ``_CONSTANT``) must be read somewhere in the module, since no
+other module may use it; and every ``json.load``/``json.loads`` call must
+sit in the body of a ``try`` whose handlers catch ``ValueError`` (bad
+UTF-8, bad JSON, over-long int strings) and ``RecursionError`` (deep
+nesting), since every file or line the package reads may be hostile.
 """
 from __future__ import annotations
 
@@ -37,6 +39,27 @@ def unused_imports(source: str) -> list[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     return sorted(imported - used)
+
+
+def nested_imports(source: str) -> list[int]:
+    """The lines of the ``import`` statements in a function body of ``source``."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_scan_finds_nested_imports():
+    source = ("import os\n"
+              "def f():\n    from . import lwe\n    return lwe\n"
+              "class C:\n    import json\n"
+              "    def m(self):\n        if os:\n            import re\n"
+              "async def g():\n    def h():\n        import sys\n")
+    assert nested_imports(source) == [3, 9, 12]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_nested_imports(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unused_privates(source: str) -> list[str]:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bellcert import entcf, lwe
+from bellcert import entcf, lwe, protocol
+from bellcert.harness import role_rng
+from bellcert.provers import ClawOracle, HonestProver
 
 PARAMS = entcf.EntcfParams(backend="lwe")
 # smaller lattice sizes, set on the class for one test (the deployment's are fixed)
@@ -188,3 +190,41 @@ def test_trapdoor_quality_margin(rng):
     resid = _centered((v - lwe._gadget(n, k) @ xv) % q, q)
     worst = PARAMS.lwe_eval_bound * (1 + mbar)
     assert np.max(np.abs(resid)) <= worst < q // 4
+
+
+def _one_branch_image(pk, td, rng):
+    """An honest branch-0 preimage ``x0`` of an F key and an image that inverts
+    on branch 0 only: its honest image with one coordinate moved so that the
+    branch-0 residual sits exactly at the check bound, where the branch-1
+    residual, which differs from it there by the key's noise, lies past it."""
+    n, k, q = PARAMS.lwe_n, PARAMS.gadget_bits, PARAMS.lwe_q
+    x0 = entcf.random_preimage(PARAMS, rng)
+    y = entcf.eval_sample(pk, 0, x0, rng)
+    x1 = entcf.invert(td, pk, 1, y)
+    a, u = pk.payload["a"], pk.payload["u"]
+    r0 = _centered(y - a @ lwe._int_to_vec(x0, n, k), q)
+    r1 = _centered(y - a @ lwe._int_to_vec(x1, n, k) - u, q)
+    i = int(np.flatnonzero(r1 > r0)[0])
+    y[i] = (y[i] + PARAMS.lwe_check_bound - r0[i]) % q
+    return x0, y
+
+
+def test_image_on_one_branch_has_no_equation():
+    """An F image that inverts on one branch only has no claw, so its
+    equation decodes to None, also in a session that commits it."""
+    rng = np.random.default_rng(5)
+    pk, td = entcf.gen("F", PARAMS, rng)
+    x0, y = _one_branch_image(pk, td, rng)
+    assert entcf.invert(td, pk, 0, y) == x0
+    assert entcf.invert(td, pk, 1, y) is None
+    assert entcf.decode_equation(td, pk, y, 1) is None
+
+    vrng, prng = role_rng(0, 0, 0), role_rng(0, 0, 1)
+    state, keys = protocol.start_session(PARAMS, vrng, basis=(1, 1), round_type="hadamard")
+    commit = HonestProver(prng, ClawOracle(state.keys, state.trapdoors)).commit(keys)
+    _, y1 = _one_branch_image(state.keys[0], state.trapdoors[0], rng)
+    commit["payload"]["y1"] = entcf.image_to_wire(PARAMS, y1)
+    protocol.respond(state, commit, vrng)
+    one = entcf.bits_to_wire(PARAMS, 1)
+    protocol.respond(state, protocol.message("equations", 0, {"d1": one, "d2": one}), vrng)
+    assert state.record.targets["u1"] is None and state.record.targets["u2"] is not None

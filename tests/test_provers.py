@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bellcert import analysis, entcf, protocol, provers
+from bellcert import analysis, entcf, ideal, protocol, provers
 from bellcert import device as devmod
 from bellcert.errors import ConfigurationError, MalformedMessageError
 from bellcert.harness import RunConfig, RunStats, role_rng, run_one_session
@@ -155,7 +155,7 @@ def test_forced_ideal_session_feistel_passes(monkeypatch, strategy):
     once and unpermutes it once, when the verifier decodes its parity."""
     calls = Counter()
     for name in ("_permute", "_unpermute"):
-        monkeypatch.setattr(entcf, name, lambda *args, _fn=getattr(entcf, name), _name=name:
+        monkeypatch.setattr(ideal, name, lambda *args, _fn=getattr(ideal, name), _name=name:
                             calls.update([_name]) or _fn(*args))
     config = RunConfig(params=entcf.EntcfParams("ideal"), sessions=1, strategy=strategy,
                        seed=3, force_basis=(1, 1), force_round="hadamard")
