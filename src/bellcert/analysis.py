@@ -24,11 +24,12 @@ All quantities are exact up to floating point: traces of small matrices,
 and trace distances taken from low-rank factors of their operands, each in
 the unitary frame of its ancilla vector, through one small eigensolve each:
 two stacked calls, 64 update and four state distances (see
-:func:`bell_report`).  The factors keep only the singular values of the
-projectors and the eigen-components of the junk state that ``svd`` and
-``eigh`` can tell from 0, so each distance moves by at most ``d eps
-||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps max|lambda_xi|``, of
-order ``d^2 eps`` (below 1e-13 for a valid device at d = 24).
+:func:`bell_report`).  The projectors and the junk states are factored
+through one batched QR each, and the factors keep only the singular values
+and eigen-components above rounding level, so each distance moves by at
+most ``(d^{3/2} + d) eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/4) d^2 eps
+max|lambda_xi|``, of order ``d^2 eps`` (below 1e-13 for a valid device at
+d = 24).
 
 The JSON form of a report (:meth:`AnalysisReport.to_json`) writes each Bell
 case's junk state by its spectrum, the eigenvalues that its factor keeps:
@@ -152,6 +153,11 @@ _TARGETS = {name: _target(name) for name in MARGINALS}
 # the marginal pairs whose products are rounded; a product's target is the
 # product of its factors' targets, exact since their entries are 0 and +/-1
 _PRODUCTS = (("z1", "z2"), ("x1", "x2"), ("zt1", "xt2"), ("xt1", "zt2"))
+# the stacked targets of the single and product entries, and every entry's name
+_SINGLE_TARGETS = np.array(list(_TARGETS.values()))
+_PRODUCT_TARGETS = np.array([_TARGETS[n1] @ _TARGETS[n2] for n1, n2 in _PRODUCTS])
+_PAULI_NAMES = (*_TARGETS, *(f"{n1}*{n2}" for n1, n2 in _PRODUCTS))
+_SINGLE_TARGETS.flags.writeable = _PRODUCT_TARGETS.flags.writeable = False
 
 
 def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
@@ -174,14 +180,11 @@ def pauli_rounding_report(obs: dict[str, np.ndarray], v: np.ndarray,
         # V's rows are indexed (ancilla, system), so P x 1 acts on the blocks
         return (paulis @ v.reshape(4, d * d)).reshape(len(paulis), 4 * d, d)
 
-    singles = (v.conj().T @ on_v(np.array(list(_TARGETS.values())))
-               - np.array([obs[n] for n in _TARGETS]))
+    singles = v.conj().T @ on_v(_SINGLE_TARGETS) - np.array([obs[n] for n in _TARGETS])
     products = np.array([obs[n1] @ obs[n2] for n1, n2 in _PRODUCTS])
-    y = (v @ (products @ (v.conj().T @ v))
-         - on_v(np.array([_TARGETS[n1] @ _TARGETS[n2] for n1, n2 in _PRODUCTS])))
-    names = list(_TARGETS) + [f"{n1}*{n2}" for n1, n2 in _PRODUCTS]
+    y = v @ (products @ (v.conj().T @ v)) - on_v(_PRODUCT_TARGETS)
     vals = np.concatenate([state_dep_norm_sq(singles, state), state_dep_norm_sq(y, state)])
-    return dict(zip(names, vals.tolist()))
+    return dict(zip(_PAULI_NAMES, vals.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +253,26 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
     other three blocks become their ``k x k`` QR factor, once per frame and
     block for all cases: each :func:`~bellcert.linalg.factored_trace_distance`
     operand has ``d + k`` rows, not 4d (30 at d = 24).  The 64 update
-    distances are one stacked call and the four state distances another;
-    narrower ``xi`` factors get zero columns of sign 0.  ``xi`` is ``w sigma
-    w^dag`` over its trace, for block ``w`` of V in the Bell frame and
-    ``sigma = cases.sum(0)``; ``xi_eigenvalues`` are ``sx |X_j|^2`` over X's
-    columns, read off the factor with no second eigensolve.
+    distances are one stacked call and the four state distances another.
+    ``xi`` is ``w sigma w^dag`` over its trace, for block ``w`` of V in the
+    Bell frame and ``sigma = cases.sum(0)``; the four are factored in one
+    stacked call, which gives narrower factors zero columns of sign 0, and
+    ``xi_eigenvalues`` are ``sx |X_j|^2`` over X's columns, read off the
+    factor with no second eigensolve.
 
     Nothing is assumed of the projectors or of the signs of ``part``, so
     invalid devices (non-PSD branches, non-projector measurements) are
     measured exactly too.  The frames are unitary and the QRs Householder, so
-    they add rounding of order ``d eps`` only.  The factors drop the singular
-    values ``<= d eps max(s)`` of each projector and the eigen-components of
-    ``xi`` with ``|lambda| <= d eps max|lambda|``, which ``svd`` and ``eigh``
-    cannot tell from 0; this moves each distance from the dense one by at most
-    ``d eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/8) d^2 eps max|lambda_xi|``,
-    below 1e-13 for a valid device at d = 24 (``||V|| = ||P_o|| = 1``, both
-    operands of unit trace at most).
+    they add rounding of order ``d eps`` only.  The factors drop the QR rows
+    at rounding level (norm ``<= d eps`` times the largest row), then the
+    singular values ``<= d eps max(s)`` of each projector and the
+    eigen-components of ``xi`` with ``|lambda| <= d eps max|lambda|``.  That
+    moves each projector by at most ``(d^{3/2} + d) eps ||P_o||`` in operator
+    norm and ``xi`` by at most ``2 d^2 eps max|lambda_xi|`` in trace norm, so
+    each distance from the dense one by at most ``(d^{3/2} + d) eps ||V||^2
+    max_o ||P_o||^2 ||part||_1 + (1/4) d^2 eps max|lambda_xi|`` to first
+    order in eps: 6.3e-14 for a valid device at d = 24 (``||V|| = ||P_o|| =
+    1``, both operands of unit trace at most).
     """
     d = v.shape[1]
     # V in each frame, by ancilla block: w[f, j] = (e_j^dag F_f^dag (x) 1) V
@@ -278,14 +285,11 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
 
     m = w[4] @ cases.sum(0) @ w[4].conj().swapaxes(-1, -2)
     traces = np.trace(m, axis1=-2, axis2=-1).real.tolist()
-    xis = [np.zeros((d, d), dtype=complex) if tr < _DEGENERATE_TRACE else mc / tr
-           for tr, mc in zip(traces, m)]
-    factors = [signed_factor(xi) for xi in xis]
-    width = max(x.shape[1] for x, _ in factors)
-    xs, mg = np.zeros((4, d, width), dtype=complex), np.zeros((4, width, width))
-    for c, (x, sx) in enumerate(factors):
-        xs[c, :, :x.shape[1]] = x
-        mg[c, range(len(sx)), range(len(sx))] = sx
+    xis = np.array([np.zeros((d, d), dtype=complex) if tr < _DEGENERATE_TRACE else mc / tr
+                    for tr, mc in zip(traces, m)])
+    xs, sx = signed_factor(xis)
+    width = sx.shape[-1]
+    mg, lams = sx[..., None] * np.eye(width), sx * np.sum(np.abs(xs) ** 2, axis=-2)
 
     g = np.zeros((4, 16, d + k, width), dtype=complex)
     g[:, :, :d] = _COEF.T[:, :, None, None] * xs[:, None]
@@ -299,11 +303,10 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
                                      g_state, mg).tolist()
     return [BellCaseReport(label=label, branch_trace=tr, state_distance=state,
                            measurement_distances=dict(zip(_UPDATES, dist)), xi=xi,
-                           xi_eigenvalues=sorted((sx * np.sum(np.abs(x) ** 2, axis=0)).tolist(),
-                                                 reverse=True),
+                           xi_eigenvalues=sorted(lam[s != 0].tolist(), reverse=True),
                            degenerate=tr < _DEGENERATE_TRACE)
-            for label, tr, xi, (x, sx), state, dist
-            in zip(OUTCOME_PAIRS, traces, xis, factors, states, dists)]
+            for label, tr, xi, lam, s, state, dist
+            in zip(OUTCOME_PAIRS, traces, xis, lams, sx, states, dists)]
 
 
 # ---------------------------------------------------------------------------

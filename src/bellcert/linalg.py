@@ -11,12 +11,15 @@ low-rank factors with hermitian middles, ``F Mf F^dag - G Mg G^dag``, are
 taken through a QR of the stacked factors (:func:`factored_trace_distance`),
 which never forms the full-size operands and runs over stacks of them in one
 call.  The factors of :func:`signed_factor` (eigen-components) and
-:func:`rank_factor` (singular triplets) keep only what ``eigh`` or ``svd``
-resolves from 0 (the ``numpy.linalg.matrix_rank`` rule), so their width is
-the operand's numerical rank; what is dropped lies within the solver's own
-error, and moves a trace distance by at most order ``n^2 eps`` times the
-largest eigenvalue or squared singular value involved (``n`` the operand
-side, ``eps`` the float64 machine epsilon).
+:func:`rank_factor` (singular triplets) run one batched Householder QR over
+their stack, drop the rows of R at rounding level and decompose only the
+small block that is left (the QR-preprocessed SVD of Chan, ACM TOMS 8,
+1982).  That small ``eigh`` or ``svd`` keeps only what it resolves from 0
+(the ``numpy.linalg.matrix_rank`` rule), so a factor's width is the
+operand's numerical rank; what is dropped lies within rounding, and moves a
+trace distance by at most order ``n^2 eps`` times the largest eigenvalue or
+squared singular value involved (``n`` the operand side, ``eps`` the
+float64 machine epsilon).
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 VALIDATION_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -120,46 +124,95 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))))
 
 
-def signed_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a hermitian operator as ``W diag(s) W^dag`` with ``s`` in {-1, 1}.
+def _as_stack(a) -> np.ndarray:
+    """Coerce to a stack of square complex matrices (shape ``(..., n, n)``),
+    rejecting non-finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix contains non-finite entries")
+    return m
 
-    ``W`` holds the eigenvectors scaled by ``sqrt(|lambda|)`` and ``s`` the
-    eigenvalue signs, so an indefinite operator factors too.  Only the
-    eigen-components with ``|lambda| > n eps max|lambda|`` are kept (``n``
-    the operand's side, ``eps`` the float64 machine epsilon; the
-    ``numpy.linalg.matrix_rank`` rule), so ``W`` is as wide as the
-    operand's numerical rank and a zero operand gives a zero-width factor.
-    ``eigh`` knows each eigenvalue only to about ``n eps ||a||_2``, so a
-    dropped component is indistinguishable from 0; dropping at most ``n``
-    of them moves the operand by at most ``n^2 eps max|lambda|`` in trace
-    norm.
+
+def _kept_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each matrix of a stack ``r`` (shape ``(..., n, n)``) whose
+    norm exceeds ``n eps`` times its largest row's.  Returns their indices
+    first, cut to the most rows that any matrix keeps, as ``(..., m)``, and
+    which of those indices are kept rows (the others pad narrower matrices)."""
+    norms = np.linalg.norm(r, axis=-1)
+    keep = norms > r.shape[-1] * _EPS * norms.max(axis=-1, keepdims=True, initial=0.0)
+    m = int(np.count_nonzero(keep, axis=-1).max(initial=0))
+    rows = np.argsort(~keep, axis=-1, kind="stable")[..., :m]
+    return rows, np.take_along_axis(keep, rows, axis=-1)
+
+
+def signed_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor each hermitian matrix of a stack ``a`` (shape ``(..., n, n)``)
+    as ``W diag(s) W^dag`` with ``s`` in {-1, 1}.
+
+    ``W`` holds eigenvectors scaled by ``sqrt(|lambda|)`` and ``s`` the
+    eigenvalue signs, so an indefinite operand factors too.  With the
+    Householder QR ``a = Q R``, the columns ``Y`` of Q whose rows of R are
+    above ``n eps`` times the largest row (``n`` the side, ``eps`` the float64
+    machine epsilon) span a's range up to rounding, and the small
+    ``Y^dag a Y`` takes one ``eigh``.  Of its eigen-components only those with
+    ``|lambda| > n eps max|lambda|`` are kept (the ``numpy.linalg.matrix_rank``
+    rule), largest ``|lambda|`` first, so ``W`` is ``(..., n, k)`` and ``s``
+    ``(..., k)`` for the widest numerical rank ``k`` in the stack; a narrower
+    matrix, a zero one included, gets zero columns of sign 0.  Each dropped
+    row of R has norm at most ``n eps max|lambda|``, so the rows and the
+    components dropped move ``a`` by at most ``2 n^2 eps max|lambda|`` in
+    trace norm.  A non-finite or non-hermitian operand is refused with a
+    ``ValidationError``.
     """
-    a = as_operator(a)
-    if np.max(np.abs(a - a.conj().T)) > VALIDATION_TOL:
+    a = _as_stack(a)
+    ah = a.conj().swapaxes(-1, -2)
+    if np.max(np.abs(a - ah), initial=0.0) > VALIDATION_TOL:
         raise ValidationError("signed factorization requires a hermitian operand")
-    lam, u = np.linalg.eigh((a + a.conj().T) / 2)
+    a = (a + ah) / 2
+    q, r = np.linalg.qr(a)
+    rows, kept = _kept_rows(r)
+    y = np.take_along_axis(q, rows[..., None, :], axis=-1) * kept[..., None, :]
+    lam, u = np.linalg.eigh(y.conj().swapaxes(-1, -2) @ a @ y)
+    order = np.argsort(-np.abs(lam), axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
     mag = np.abs(lam)
-    keep = mag > a.shape[0] * np.finfo(float).eps * mag.max(initial=0.0)
-    return u[:, keep] * np.sqrt(mag[keep]), np.sign(lam[keep])
+    keep = mag > a.shape[-1] * _EPS * mag[..., :1]
+    k = int(np.count_nonzero(keep, axis=-1).max(initial=0))
+    keep, u = keep[..., :k], np.take_along_axis(u, order[..., None, :k], axis=-1)
+    w = (y @ u) * (np.sqrt(mag[..., :k]) * keep)[..., None, :]
+    return w, np.where(keep, np.sign(lam[..., :k]), 0.0)
 
 
 def rank_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor each matrix of a stack ``a`` (shape ``(..., n, n)``) as ``L R``.
 
-    From the SVD ``a = U diag(s) Vh``, ``L = U diag(s)`` and ``R = Vh``, with
-    the singular values ``s <= n eps max(s)`` of each matrix set to 0 (the
-    ``numpy.linalg.matrix_rank`` rule) and every factor cut to the widest
-    rank kept in the stack: ``L`` is ``(..., n, k)`` and ``R`` ``(..., k, n)``.
-    The kept values are a prefix of the sorted ``s``, so a narrower matrix
-    only gets zero columns in ``L``.  Both factors are compact arrays, not
-    views that keep the whole SVD alive.  Nothing is assumed of the matrices
-    (no hermiticity, no projector law); what is dropped moves ``a`` by at
-    most ``n eps max(s)`` in operator norm.
+    The rows of the Householder QR factor of ``a`` above ``n eps`` times the
+    largest row (``n`` the side, ``eps`` the float64 machine epsilon) span its
+    row space up to rounding, and their small SVD gives the right singular
+    vectors: ``R = Vh`` and ``L = a Vh^dag``.  The singular values ``s <= n eps
+    max(s)`` of each matrix are dropped (the ``numpy.linalg.matrix_rank``
+    rule) and every factor is cut to the widest rank kept in the stack: ``L``
+    is ``(..., n, k)`` and ``R`` ``(..., k, n)``.  The kept values are a prefix
+    of the sorted ``s``, so a narrower matrix only gets zero columns in ``L``.
+    The row cut alone is not a rank decision: an unpivoted QR can leave more
+    rows above it than the rank (columns ``[a, a, b]`` keep three), so the
+    SVD decides.  Both factors are compact arrays.  Nothing is assumed of the
+    matrices (no hermiticity, no projector law), but a non-finite entry is
+    refused with a ``ValidationError``; the at most ``n`` dropped rows move
+    ``a`` by at most ``n^{3/2} eps ||a||_2`` and the dropped values by ``n eps
+    ||a||_2``, in operator norm.
     """
-    u, s, vh = np.linalg.svd(a)
-    s = np.where(s > a.shape[-1] * np.finfo(float).eps * s[..., :1], s, 0.0)
-    k = int(np.count_nonzero(s, axis=-1).max(initial=0))
-    return u[..., :k] * s[..., None, :k], vh[..., :k, :].copy()
+    a = _as_stack(a)
+    r = np.linalg.qr(a, mode="r")
+    rows, kept = _kept_rows(r)
+    top = np.take_along_axis(r, rows[..., None], axis=-2) * kept[..., None]
+    _, s, vh = np.linalg.svd(top, full_matrices=False)
+    keep = s > a.shape[-1] * _EPS * s[..., :1]
+    k = int(np.count_nonzero(keep, axis=-1).max(initial=0))
+    vh = vh[..., :k, :].copy()
+    return (a @ vh.conj().swapaxes(-1, -2)) * keep[..., None, :k], vh
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -140,6 +140,16 @@ def test_signed_factor_rejects_non_hermitian():
         linalg.signed_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("factor", [linalg.rank_factor, linalg.signed_factor])
+def test_factors_reject_non_finite_and_non_square(factor):
+    """A NaN would pass the QR silently and drop out of every row cut, so
+    both factors refuse it, and a stack that is not square."""
+    with pytest.raises(ValidationError):
+        factor(np.array([[[1.0, 0.0], [0.0, np.nan]]]))
+    with pytest.raises(DimensionMismatchError):
+        factor(np.zeros((2, 2, 3)))
+
+
 def test_factored_trace_distance_rejects_row_mismatch():
     with pytest.raises(DimensionMismatchError):
         linalg.factored_trace_distance(np.eye(3), np.eye(3), np.eye(2), np.eye(2))
@@ -175,6 +185,95 @@ def test_rank_factor_width_is_widest_rank(rng, ranks, kind):
         assert not np.any(left[i][:, rank:])
     # compact arrays of their own, not views that keep the whole SVD alive
     assert left.base is None and right.base is None
+
+
+@pytest.mark.parametrize("ranks", [(0, 3, 8), (2, 2, 0), (0, 0, 0)])
+def test_signed_factor_stack_pads_narrower_entries(rng, ranks):
+    """A stack factors in one call: every entry is as wide as the widest
+    rank, a narrower one (a zero one included) gets zero columns of sign 0,
+    and both factors are compact arrays of their own."""
+    mats = []
+    for rank in ranks:
+        c = _ginibre(8, rank, rng)
+        mats.append((c * rng.choice([-1.0, 1.0], size=rank)) @ c.conj().T)
+    w, s = linalg.signed_factor(np.array(mats))
+    assert w.shape == (3, 8, max(ranks)) and s.shape == (3, max(ranks))
+    for i, rank in enumerate(ranks):
+        assert np.count_nonzero(s[i]) == rank and not np.any(w[i][:, rank:])
+        assert np.max(np.abs((w[i] * s[i]) @ w[i].conj().T - mats[i]), initial=0.0) < 1e-12
+    assert w.base is None and s.base is None
+
+
+_N = 24
+_EPS = np.finfo(float).eps
+
+
+def _spectral(values, hermitian: bool, rng: np.random.Generator) -> np.ndarray:
+    """A matrix with the given singular values (eigenvalues when hermitian)
+    in random bases, padded with zeros."""
+    vals = np.zeros(_N)
+    vals[:len(values)] = values
+    u = random_unitary(_N, rng)
+    return (u * vals) @ (u if hermitian else random_unitary(_N, rng)).conj().T
+
+
+def _repeated_columns(hermitian: bool, rng: np.random.Generator) -> np.ndarray:
+    """Columns ``[a, a, b, 0...]``, ``a`` orthogonal to ``b``: an unpivoted QR
+    leaves three rows of R above the cut (norms sqrt 2, 0.6, 0.8) for rank 2.
+    The hermitian case is the Gram matrix of columns ``[a, a, b']`` with
+    ``<a, b'> = 0.6``, which repeats its columns the same way and keeps three
+    rows too (with ``a`` orthogonal to ``b`` the Gram matrix keeps only two)."""
+    e = np.eye(_N, dtype=complex)
+    b = 0.6 * e[0] + 0.8 * e[2] if hermitian else 0.6 * e[1] + 0.8 * e[2]
+    m = np.zeros((_N, _N), dtype=complex)
+    m[:, :3] = np.array([e[0], e[0], b]).T
+    return m.conj().T @ m if hermitian else m
+
+
+def _rank_three(hermitian: bool, rng: np.random.Generator) -> np.ndarray:
+    c = _ginibre(_N, 3, rng)
+    return (c * [1.0, -1.0, 1.0]) @ c.conj().T if hermitian else c @ _ginibre(3, _N, rng)
+
+
+# each case: its builder (a general matrix, or a hermitian one for
+# signed_factor) and its numerical rank under the matrix_rank rule
+_RANK_CASES = {
+    "repeated_columns": (_repeated_columns, 2),
+    "graded": (lambda h, rng: _spectral([1.0, -1e-8, 1e-16], h, rng), 2),
+    "at_the_cut": (lambda h, rng: _spectral([1.0, -2 * _N * _EPS, 0.5 * _N * _EPS], h, rng), 2),
+    "zero": (lambda h, rng: np.zeros((_N, _N), dtype=complex), 0),
+    "rank_three": (_rank_three, 3),
+    "last_two_coordinates": (lambda h, rng: np.diag([0.0] * (_N - 2) + [1.0, 1.0]), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_RANK_CASES))
+def test_factor_width_is_numerical_rank(rng, case):
+    """On matrices that an unpivoted QR alone misjudges, or that sit at the
+    cut, both factors are exactly as wide as ``numpy.linalg.matrix_rank``,
+    rebuild the operand within their docstrings' bounds, and give the dense
+    trace distance to a fixed state."""
+    build, want = _RANK_CASES[case]
+    rho = random_density(_N, rng)
+    g = _ginibre(_N, 2, rng)
+    g /= np.linalg.norm(g)
+    other = g @ g.conj().T
+
+    a = build(False, rng)
+    left, right = linalg.rank_factor(a)
+    assert np.linalg.matrix_rank(a) == want and left.shape == (_N, want)
+    bound = (_N ** 1.5 + _N) * _EPS * np.linalg.norm(a, 2)
+    assert np.linalg.norm(left @ right - a, 2) <= bound
+    assert linalg.factored_trace_distance(left, right @ rho @ right.conj().T, g, np.eye(2)) == \
+        pytest.approx(linalg.trace_distance(a @ rho @ a.conj().T, other), abs=1e-12)
+
+    h = build(True, rng)
+    w, s = linalg.signed_factor(h)
+    assert np.linalg.matrix_rank(h) == want and w.shape == (_N, want)
+    bound = 2 * _N ** 2 * _EPS * np.max(np.abs(np.linalg.eigvalsh(h)))
+    assert np.sum(np.abs(np.linalg.eigvalsh((w * s) @ w.conj().T - h))) <= bound
+    assert linalg.factored_trace_distance(w, np.diag(s), g, np.eye(2)) == \
+        pytest.approx(linalg.trace_distance(h, other), abs=1e-12)
 
 
 def test_matrix_json_roundtrip(rng):
