@@ -20,16 +20,16 @@ quantity is one stacked numpy pass: each (anti)commutator is formed once
 and traced against all four full states in one contraction, and the twelve
 Pauli residuals are two stacked ``state_dep_norm_sq`` calls.
 
-All quantities are exact up to floating point: traces of small matrices,
-and trace distances taken from low-rank factors of their operands, each in
-the unitary frame of its ancilla vector, through one small eigensolve each:
-two stacked calls, 64 update and four state distances (see
-:func:`bell_report`).  The projectors and the junk states are factored
-through one batched QR each, and the factors keep only the singular values
-and eigen-components above rounding level, so each distance moves by at
-most ``(d^{3/2} + d) eps ||V||^2 max_o ||P_o||^2 ||part||_1 + (1/4) d^2 eps
-max|lambda_xi|``, of order ``d^2 eps`` (below 1e-13 for a valid device at
-d = 24).
+All quantities are exact up to floating point: traces of small matrices, and
+trace distances taken from low-rank factors of their operands, each in the
+unitary frame of its ancilla vector, through one small eigensolve each: the
+four state distances in one call and the 64 update distances in four, each
+call on a factor buffer filled in place (see :func:`bell_report`).  The
+projectors and the junk states are factored through one batched QR each, and
+the factors keep only the singular values and eigen-components above
+rounding level, so each distance moves by at most ``(d^{3/2} + d) eps
+||V||^2 max_o ||P_o||^2 ||part||_1 + (1/4) d^2 eps max|lambda_xi|``, of
+order ``d^2 eps`` (below 1e-13 for a valid device at d = 24).
 
 The JSON form of a report (:meth:`AnalysisReport.to_json`) writes each Bell
 case's junk state by its spectrum, the eigenvalues that its factor keeps:
@@ -199,10 +199,14 @@ _UPDATES = [f"q{q1}{q2}_v{a}{b}" for q1, q2 in QUESTION_PAIRS for a, b in OUTCOM
 _FRAMES = np.array([[np.kron(outcome_vec(q1, a), outcome_vec(q2, b)) for a, b in OUTCOME_PAIRS]
                     for q1, q2 in QUESTION_PAIRS]
                    + [[bell_state(*label) for label in OUTCOME_PAIRS]]).swapaxes(-1, -2)
-# (1/2) <u|phi> for each update (rows) and case (columns); each ancilla block's others
+# (1/2) <u|phi> for each update (rows) and case (columns); per ancilla block o,
+# the block order with o first, then the other three
 _COEF = 0.5 * (_FRAMES[:4].conj().swapaxes(-1, -2) @ _FRAMES[4]).reshape(16, 4)
-_OTHERS = np.array([[j for j in range(4) if j != o] for o in range(4)])
-_FRAMES.flags.writeable = _COEF.flags.writeable = False
+_ORDER = np.array([[o] + [j for j in range(4) if j != o] for o in range(4)])
+# per question pair and outcome o, the frame's adjoint with row o moved first:
+# _SPLIT[q, o] @ (blocks of V L) puts block o of (F_q^dag (x) 1) V L on top
+_SPLIT = _FRAMES[:4].conj().swapaxes(-1, -2)[:, _ORDER]
+_FRAMES.flags.writeable = _COEF.flags.writeable = _SPLIT.flags.writeable = False
 
 
 @dataclass
@@ -233,6 +237,19 @@ class BellCaseReport:
                 "xi_eigenvalues": list(self.xi_eigenvalues), "degenerate": self.degenerate}
 
 
+def _factor_buffer(blocks: np.ndarray, width: int) -> np.ndarray:
+    """``[F 0]`` for each ``(4d, k)`` matrix of the stack ``blocks`` whose
+    top ``d`` rows are the ancilla block that ``G`` fills: ``F`` is that block
+    over the R factor of the other three blocks, which has their Gram matrix,
+    and ``width`` zero columns follow for ``G``."""
+    d, k = blocks.shape[-2] // 4, blocks.shape[-1]
+    rest = np.linalg.qr(blocks[:, d:], mode="r")
+    fg = np.zeros((len(blocks), d + rest.shape[-2], k + width), dtype=complex)
+    fg[:, :d, :k] = blocks[:, :d]
+    fg[:, d:, :k] = rest
+    return fg
+
+
 def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[BellCaseReport]:
     """Distance of each conjugated cross-parity branch from its shifted
     Bell state (tensored with the extracted junk state), plus the same
@@ -250,10 +267,15 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
     left operand is ``(W L) (R part R^dag) (W L)^dag`` for ``W = (F^dag (x) 1) V``
     and ``P = L R`` (:func:`~bellcert.linalg.rank_factor`; ``L = R = 1`` for the
     state).  A distance sees ``[W L  G]`` only through its Gram matrix, so W L's
-    other three blocks become their ``k x k`` QR factor, once per frame and
-    block for all cases: each :func:`~bellcert.linalg.factored_trace_distance`
-    operand has ``d + k`` rows, not 4d (30 at d = 24).  The 64 update
-    distances are one stacked call and the four state distances another.
+    other three blocks become their ``k x k`` QR factor, once per update for
+    all four cases: each :func:`~bellcert.linalg.factored_trace_distance`
+    operand has ``d + k`` rows, not 4d (30 at d = 24).  An update's ``W L``
+    is ``V L`` with its frame's adjoint applied to the ancilla blocks, rows
+    reordered so that block ``o`` comes first, so V is never held in all five
+    frames.  Each kind of distance has one ``[F G]`` buffer: ``F`` is filled
+    once, and ``G``, zero below block ``o``, is rewritten in place for each
+    case.  The four state distances are one call, and the 64 update
+    distances four calls of 16, one per case, on the same buffer.
     ``xi`` is ``w sigma w^dag`` over its trace, for block ``w`` of V in the
     Bell frame and ``sigma = cases.sum(0)``; the four are factored in one
     stacked call, which gives narrower factors zero columns of sign 0, and
@@ -275,32 +297,30 @@ def bell_report(cases: np.ndarray, projs: np.ndarray, v: np.ndarray) -> list[Bel
     1``, both operands of unit trace at most).
     """
     d = v.shape[1]
-    # V in each frame, by ancilla block: w[f, j] = (e_j^dag F_f^dag (x) 1) V
-    w = (_FRAMES.conj().swapaxes(-1, -2) @ v.reshape(4, d * d)).reshape(5, 4, d, d)
-    left, right = rank_factor(projs.reshape(-1, d, d))
-    k, o = left.shape[-1], np.arange(4)
-    wl = w[:4, None] @ left.reshape(4, 4, 1, d, k)  # [q, o, j]: block j of update (q, o)
-    rest = np.linalg.qr(wl[:, o[:, None], _OTHERS].reshape(16, 3 * d, k), mode="r")
-    f = np.concatenate([wl[:, o, o].reshape(16, d, k), rest], axis=-2)
-
-    m = w[4] @ cases.sum(0) @ w[4].conj().swapaxes(-1, -2)
+    # V in the Bell frame, by ancilla block, gives the junk states
+    bell = (_FRAMES[4].conj().T @ v.reshape(4, d * d)).reshape(4, d, d)
+    m = bell @ cases.sum(0) @ bell.conj().swapaxes(-1, -2)
     traces = np.trace(m, axis1=-2, axis2=-1).real.tolist()
     xis = np.array([np.zeros((d, d), dtype=complex) if tr < _DEGENERATE_TRACE else mc / tr
                     for tr, mc in zip(traces, m)])
     xs, sx = signed_factor(xis)
     width = sx.shape[-1]
     mg, lams = sx[..., None] * np.eye(width), sx * np.sum(np.abs(xs) ** 2, axis=-2)
+    fg = _factor_buffer(bell[_ORDER].reshape(4, 4 * d, d), width)
+    fg[:, :d, d:] = 0.5 * xs
+    states = factored_trace_distance(fg, cases, mg).tolist()
 
-    g = np.zeros((4, 16, d + k, width), dtype=complex)
-    g[:, :, :d] = _COEF.T[:, :, None, None] * xs[:, None]
-    dists = factored_trace_distance(np.broadcast_to(f, g.shape[:-1] + (k,)),
-                                    right @ cases[:, None] @ right.conj().swapaxes(-1, -2),
-                                    g, mg[:, None]).tolist()
-    # the state distances in the Bell frame: block c over the QR of the other three
-    bell_rest = np.linalg.qr(w[4, _OTHERS].reshape(4, 3 * d, d), mode="r")
-    g_state = np.concatenate([0.5 * xs, np.zeros((4, d, width))], axis=-2)
-    states = factored_trace_distance(np.concatenate([w[4], bell_rest], axis=-2), cases,
-                                     g_state, mg).tolist()
+    # the update distances: W L for update (q, o) in the frame of q, block o
+    # on top; G fills block o alone, so each case rewrites G's top d rows
+    left, right = rank_factor(projs.reshape(-1, d, d))
+    k = left.shape[-1]
+    fg = _factor_buffer((_SPLIT @ (v @ left).reshape(4, 4, 4, d * k)).reshape(16, 4 * d, k),
+                        width)
+    mf = right @ cases[:, None] @ right.conj().swapaxes(-1, -2)
+    dists = []
+    for c in range(4):
+        np.multiply(_COEF[:, c, None, None], xs[c], out=fg[:, :d, k:])
+        dists.append(factored_trace_distance(fg, mf[c], mg[c]).tolist())
     return [BellCaseReport(label=label, branch_trace=tr, state_distance=state,
                            measurement_distances=dict(zip(_UPDATES, dist)), xi=xi,
                            xi_eigenvalues=sorted(lam[s != 0].tolist(), reverse=True),

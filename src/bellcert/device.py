@@ -77,6 +77,19 @@ def _matrix_fault(m: np.ndarray, dim: int) -> str | None:
     return None
 
 
+def _lowest_eigenvalues(states: np.ndarray) -> np.ndarray:
+    """The lowest eigenvalue of each hermitian matrix of a stack, or zeros
+    when none is below ``-VALIDATION_TOL``: a Cholesky of the whole stack
+    shifted by ``VALIDATION_TOL`` screens it, and only when some shifted
+    matrix does not factor does ``eigvalsh`` give every lowest eigenvalue.
+    Both read the lower triangle."""
+    try:
+        np.linalg.cholesky(states + VALIDATION_TOL * np.eye(states.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(states).min(axis=-1)
+    return np.zeros(len(states))
+
+
 def validate(device: Device) -> list[Violation]:
     """Collect every structural violation beyond ``VALIDATION_TOL`` (empty = valid).
 
@@ -90,6 +103,12 @@ def validate(device: Device) -> list[Violation]:
     projectors (``P P``, completeness, ``P_a P_b``).  No (dim, dim) array is
     built that the device does not hold, since a file's ``dim`` is hostile.
     Names and order are those of a loop over one matrix at a time.
+
+    Positivity is screened by one Cholesky of the branch states shifted by
+    ``VALIDATION_TOL``; only a stack that fails it takes ``eigvalsh``, which
+    gives the verdicts and magnitudes.  The screen can pass a state that
+    ``eigvalsh`` would fail only when its lowest eigenvalue lies within
+    rounding (order ``d eps ||rho||``) of ``-VALIDATION_TOL``.
     """
     out: list[Violation] = []
     dim = device.dim
@@ -107,7 +126,7 @@ def validate(device: Device) -> list[Violation]:
         if ok.any():
             good = np.array([st for st, f in zip(states, faults) if f is None])
             herm[ok] = np.max(np.abs(good - good.conj().swapaxes(-1, -2)), axis=(-2, -1))
-            low[ok] = np.linalg.eigvalsh(good).min(axis=-1)
+            low[ok] = _lowest_eigenvalues(good)
             tr_err[ok] = np.abs(np.trace(good, axis1=-2, axis2=-1).real - 1.0)
         total = 0.0
         for br, fault, h, lo, t in zip(branches, faults, herm.tolist(), low.tolist(),
@@ -211,8 +230,10 @@ def sigma_partial(device: Device, theta1: int, v1: int, theta2: int, v2: int) ->
 def marginal_observables(projs: np.ndarray) -> dict[str, np.ndarray]:
     """Each marginal of :data:`MARGINALS`: the +/-1 observable of its leg's
     answer bit under its question pair's measurement, from the
-    :func:`projectors` stack ``projs`` as one signed sum over the outcomes."""
-    obs = (OUTCOME_SIGNS[:, :, None, None] * projs[:, None]).sum(2)  # [questions, leg]
+    :func:`projectors` stack ``projs`` as one signed sum over the outcomes,
+    a (2, 4) @ (4, d^2) product per question pair."""
+    d = projs.shape[-1]
+    obs = (OUTCOME_SIGNS @ projs.reshape(4, 4, d * d)).reshape(4, 2, d, d)  # [questions, leg]
     return dict(zip(MARGINALS, obs[_MARGINAL_ROWS, _MARGINAL_LEGS]))
 
 

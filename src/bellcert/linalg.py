@@ -1,25 +1,25 @@
 """Dense linear algebra for small quantum operators.
 
-Everything here works on plain complex numpy arrays, and the trace and
-norm helpers (:func:`trace_prod`, :func:`state_dep_norm_sq`) take stacks of
-them with broadcast leading axes.  Structural checks
-(hermiticity, trace, projector/observable laws, here and in
-:func:`bellcert.device.validate`) use an absolute tolerance of
-``VALIDATION_TOL``; quantities reported by the analysis layer are never
-rounded before serialization.  Trace distances between operators given as
-low-rank factors with hermitian middles, ``F Mf F^dag - G Mg G^dag``, are
-taken through a QR of the stacked factors (:func:`factored_trace_distance`),
-which never forms the full-size operands and runs over stacks of them in one
-call.  The factors of :func:`signed_factor` (eigen-components) and
-:func:`rank_factor` (singular triplets) run one batched Householder QR over
-their stack, drop the rows of R at rounding level and decompose only the
-small block that is left (the QR-preprocessed SVD of Chan, ACM TOMS 8,
-1982).  That small ``eigh`` or ``svd`` keeps only what it resolves from 0
-(the ``numpy.linalg.matrix_rank`` rule), so a factor's width is the
-operand's numerical rank; what is dropped lies within rounding, and moves a
-trace distance by at most order ``n^2 eps`` times the largest eigenvalue or
-squared singular value involved (``n`` the operand side, ``eps`` the
-float64 machine epsilon).
+Everything here works on plain complex numpy arrays, and the trace and norm
+helpers (:func:`trace_prod`, :func:`state_dep_norm_sq`) take stacks of them
+with broadcast leading axes.  Structural checks (hermiticity, trace,
+projector/observable laws, here and in :func:`bellcert.device.validate`) use
+an absolute tolerance of ``VALIDATION_TOL``; quantities reported by the
+analysis layer are never rounded before serialization.  Trace distances
+between operators given as low-rank factors with hermitian middles, ``F Mf
+F^dag - G Mg G^dag``, are taken through a QR of the stacked factor ``[F G]``
+that the caller builds (:func:`factored_trace_distance`), which never forms
+the full-size operands and runs over stacks of them in one call.  The
+factors of :func:`signed_factor` (eigen-components) and :func:`rank_factor`
+(singular triplets) run one batched Householder QR over their stack, drop
+the rows of R at rounding level and decompose only the small block that is
+left (the QR-preprocessed SVD of Chan, ACM TOMS 8, 1982).  That small
+``eigh`` or ``svd`` keeps only what it resolves from 0 (the
+``numpy.linalg.matrix_rank`` rule), so a factor's width is the operand's
+numerical rank; what is dropped lies within rounding, and moves a trace
+distance by at most order ``n^2 eps`` times the largest eigenvalue or
+squared singular value involved (``n`` the operand side, ``eps`` the float64
+machine epsilon).
 """
 from __future__ import annotations
 
@@ -225,32 +225,35 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + mh) / 2
 
 
-def factored_trace_distance(f: np.ndarray, mf: np.ndarray,
-                            g: np.ndarray, mg: np.ndarray) -> np.ndarray | np.floating:
+def factored_trace_distance(fg: np.ndarray, mf: np.ndarray,
+                            mg: np.ndarray) -> np.ndarray | np.floating:
     """(1/2) ||F Mf F^dag - G Mg G^dag||_1 without forming either operand.
 
-    ``Mf`` and ``Mg`` are hermitian (indefinite is fine; an asymmetry beyond
-    ``VALIDATION_TOL`` times their largest entry, or 1, is refused).  All four arguments
-    may be stacks with shared leading axes (the middles may also be single
-    matrices, broadcast over the stack); the result has the stack's shape,
-    a float for single operands.  With ``[F G] = QR`` the difference is
-    ``Q (R D R^dag) Q^dag`` for ``D = blockdiag(Mf, -Mg)``.  Q has orthonormal
-    columns, so the nonzero eigenvalues of the difference are those of the
-    small hermitian ``R D R^dag``, whose side is at most the summed widths
-    of F and G.
+    ``fg`` is the stacked factor ``[F G]``: F's columns, then G's, their
+    widths read from the middles.  ``Mf`` and ``Mg`` are hermitian
+    (indefinite is fine; an asymmetry beyond ``VALIDATION_TOL`` times their
+    largest entry, or 1, is refused).  All three arguments may be stacks
+    with leading axes that broadcast (a middle may be a single matrix, shared
+    by the stack); the result has the broadcast shape, a float for single
+    operands.  With ``[F G] = QR`` the difference is ``Q (R D R^dag) Q^dag``
+    for ``D = blockdiag(Mf, -Mg)``.  Q has orthonormal columns, so the
+    nonzero eigenvalues of the difference are those of the small hermitian
+    ``R D R^dag``, whose side is at most the summed widths of F and G; it is
+    formed from R's column blocks, ``R_F Mf R_F^dag - R_G Mg R_G^dag``.  The
+    QR is taken of ``fg`` as given, so a caller that fills one ``[F G]``
+    buffer in place can reuse it across calls.
     """
-    a, b = f.shape[-1], g.shape[-1]
-    if f.shape[:-1] != g.shape[:-1]:
-        raise DimensionMismatchError("factors have different row counts")
+    a, b = mf.shape[-1], mg.shape[-1]
     if mf.shape[-2:] != (a, a) or mg.shape[-2:] != (b, b):
-        raise DimensionMismatchError("middle matrices do not match their factors' widths")
-    d = np.zeros(np.broadcast_shapes(f.shape[:-2], mf.shape[:-2], mg.shape[:-2])
-                 + (a + b, a + b), dtype=complex)
-    d[..., :a, :a] = _hermitian_part(mf)
-    d[..., a:, a:] = -_hermitian_part(mg)
-    r = np.linalg.qr(np.concatenate([f, g], axis=-1), mode="r")
-    lam = np.linalg.eigvalsh(r @ d @ r.conj().swapaxes(-1, -2))
-    return 0.5 * np.sum(np.abs(lam), axis=-1)
+        raise DimensionMismatchError("middle matrices are not square")
+    if fg.ndim < 2 or fg.shape[-1] != a + b:
+        raise DimensionMismatchError(f"middle widths {a} + {b} do not sum to the factor's "
+                                     f"width, shape {fg.shape}")
+    r = np.linalg.qr(fg, mode="r")
+    rf, rg = r[..., :a], r[..., a:]
+    m = (rf @ _hermitian_part(mf) @ rf.conj().swapaxes(-1, -2)
+         - rg @ _hermitian_part(mg) @ rg.conj().swapaxes(-1, -2))
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

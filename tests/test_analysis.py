@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,3 +585,20 @@ def test_report_json_schema(dev):
         assert set(case) == _CASE_KEYS
         assert all(type(lam) is float for lam in case["xi_eigenvalues"])
         assert len(case["xi_eigenvalues"]) == signed_factor(mem.xi)[0].shape[1]
+
+
+def test_analyze_peak_memory_at_dimension_24(rng):
+    """``analyze`` at d = 24 (the honest device with a 6-dimensional junk
+    register, as the white-box benchmark runs it) stays under 1.5 MB of
+    traced heap: no distance call concatenates its factors, and no stack of
+    ancilla blocks outlives the QR that compresses it."""
+    dev = embed_device(from_honest(0.2), 6, rng)
+    assert dev.dim == 24
+    analysis.analyze(dev)
+    tracemalloc.start()
+    try:
+        analysis.analyze(dev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000

@@ -10,8 +10,8 @@ import pytest
 from bellcert import analysis, cli
 from bellcert import device as devmod
 from bellcert.errors import ValidationError
-from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, matrix_to_json, tensor
-from conftest import check_binary_observable
+from bellcert.linalg import ID2, SIGMA_X, SIGMA_Z, VALIDATION_TOL, matrix_to_json, tensor
+from conftest import check_binary_observable, dense_validate, embed_device, random_unitary
 
 
 def test_honest_device_is_valid():
@@ -195,6 +195,44 @@ def test_validate_names_huge_dim_without_allocating():
         tracemalloc.stop()
     assert [(v.name, v.magnitude) for v in violations] == [(n, float("inf")) for n in want]
     assert peak < 1 << 20
+
+
+# per basis pair, one entry per branch: +1 puts its lowest eigenvalue at
+# -(1 + 1e-3) VALIDATION_TOL (a violation), -1 at -(1 - 1e-3) VALIDATION_TOL
+@pytest.mark.parametrize("offsets", [
+    {(1, 1): (-1, -1, -1, -1)},
+    {(1, 1): (1, 1, 1, 1)},
+    {(1, 1): (-1, 1, -1, -1), (0, 1): (-1, -1, -1, 1)},
+    {(0, 0): (1, -1, -1, -1), (1, 0): (-1, -1, -1, -1)},
+])
+def test_validate_positivity_at_the_tolerance(rng, monkeypatch, offsets):
+    """Branch states within 1e-3 of the positivity tolerance, on either
+    side, one failing state among passing ones included: the Cholesky
+    screen passes only stacks with no violation, and the names, order and
+    magnitudes equal those of the one-matrix-at-a-time loop."""
+    dev = embed_device(devmod.from_honest(0.2), 6, rng)
+    want = []
+    for basis in devmod.BASIS_PAIRS:
+        for br, sign in zip(dev.branches[basis], offsets.get(basis, ())):
+            low = -(1.0 + sign * 1e-3) * VALIDATION_TOL
+            vals = rng.uniform(0.1, 1.0, dev.dim)
+            vals[0] = low
+            vals[1:] *= (1.0 - low) / vals[1:].sum()
+            u = random_unitary(dev.dim, rng)
+            br.state = (u * vals) @ u.conj().T
+            if sign > 0:
+                want.append(f"branch {basis}/{br.label} positivity")
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+    got = devmod.validate(dev)
+    assert len(spectra) == sum(any(s > 0 for s in signs) for signs in offsets.values())
+    monkeypatch.undo()
+    dense = dense_validate(dev)
+    assert [v.name for v in got] == [v.name for v in dense] == want
+    for g, w in zip(got, dense):
+        assert g.magnitude == pytest.approx(w.magnitude, abs=1e-12)
+        assert g.magnitude == pytest.approx((1.0 + 1e-3) * VALIDATION_TOL, rel=1e-6)
 
 
 @pytest.mark.parametrize("dim,side", [(0, 0), (4.0, 4)])

@@ -66,6 +66,11 @@ def _signs(width: int, kind: str, rng: np.random.Generator) -> np.ndarray:
             "indefinite": rng.choice([-1.0, 0.0, 1.0], size=width)}[kind]
 
 
+def _distance(f, mf, g, mg):
+    """``factored_trace_distance`` of the factors ``F`` and ``G``, stacked."""
+    return linalg.factored_trace_distance(np.concatenate([f, g], axis=-1), mf, mg)
+
+
 @pytest.mark.parametrize("rows,wf,wg,kf,kg", [
     (12, 3, 2, "psd", "psd"),                  # rank-deficient operands
     (12, 6, 6, "psd", "zero"),                 # zero right operand, as for a degenerate xi
@@ -80,8 +85,26 @@ def test_factored_trace_distance_matches_dense(rng, rows, wf, wg, kf, kg):
         f, g = _ginibre(rows, wf, rng), _ginibre(rows, wg, rng)
         sf, sg = _signs(wf, kf, rng), _signs(wg, kg, rng)
         dense = linalg.trace_distance((f * sf) @ f.conj().T, (g * sg) @ g.conj().T)
-        assert linalg.factored_trace_distance(f, np.diag(sf), g, np.diag(sg)) == \
-            pytest.approx(dense, abs=1e-12)
+        assert _distance(f, np.diag(sf), g, np.diag(sg)) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("kept", [0, 2, 6])
+def test_factored_trace_distance_zero_padding_columns(rng, kept):
+    """Zero columns of sign 0 after the kept ones, as ``signed_factor`` pads
+    a narrower junk state and leaves a degenerate one (``kept = 0``), give
+    the dense trace distance of what is kept, in a stack filled in place."""
+    f = np.stack([_ginibre(12, 4, rng) for _ in range(3)])
+    fg = np.zeros((3, 12, 4 + 6), dtype=complex)
+    fg[..., :4] = f
+    sg = np.zeros(6)
+    sg[:kept] = _signs(kept, "indefinite", rng)
+    for i in range(3):
+        fg[i, :, 4:4 + kept] = _ginibre(12, kept, rng)
+    got = linalg.factored_trace_distance(fg, np.eye(4), np.diag(sg))
+    for i in range(3):
+        g = fg[i, :, 4:]
+        dense = linalg.trace_distance(f[i] @ f[i].conj().T, (g * sg) @ g.conj().T)
+        assert got[i] == pytest.approx(dense, abs=1e-12)
 
 
 def _hermitian(width: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +120,7 @@ def test_factored_trace_distance_stacked_hermitian_middles(rng, rows, wf, wg):
     g = np.stack([_ginibre(rows, wg, rng) for _ in range(5)])
     mf = np.stack([_hermitian(wf, rng) for _ in range(5)])
     mg = _hermitian(wg, rng)
-    got = linalg.factored_trace_distance(f, mf, g, mg)
+    got = _distance(f, mf, g, mg)
     assert got.shape == (5,)
     for i in range(5):
         dense = linalg.trace_distance(f[i] @ mf[i] @ f[i].conj().T, g[i] @ mg @ g[i].conj().T)
@@ -116,7 +139,7 @@ def test_signed_factor_reproduces_hermitian_operand(rng, dim, rank_a, rank_b):
         (wa, sa), (wb, sb) = linalg.signed_factor(a), linalg.signed_factor(b)
         assert np.max(np.abs((wa * sa) @ wa.conj().T - a)) < 1e-12
         assert np.max(np.abs((wb * sb) @ wb.conj().T - b)) < 1e-12
-        assert linalg.factored_trace_distance(wa, np.diag(sa), wb, np.diag(sb)) == \
+        assert _distance(wa, np.diag(sa), wb, np.diag(sb)) == \
             pytest.approx(linalg.trace_distance(a, b), abs=1e-12)
 
 
@@ -150,17 +173,21 @@ def test_factors_reject_non_finite_and_non_square(factor):
         factor(np.zeros((2, 2, 3)))
 
 
-def test_factored_trace_distance_rejects_row_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        linalg.factored_trace_distance(np.eye(3), np.eye(3), np.eye(2), np.eye(2))
+def test_factored_trace_distance_rejects_width_mismatch():
+    """The middles' widths must sum to the stacked factor's width."""
+    with pytest.raises(DimensionMismatchError, match="do not sum"):
+        linalg.factored_trace_distance(np.eye(5), np.eye(3), np.eye(3))
+    with pytest.raises(DimensionMismatchError, match="do not sum"):
+        linalg.factored_trace_distance(np.eye(5), np.eye(3), np.eye(1))
+    with pytest.raises(DimensionMismatchError, match="do not sum"):
+        linalg.factored_trace_distance(np.ones(4), np.eye(2), np.eye(2))
 
 
 def test_factored_trace_distance_rejects_bad_middles():
     with pytest.raises(DimensionMismatchError):
-        linalg.factored_trace_distance(np.eye(3), np.eye(2), np.eye(3), np.eye(3))
+        linalg.factored_trace_distance(np.eye(5), np.ones((2, 3)), np.eye(3))
     with pytest.raises(ValidationError):
-        linalg.factored_trace_distance(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                       np.eye(2), np.eye(2))
+        linalg.factored_trace_distance(np.eye(4), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
 @pytest.mark.parametrize("ranks", [(3, 3, 3), (0, 2, 5), (0, 0, 0), (8, 1, 4)])
@@ -264,7 +291,7 @@ def test_factor_width_is_numerical_rank(rng, case):
     assert np.linalg.matrix_rank(a) == want and left.shape == (_N, want)
     bound = (_N ** 1.5 + _N) * _EPS * np.linalg.norm(a, 2)
     assert np.linalg.norm(left @ right - a, 2) <= bound
-    assert linalg.factored_trace_distance(left, right @ rho @ right.conj().T, g, np.eye(2)) == \
+    assert _distance(left, right @ rho @ right.conj().T, g, np.eye(2)) == \
         pytest.approx(linalg.trace_distance(a @ rho @ a.conj().T, other), abs=1e-12)
 
     h = build(True, rng)
@@ -272,7 +299,7 @@ def test_factor_width_is_numerical_rank(rng, case):
     assert np.linalg.matrix_rank(h) == want and w.shape == (_N, want)
     bound = 2 * _N ** 2 * _EPS * np.max(np.abs(np.linalg.eigvalsh(h)))
     assert np.sum(np.abs(np.linalg.eigvalsh((w * s) @ w.conj().T - h))) <= bound
-    assert linalg.factored_trace_distance(w, np.diag(s), g, np.eye(2)) == \
+    assert _distance(w, np.diag(s), g, np.eye(2)) == \
         pytest.approx(linalg.trace_distance(h, other), abs=1e-12)
 
 
